@@ -11,6 +11,7 @@ byte-identical whatever the worker count.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -20,10 +21,13 @@ import numpy as np
 
 from . import bounds, gmc, inequalities, measure as measure_mod
 from .errors import GmcLabError, HypothesisViolationError, ValidationError
+from .field import STREAM_VERSION
 from .kernel import build_covariance, default_epsilon
 from .reports import render_report, to_jsonable, write_plot_csv
 
 IDENTITY_TOLERANCE = 1e-10
+# fewer replicas leave every standard error undefined
+MIN_REPLICAS = 2
 
 
 def _float_list(text: str) -> list[float]:
@@ -58,7 +62,24 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+    _check_values(merged)
     return merged
+
+
+def _check_values(cfg: dict) -> None:
+    """Reject replica counts too small to grade and non-finite numbers,
+    whether they came from a flag or from the config file."""
+    replicas = cfg.get("replicas")
+    if replicas is not None and (isinstance(replicas, bool)
+                                 or not isinstance(replicas, int)
+                                 or replicas < MIN_REPLICAS):
+        raise ValidationError(
+            f"replicas must be an integer >= {MIN_REPLICAS}, got {replicas!r}")
+    for key, value in cfg.items():
+        for item in value if isinstance(value, list) else [value]:
+            if (isinstance(item, (float, complex))
+                    and not cmath.isfinite(item)):
+                raise ValidationError(f"{key} must be finite, got {item!r}")
 
 
 def _resolve_seed(cfg: dict) -> None:
@@ -156,7 +177,7 @@ def _cmd_laplace(args) -> tuple[dict, dict, int]:
     if args.csv:
         write_plot_csv(args.csv, report.t_values, report.estimates,
                        report.standard_errors, report.bound_values)
-    return cfg, {"laplace": report}, 0
+    return cfg, {"laplace": report, "stream_version": STREAM_VERSION}, 0
 
 
 def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
@@ -176,7 +197,7 @@ def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
     if args.csv:
         write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
                        report.laplace.standard_errors, report.laplace.bound_values)
-    payload = {"bound": report}
+    payload = {"bound": report, "stream_version": STREAM_VERSION}
     if report.trivial_pass:
         payload["warning"] = ("laplace estimates underflowed to zero at every "
                               "grid point; the bound holds vacuously at double "
@@ -197,7 +218,7 @@ def _cmd_verify_identity(args) -> tuple[dict, dict, int]:
     worst = float(errors.max())
     ok = worst <= cfg["tolerance"]
     payload = {"max_rel_err": worst, "mean_rel_err": float(errors.mean()),
-               "passed": bool(ok)}
+               "passed": bool(ok), "stream_version": STREAM_VERSION}
     return cfg, payload, 0 if ok else 1
 
 
@@ -225,7 +246,8 @@ def _cmd_verify_com(args) -> tuple[dict, dict, int]:
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
                                           int(cfg["replicas"]), cfg["seed"],
                                           threads=args.threads)
-    return cfg, {"change_of_measure": report}, 0 if report.overlap else 1
+    return cfg, {"change_of_measure": report,
+                 "stream_version": STREAM_VERSION}, 0 if report.overlap else 1
 
 
 def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
@@ -260,8 +282,11 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
             raise ValidationError("which must be fkg, kahane or markov")
     except HypothesisViolationError as exc:
         return cfg, {"skipped": True, "reason": str(exc)}, 0
+    payload = {"verdicts": verdicts}
+    if cfg["which"] != "markov":
+        payload["stream_version"] = STREAM_VERSION
     all_pass = all(v.passed for v in verdicts)
-    return cfg, {"verdicts": verdicts}, 0 if all_pass else 1
+    return cfg, payload, 0 if all_pass else 1
 
 
 def _cmd_split(args) -> tuple[dict, dict, int]:
@@ -282,7 +307,7 @@ def _cmd_tail(args) -> tuple[dict, dict, int]:
     report = bounds.small_ball_tail(model, cfg["gamma"], cfg["eps"],
                                     int(cfg["replicas"]), cfg["seed"],
                                     threads=args.threads)
-    return cfg, {"tail": report}, 0
+    return cfg, {"tail": report, "stream_version": STREAM_VERSION}, 0
 
 
 # ----------------------------------------------------------------- parser
@@ -391,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {args.threads}")
         cfg, payload, code = args.handler(args)
     except GmcLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,13 +91,17 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
 
 
 def draw_roots(model, base_seed: int, indices) -> np.ndarray:
-    """Weight-proportional root atom index per replica (root substream)."""
+    """Weight-proportional root atom index per replica (root substream).
+
+    Replica k's uniform is entry k % BATCH of one (BATCH,) draw from the root
+    stream of block k // BATCH.
+    """
     cum = np.cumsum(model.measure.weights)
-    total = cum[-1]
-    roots = np.empty(len(indices), dtype=np.int64)
-    for k, replica in enumerate(indices):
-        rng = replica_generator(base_seed, int(replica), field_mod.ROOT_SUBSTREAM)
-        roots[k] = np.searchsorted(cum, rng.random() * total, side="right")
+    uniforms = np.empty(len(indices))
+    for key, positions, rows in field_mod.block_groups(indices):
+        rng = replica_generator(base_seed, key, field_mod.ROOT_SUBSTREAM)
+        uniforms[positions] = rng.random(field_mod.BATCH)[rows]
+    roots = np.searchsorted(cum, uniforms * cum[-1], side="right")
     return np.minimum(roots, model.n - 1)
 
 

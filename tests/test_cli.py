@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+import gmclab.cli
+import gmclab.field
 from gmclab import AtomicMeasure, d_energy, load_measure, save_measure
 
 SEED = 7
@@ -356,3 +358,57 @@ def test_reports_identical_across_threads(files, argv):
     three = run_cli(*base, "--threads", 3)
     assert one.stdout == three.stdout
     assert one.returncode == three.returncode
+
+
+# ------------------------------------------------------------ input checks
+
+SEEDED_ARGV = {
+    "laplace": ("laplace", "--gamma", "0.8", "--t", "1.0"),
+    "verify-bound": ("verify-bound", "--gamma", "0.8", "--d", "2.0", "--l2"),
+    "verify-identity": ("verify-identity", "--gamma", "0.8", "--gamma-prime", "0.8"),
+    "verify-change-of-measure": ("verify-change-of-measure", "--gamma-prime", "0.6"),
+    "verify-ineq": ("verify-ineq", "--which", "fkg", "--gamma", "0.8"),
+    "tail": ("tail", "--gamma", "0.8", "--eps", "0.5"),
+}
+
+BAD_INPUT = {
+    "replicas_zero": (("--replicas", "0"), None),
+    "replicas_negative": (("--replicas", "-5"), None),
+    "replicas_one": (("--replicas", "1"), None),
+    "threads_zero": (("--threads", "0"), None),
+    "nan_flag": (("--epsilon", "nan"), None),
+    "inf_flag": (("--epsilon=-inf",), None),
+    "config_replicas_zero": ((), {"replicas": 0}),
+    "config_replicas_fraction": ((), {"replicas": 2.5}),
+    "config_nan": ((), {"epsilon": float("nan")}),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUT))
+@pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
+def test_invalid_sampling_input_exits_2(files, tmp_path, capsys, command, bad):
+    flags, config = BAD_INPUT[bad]
+    argv = [*SEEDED_ARGV[command], "--measure", str(files["small"]),
+            "--seed", str(SEED), "--no-timestamp", *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_stream_version_only_in_sampled_reports(files, capsys):
+    def run(*argv):
+        assert gmclab.cli.main([*argv, "--no-timestamp"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
+                  "--replicas", "16", "--seed", str(SEED))
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 2
+    markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
+    energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
+    assert "stream_version" not in markov
+    assert "stream_version" not in energy

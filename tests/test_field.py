@@ -9,7 +9,7 @@ from gmclab import (
     replica_generator,
     sample_field,
 )
-from gmclab.field import FIELD_SUBSTREAM, ROOT_SUBSTREAM
+from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, normal_block
 
 SEED = 2024
 N_BIG = 100000
@@ -47,11 +47,13 @@ def test_two_atom_covariance(two_model):
 
 
 def test_field_matrix_matches_single_samples(model4):
-    # batched product may differ from the one-column product at the last ulp
-    values = field_matrix(model4, SEED, np.arange(40))
-    for k in (0, 7, 39):
-        single = sample_field(model4, SEED, k).values
-        assert np.allclose(values[:, k], single, rtol=0, atol=1e-13)
+    # batched product may differ from the one-column product at the last ulp;
+    # the last index sits in stream block 2
+    indices = np.r_[np.arange(40), 2 * BATCH + 5]
+    values = field_matrix(model4, SEED, indices)
+    for col in (0, 7, 39, 40):
+        single = sample_field(model4, SEED, int(indices[col])).values
+        assert np.allclose(values[:, col], single, rtol=0, atol=1e-13)
 
 
 def test_field_matrix_thread_independent(model4):
@@ -101,3 +103,42 @@ def test_field_linearity_under_kernel_scaling(two_atom):
     a = field_matrix(base, SEED, np.arange(50))
     b = field_matrix(scaled, SEED, np.arange(50))
     assert np.allclose(b, 2.0 * a, rtol=1e-12, atol=1e-12)
+
+
+# ------------------------------------------------------- block-keyed streams
+
+
+@pytest.fixture(scope="module")
+def aligned(model4):
+    """Normals and field values for the two whole blocks [0, 2 * BATCH)."""
+    idx = np.arange(2 * BATCH)
+    return normal_block(model4.n, SEED, idx), field_matrix(model4, SEED, idx)
+
+
+def test_mid_block_range_matches_aligned_call(model4, aligned):
+    # 1000..1099 starts inside block 0 and crosses into block 1
+    normals, values = aligned
+    idx = np.arange(1000, 1100)
+    assert np.array_equal(normal_block(model4.n, SEED, idx), normals[:, idx])
+    assert np.array_equal(field_matrix(model4, SEED, idx), values[:, idx])
+    assert np.array_equal(field_matrix(model4, SEED, idx, threads=2), values[:, idx])
+
+
+def test_shuffled_and_duplicated_indices_permute_columns(model4, aligned):
+    normals, values = aligned
+    rng = np.random.default_rng(0)
+    idx = rng.permutation(2 * BATCH)[:300]
+    idx = np.r_[idx, idx[:20], 1023, 1024, 1023]
+    assert np.array_equal(normal_block(model4.n, SEED, idx), normals[:, idx])
+    assert np.array_equal(field_matrix(model4, SEED, idx, threads=2), values[:, idx])
+
+
+def test_replica_is_its_row_of_the_block_draw(model4):
+    k = BATCH + 37
+    block = replica_generator(SEED, 1).standard_normal((BATCH, model4.n))
+    assert np.array_equal(normal_block(model4.n, SEED, [k])[:, 0], block[37])
+
+
+def test_empty_index_list(model4):
+    assert field_matrix(model4, SEED, []).shape == (model4.n, 0)
+    assert normal_block(model4.n, SEED, []).shape == (model4.n, 0)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import gmclab.field
+import gmclab.gmc
 from gmclab import (
     AtomicMeasure,
     DomainError,
@@ -11,6 +13,7 @@ from gmclab import (
     build_covariance,
     clipped_mass_statistic,
     d_energy,
+    field_matrix,
     gmc_mass,
     green_disk,
     rooted_identity_errors,
@@ -20,6 +23,7 @@ from gmclab import (
     verify_change_of_measure,
     verify_rooted_identity,
 )
+from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
 from gmclab.gmc import beta_singular_integral, beta_singular_samples, draw_roots, mass_columns
 
 SEED = 7
@@ -228,3 +232,50 @@ def test_beta_singular_mean_bound(model8):
 def test_beta_singular_rejects(model8):
     with pytest.raises(DomainError):
         beta_singular_samples(model8, SEED, [0], 0.8, -1.0)
+
+
+# ------------------------------------------------------- block-keyed streams
+
+
+def test_roots_mid_block_range_match_aligned_call(model8):
+    aligned = draw_roots(model8, SEED, np.arange(2 * BATCH))
+    idx = np.arange(1000, 1100)
+    assert np.array_equal(draw_roots(model8, SEED, idx), aligned[idx])
+
+
+def test_roots_shuffled_and_duplicated_indices(model8):
+    aligned = draw_roots(model8, SEED, np.arange(2 * BATCH))
+    rng = np.random.default_rng(1)
+    idx = np.r_[rng.permutation(2 * BATCH)[:300], 5, 5, 2047, 0]
+    assert np.array_equal(draw_roots(model8, SEED, idx), aligned[idx])
+
+
+def test_root_is_its_row_of_the_block_draw(model8):
+    k = 2 * BATCH + 11
+    u = gmclab.field.replica_generator(SEED, 2, ROOT_SUBSTREAM).random(BATCH)[11]
+    cum = np.cumsum(model8.measure.weights)
+    expected = min(np.searchsorted(cum, u * cum[-1], side="right"), model8.n - 1)
+    assert draw_roots(model8, SEED, [k])[0] == expected
+
+
+def test_roots_of_empty_index_list(model8):
+    assert draw_roots(model8, SEED, []).shape == (0,)
+
+
+def test_one_generator_per_block_and_substream(model4, monkeypatch):
+    # the cost model: streams are built per block, never per replica
+    made = []
+    real = gmclab.field.replica_generator
+
+    def counting(base_seed, block_index, substream=FIELD_SUBSTREAM):
+        made.append((block_index, substream))
+        return real(base_seed, block_index, substream)
+
+    monkeypatch.setattr(gmclab.field, "replica_generator", counting)
+    monkeypatch.setattr(gmclab.gmc, "replica_generator", counting)
+    indices = np.arange(3 * BATCH + 5)
+    field_matrix(model4, SEED, indices, threads=2)
+    draw_roots(model4, SEED, indices)
+    assert len(made) == len(set(made))
+    assert set(made) == {(block, sub) for block in range(4)
+                         for sub in (ROOT_SUBSTREAM, FIELD_SUBSTREAM)}
