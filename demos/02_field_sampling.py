@@ -6,8 +6,9 @@ The log-correlated field over an atomic measure has covariance matrix
 G(x_i, x_j) off the diagonal (zero-boundary disk Green kernel, distance
 regularized at scale epsilon) and log(1/eps) + log(1 - |x|^2) on it.
 The matrix is repaired to positive semidefinite by eigenvalue clipping and
-factored once; replicas are drawn from counter-based streams so replica k is
-the same numbers no matter how many threads or batches produced it.
+factored once; replicas are drawn from counter-based streams, one stream per
+block of 1024 replicas, so replica k is the same numbers whichever batch of
+replicas produced it.
 """
 
 import numpy as np

@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .field import field_matrix
-from .gmc import draw_roots, mass_columns, total_masses
+from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
+from .gmc import mean_se, rooted_kernel_sums, total_masses
+from .kernel import offdiagonal_green
 from .measure import AtomicMeasure, d_energy
 
 BOUND_CONSTANT = 2.0 ** 5
@@ -125,46 +126,34 @@ def t0_l2(measure: AtomicMeasure, gamma: float, d: float) -> float:
     return t0_from_ratio(d_energy(measure, d) / measure.total_mass, gamma, d)
 
 
-def _riesz_rows(model, beta: float) -> np.ndarray:
-    dist = np.abs(model.measure.positions[:, None] - model.measure.positions[None, :])
-    np.fill_diagonal(dist, math.inf)
-    return dist ** -beta
-
-
 def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
-                         n_replicas: int, start: int = 0,
-                         threads: int = 1) -> np.ndarray:
+                         n_replicas: int, start: int = 0) -> np.ndarray:
     """Rooted local energies phi_beta(root, mass), root atom excluded."""
-    indices = np.arange(start, start + n_replicas)
-    roots = draw_roots(model, base_seed, indices)
-    values = field_matrix(model, base_seed, indices, threads=threads)
-    masses = mass_columns(model, values, gamma)
-    return np.einsum("ki,ik->k", _riesz_rows(model, beta)[roots], masses)
+    _, dist = offdiagonal_green(model.measure.positions)
+    return rooted_kernel_sums(model, base_seed, np.arange(start, start + n_replicas),
+                              gamma, dist ** -beta)
 
 
 def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
-                base_seed: int, start: int = 0, threads: int = 1) -> float:
+                base_seed: int, start: int = 0) -> float:
     """Threshold estimate (2^4 * median of phi_beta)^(1/delta)."""
     if not delta > 0.0:
         raise DomainError("delta must satisfy delta > 0")
     phi = local_energy_samples(model, gamma, beta, base_seed, n_replicas,
-                               start=start, threads=threads)
+                               start=start)
     return float((T0_CONSTANT * np.median(phi)) ** (1.0 / delta))
 
 
 def laplace_transform(model, gamma: float, t_values, n_replicas: int,
                       base_seed: int, exponent: ExponentReport | None = None,
-                      start: int = 0, threads: int = 1) -> LaplaceReport:
+                      start: int = 0) -> LaplaceReport:
     """Monte Carlo E[exp(-t * mass)] on a shared replica set for every t."""
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values < 0):
         raise DomainError("t values must be >= 0")
-    totals = total_masses(model, gamma, base_seed, n_replicas, start=start,
-                          threads=threads)
+    totals = total_masses(model, gamma, base_seed, n_replicas, start=start)
     damped = np.exp(-t_values[:, None] * totals[None, :])
-    estimates = damped.mean(axis=1)
-    ses = damped.std(axis=1, ddof=1) / math.sqrt(n_replicas) if n_replicas > 1 \
-        else np.zeros_like(estimates)
+    estimates, ses = mean_se(damped, axis=1)
     bound = None
     if exponent is not None:
         sigma = model.measure.total_mass
@@ -173,32 +162,8 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
     return LaplaceReport(t_values, estimates, ses, bound, gamma, n_replicas, base_seed)
 
 
-def _event_check(model, gamma: float, beta: float, delta: float, s0: float,
-                 big_l: float, base_seed: int, n_replicas: int, start: int,
-                 threads: int):
-    """Frequency of the concentration event: the kernel-weighted mass inside
-    the ball B(root, s0^-L) stays below s0^delta * r^(beta - gamma^2)."""
-    p = model.measure.positions
-    r = s0 ** -big_l
-    threshold = s0 ** delta * r ** (beta - gamma * gamma)
-    dist = np.abs(p[:, None] - p[None, :])
-    np.fill_diagonal(dist, math.inf)
-    green = np.log(np.abs(1.0 - np.outer(p, p.conj()))) - np.log(
-        np.where(np.isinf(dist), 1.0, dist))
-    weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
-    np.fill_diagonal(weight, 0.0)
-    indices = np.arange(start, start + n_replicas)
-    roots = draw_roots(model, base_seed, indices)
-    values = field_matrix(model, base_seed, indices, threads=threads)
-    masses = mass_columns(model, values, gamma)
-    ball_mass = np.einsum("ki,ik->k", weight[roots], masses)
-    freq = float(np.mean(ball_mass <= threshold))
-    se = math.sqrt(freq * (1.0 - freq) / n_replicas)
-    return freq, se
-
-
 def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
-                 n_replicas: int, base_seed: int, threads: int = 1,
+                 n_replicas: int, base_seed: int,
                  l2: bool | None = None) -> BoundReport:
     """Test estimate + 3 SE <= 2^5/(sigma * t^eta) on a 12-points-per-decade
     grid over [t0, 100*t0], plus the concentration-event frequency check.
@@ -217,7 +182,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         s0 = BOUND_CONSTANT * d_energy(model.measure, d) / sigma
     else:
         s0 = estimate_s0(model, gamma, beta, delta, n_replicas, base_seed,
-                         start=n_replicas, threads=threads)
+                         start=n_replicas)
     if not s0 > 0.0:
         raise DomainError("threshold s0 is zero; measure too degenerate to grade")
     inv_eta = (beta + gamma * gamma * delta) / (beta - gamma * gamma)
@@ -232,11 +197,17 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)
     laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed,
-                                exponent=report, threads=threads)
+                                exponent=report)
     points_pass = laplace.estimates + 3.0 * laplace.standard_errors <= laplace.bound_values
     trivial = bool(np.all(laplace.estimates == 0.0))
-    freq, se = _event_check(model, gamma, beta, delta, s0, report.L, base_seed,
-                            n_replicas, 2 * n_replicas, threads)
+    # concentration event: the kernel-weighted mass inside the ball
+    # B(root, r = s0^-L) stays below s0^delta * r^(beta - gamma^2)
+    r = s0 ** -report.L
+    green, dist = offdiagonal_green(model.measure.positions)
+    weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
+    event_replicas = np.arange(2 * n_replicas, 3 * n_replicas)
+    ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
+    freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma * gamma))
     event_pass = freq >= 0.5 - 3.0 * se
     verdict = bool(points_pass.all() and event_pass)
     return BoundReport(report, laplace, points_pass, trivial, freq, se,
@@ -244,14 +215,13 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
 
 
 def small_ball_tail(model, gamma: float, thresholds, n_replicas: int,
-                    base_seed: int, threads: int = 1) -> TailReport:
+                    base_seed: int) -> TailReport:
     """Frequencies of {mass < threshold} with binomial standard errors."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if np.any(thresholds <= 0):
         raise DomainError("thresholds must be > 0")
-    totals = total_masses(model, gamma, base_seed, n_replicas, threads=threads)
-    freqs = np.array([np.mean(totals < eps) for eps in thresholds])
-    ses = np.sqrt(freqs * (1.0 - freqs) / n_replicas)
+    totals = total_masses(model, gamma, base_seed, n_replicas)
+    freqs, ses = mean_se(totals[None, :] < thresholds[:, None], axis=1)
     return TailReport(thresholds, freqs, ses, gamma, n_replicas, base_seed)
 
 

@@ -3,9 +3,8 @@
 Every subcommand reads parameters from flags, optionally backed by a JSON
 config file (flags override the file), echoes the fully resolved parameters
 into its JSON report and exits 0 on pass/success, 1 on a failed verdict, 2 on
-usage or validation problems. Execution knobs (--threads, --out,
---no-timestamp) never enter the report, so reruns with the same seed are
-byte-identical whatever the worker count.
+usage or validation problems. Execution knobs (--out, --no-timestamp) never
+enter the report, so reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -172,8 +170,7 @@ def _cmd_laplace(args) -> tuple[dict, dict, int]:
     _resolve_seed(cfg)
     model = _load_model(cfg)
     report = bounds.laplace_transform(model, cfg["gamma"], cfg["t"],
-                                      int(cfg["replicas"]), cfg["seed"],
-                                      threads=args.threads)
+                                      int(cfg["replicas"]), cfg["seed"])
     if args.csv:
         write_plot_csv(args.csv, report.t_values, report.estimates,
                        report.standard_errors, report.bound_values)
@@ -193,7 +190,7 @@ def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
     model = _load_model(cfg)
     report = bounds.verify_bound(model, cfg["gamma"], cfg["d"], cfg["beta"],
                                  cfg["delta"], int(cfg["replicas"]), cfg["seed"],
-                                 threads=args.threads, l2=bool(cfg["l2"]))
+                                 l2=bool(cfg["l2"]))
     if args.csv:
         write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
                        report.laplace.standard_errors, report.laplace.bound_values)
@@ -244,8 +241,7 @@ def _cmd_verify_com(args) -> tuple[dict, dict, int]:
     else:
         raise ValidationError("statistic must be 'mass' or 'atom-value'")
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
-                                          int(cfg["replicas"]), cfg["seed"],
-                                          threads=args.threads)
+                                          int(cfg["replicas"]), cfg["seed"])
     return cfg, {"change_of_measure": report,
                  "stream_version": STREAM_VERSION}, 0 if report.overlap else 1
 
@@ -262,7 +258,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
             model = _load_model(cfg)
             verdicts = [inequalities.fkg_check(model, cfg["gamma"], cfg["s"],
                                                cfg["t"], int(cfg["replicas"]),
-                                               cfg["seed"], threads=args.threads)]
+                                               cfg["seed"])]
         elif cfg["which"] == "kahane":
             _resolve_seed(cfg)
             _require(cfg, "measure")
@@ -272,8 +268,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
             verdicts = [inequalities.kahane_check(atoms, cfg["gamma"],
                                                   cfg["r_inner"], cfg["t"],
                                                   int(cfg["replicas"]), cfg["seed"],
-                                                  epsilon=cfg["epsilon"],
-                                                  threads=args.threads)]
+                                                  epsilon=cfg["epsilon"])]
         elif cfg["which"] == "markov":
             _require(cfg, "measure")
             atoms = measure_mod.load_measure(cfg["measure"])
@@ -305,8 +300,7 @@ def _cmd_tail(args) -> tuple[dict, dict, int]:
     _resolve_seed(cfg)
     model = _load_model(cfg)
     report = bounds.small_ball_tail(model, cfg["gamma"], cfg["eps"],
-                                    int(cfg["replicas"]), cfg["seed"],
-                                    threads=args.threads)
+                                    int(cfg["replicas"]), cfg["seed"])
     return cfg, {"tail": report, "stream_version": STREAM_VERSION}, 0
 
 
@@ -318,9 +312,6 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-stable reports")
-    parser.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="worker threads; never changes results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_generate)
     p.add_argument("--config", help="JSON file with default parameters")
     p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(threads=1, out=None)
+    p.set_defaults(out=None)
 
     def command(name, handler, help_text, *, seeded=True, csv=False):
         q = sub.add_parser(name, help=help_text)
@@ -416,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValidationError(f"threads must be >= 1, got {args.threads}")
         cfg, payload, code = args.handler(args)
     except GmcLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

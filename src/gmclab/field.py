@@ -6,7 +6,7 @@ SeedSequence(base_seed, spawn_key=(k // BATCH, substream)). Replica k is row
 k % BATCH of its block's bulk draw: a (BATCH, n) standard normal array for the
 field and a (BATCH,) uniform array for the root. Field values come from the
 model factor times the whole block of normals, so a replica's numbers depend
-only on (base_seed, k), never on thread count, index order or which other
+only on (base_seed, k), never on index order or which other
 replicas are drawn with it. Regenerating a lone replica therefore costs one
 BATCH x n draw, about 60 ms at n = 2304, plus the factor product over its
 block, about 0.25 s at n = 2304 on two cores. Substream 0 is reserved for
@@ -18,7 +18,6 @@ replica; version 2 changes every sampled number compared with it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,31 +83,40 @@ def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
     return block
 
 
-def field_matrix(model, base_seed: int, indices, threads: int = 1) -> np.ndarray:
+def field_matrix(model, base_seed: int, indices) -> np.ndarray:
     """Field values for many replicas at once, one column per replica.
 
     Work is cut at stream-block boundaries: each distinct block is drawn once,
     multiplied through the model factor whole, and the requested columns are
     taken from that product. A column thus never depends on what else was
-    requested, and the result is bit-identical for any thread count, index
-    order or batch shape.
+    requested, and the result is bit-identical for any index order or batch
+    shape.
     """
     out = np.empty((model.n, len(indices)))
-
-    def fill(group):
-        key, positions, rows = group
+    for key, positions, rows in block_groups(indices):
         whole = np.arange(key * BATCH, (key + 1) * BATCH)
         product = model.factor @ normal_block(model.n, base_seed, whole)
         out[:, _run(positions)] = product[:, _run(rows)]
-
-    groups = list(block_groups(indices))
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, groups))
-    else:
-        for group in groups:
-            fill(group)
     return out
+
+
+def replica_blocks(model, base_seed: int, indices):
+    """Yield (positions, values) per stream block of indices, in block order:
+    the block's replicas' positions within indices and their field columns,
+    bit for bit those of field_matrix, in O(n * BATCH) memory.
+
+    A block with one requested replica joins its neighbour, since NumPy sums
+    a lone column pairwise but the columns of a wider matrix row by row.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    chunks = []
+    for _, positions, _ in block_groups(indices):
+        if chunks and (positions.size == 1 or chunks[-1].size == 1):
+            chunks[-1] = np.concatenate([chunks[-1], positions])
+        else:
+            chunks.append(positions)
+    for positions in chunks:
+        yield positions, field_matrix(model, base_seed, indices[positions])
 
 
 def sample_field(model, base_seed: int, replica_index: int) -> FieldSample:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import field as field_mod
 from .errors import DomainError
-from .field import FieldSample, field_matrix, replica_generator
+from .field import FieldSample, replica_blocks, replica_generator
+from .kernel import offdiagonal_green
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,10 @@ class TwoSampleReport:
 
 
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-atom masses for one field vector or for a matrix of field columns."""
-    w = model.measure.weights
+    """Per-atom masses for one field vector or for a matrix of field columns
+    (atoms along the first axis, moved last by the transpose to broadcast)."""
     shift = 0.5 * gamma * gamma * model.diag_variance
-    if values.ndim == 1:
-        return w * np.exp(gamma * values - shift)
-    return w[:, None] * np.exp(gamma * values - shift[:, None])
+    return (model.measure.weights * np.exp(gamma * values.T - shift)).T
 
 
 def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
@@ -83,11 +82,13 @@ def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
 
 
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
-                 start: int = 0, threads: int = 1) -> np.ndarray:
+                 start: int = 0) -> np.ndarray:
     """Total chaos mass for replicas start .. start+n_replicas-1."""
-    values = field_matrix(model, base_seed, np.arange(start, start + n_replicas),
-                          threads=threads)
-    return mass_columns(model, values, gamma).sum(axis=0)
+    indices = np.arange(start, start + n_replicas)
+    totals = np.empty(indices.size)
+    for positions, values in replica_blocks(model, base_seed, indices):
+        totals[positions] = mass_columns(model, values, gamma).sum(axis=0)
+    return totals
 
 
 def draw_roots(model, base_seed: int, indices) -> np.ndarray:
@@ -135,12 +136,18 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
     """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized)."""
     indices = np.arange(n_replicas)
     roots = draw_roots(model, base_seed, indices)
-    values = field_matrix(model, base_seed, indices)
-    rows = model.matrix[roots].T
-    base_mass = mass_columns(model, values, gamma)
-    lhs = np.sum(np.exp(gamma * gamma_prime * rows) * base_mass, axis=0)
-    rhs = np.sum(mass_columns(model, values + gamma_prime * rows, gamma), axis=0)
-    return np.abs(lhs - rhs) / rhs
+    errors = np.empty(indices.size)
+    for positions, values in replica_blocks(model, base_seed, indices):
+        rows = model.matrix[roots[positions]].T
+        # in place, as NumPy does for large temporaries: the products keep the
+        # column-major layout of rows, and column sums their order, at any width
+        lhs = np.exp(gamma * gamma_prime * rows)
+        lhs *= mass_columns(model, values, gamma)
+        shifted = gamma_prime * rows
+        shifted += values
+        rhs = mass_columns(model, shifted, gamma).sum(axis=0)
+        errors[positions] = np.abs(lhs.sum(axis=0) - rhs) / rhs
+    return errors
 
 
 def clipped_mass_statistic(model, gamma: float, cap: float) -> Statistic:
@@ -164,8 +171,7 @@ def atom_value_statistic(index: int) -> Statistic:
 
 
 def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
-                             n_replicas: int, base_seed: int,
-                             threads: int = 1) -> TwoSampleReport:
+                             n_replicas: int, base_seed: int) -> TwoSampleReport:
     """Compare the two sides of the rooted change of measure on a statistic F.
 
     Weighted branch: E[F(h) * mass_{gamma'}(h)] / total base mass under the
@@ -173,17 +179,31 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     sampler. The two estimates must agree within 3 combined standard errors.
     """
     indices = np.arange(n_replicas)
-    values = field_matrix(model, base_seed, indices, threads=threads)
-    masses = mass_columns(model, values, gamma_prime).sum(axis=0)
-    weighted = statistic(values) * masses / model.measure.total_mass
     roots = draw_roots(model, base_seed, indices)
-    rooted_vals = statistic(values + gamma_prime * model.matrix[roots].T)
-    mean_w, se_w = _mean_se(weighted)
-    mean_r, se_r = _mean_se(rooted_vals)
-    gap = abs(mean_w - mean_r)
-    overlap = bool(gap <= 3.0 * np.hypot(se_w, se_r))
+    weighted, rooted = np.empty((2, indices.size))
+    for positions, values in replica_blocks(model, base_seed, indices):
+        masses = mass_columns(model, values, gamma_prime).sum(axis=0)
+        weighted[positions] = statistic(values) * masses / model.measure.total_mass
+        shifted = gamma_prime * model.matrix[roots[positions]].T
+        shifted += values  # in place, as in rooted_identity_errors
+        rooted[positions] = statistic(shifted)
+    mean_w, se_w = mean_se(weighted)
+    mean_r, se_r = mean_se(rooted)
+    overlap = bool(abs(mean_w - mean_r) <= 3.0 * np.hypot(se_w, se_r))
     return TwoSampleReport(statistic.name, gamma_prime, n_replicas, base_seed,
                            mean_w, se_w, mean_r, se_r, overlap)
+
+
+def rooted_kernel_sums(model, base_seed: int, indices, gamma: float,
+                       weight: np.ndarray) -> np.ndarray:
+    """sum_i weight[root, i] * mass_i per replica, with the gamma chaos mass
+    and an n x n weight matrix over the atoms, streamed block by block."""
+    roots = draw_roots(model, base_seed, indices)
+    sums = np.empty(len(indices))
+    for positions, values in replica_blocks(model, base_seed, indices):
+        masses = mass_columns(model, values, gamma)
+        sums[positions] = np.einsum("ki,ik->k", weight[roots[positions]], masses)
+    return sums
 
 
 def beta_singular_integral(model, base_seed: int, replica_index: int,
@@ -199,22 +219,23 @@ def beta_singular_samples(model, base_seed: int, indices, gamma: float,
     # beta = 0 is the degenerate case: total unbiased mass minus the root atom's
     if beta < 0:
         raise DomainError("beta must be >= 0")
-    indices = np.asarray(indices, dtype=np.int64)
-    p = model.measure.positions
-    green = (np.log(np.abs(1.0 - np.outer(p, p.conj())))
-             - np.log(np.abs(p[:, None] - p[None, :])
-                      + np.where(np.eye(p.size, dtype=bool), 1.0, 0.0)))
-    np.fill_diagonal(green, 0.0)
+    green, _ = offdiagonal_green(model.measure.positions)
     kernel_weight = np.exp(beta * green)
     np.fill_diagonal(kernel_weight, 0.0)
-    roots = draw_roots(model, base_seed, indices)
-    values = field_matrix(model, base_seed, indices)
-    masses = mass_columns(model, values, gamma)
-    return np.einsum("ki,ik->k", kernel_weight[roots], masses)
+    return rooted_kernel_sums(model, base_seed, indices, gamma, kernel_weight)
 
 
-def _mean_se(samples: np.ndarray):
-    mean = float(np.mean(samples))
-    if samples.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(samples, ddof=1) / np.sqrt(samples.size))
+def mean_se(samples, axis: int = -1):
+    """Sample mean along axis and its standard error, NaN below two samples.
+
+    Boolean samples are event indicators with the binomial SE sqrt(p(1-p)/N).
+    """
+    n = samples.shape[axis]
+    mean = samples.mean(axis=axis)
+    if n < 2:
+        se = mean * np.nan
+    elif samples.dtype == bool:
+        se = np.sqrt(mean * (1.0 - mean) / n)
+    else:
+        se = np.std(samples, axis=axis, ddof=1) / np.sqrt(n)
+    return mean, se

@@ -9,13 +9,12 @@ HypothesisViolationError and are meant to be treated as skips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
-from .gmc import total_masses
+from .gmc import mean_se, total_masses
 from .kernel import DiskKernel, build_covariance, default_epsilon, markov_difference_psd
 from .measure import AtomicMeasure
 
@@ -36,7 +35,7 @@ class InequalityVerdict:
 
 
 def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
-              base_seed: int, threads: int = 1) -> InequalityVerdict:
+              base_seed: int) -> InequalityVerdict:
     """Covariance of exp(-s*mass) and exp(-t*mass), two decreasing functionals
     of a positively correlated field, must not be significantly negative.
 
@@ -51,20 +50,20 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
         raise HypothesisViolationError(
             f"covariance entry {worst:.3e} is negative; positive association "
             "does not apply")
-    totals = total_masses(model, gamma, base_seed, n_replicas, threads=threads)
+    totals = total_masses(model, gamma, base_seed, n_replicas)
     x = np.exp(-s * totals)
     y = np.exp(-t * totals)
     products = (x - x.mean()) * (y - y.mean())
     statistic = float(products.sum() / (n_replicas - 1))
-    se = float(np.std(products, ddof=1) / math.sqrt(n_replicas))
+    se = float(mean_se(products)[1])
     threshold = -3.0 * se
     return InequalityVerdict("fkg", statistic, threshold, statistic >= threshold,
                              n_replicas, base_seed)
 
 
 def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
-                 n_replicas: int, base_seed: int, epsilon: float | None = None,
-                 threads: int = 1) -> InequalityVerdict:
+                 n_replicas: int, base_seed: int,
+                 epsilon: float | None = None) -> InequalityVerdict:
     """Convex ordering under kernel domination on nested disks.
 
     Both models share the regularization scale and the normal draws (the
@@ -90,11 +89,10 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         raise HypothesisViolationError(
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")
-    totals_small = total_masses(small, gamma, base_seed, n_replicas, threads=threads)
-    totals_big = total_masses(big, gamma, base_seed, n_replicas, threads=threads)
+    totals_small = total_masses(small, gamma, base_seed, n_replicas)
+    totals_big = total_masses(big, gamma, base_seed, n_replicas)
     diffs = np.exp(-t * totals_big) - np.exp(-t * totals_small)
-    statistic = float(diffs.mean())
-    se = float(np.std(diffs, ddof=1) / math.sqrt(n_replicas))
+    statistic, se = map(float, mean_se(diffs))
     threshold = -3.0 * se
     details = {
         "estimate_subdisk": float(np.exp(-t * totals_small).mean()),

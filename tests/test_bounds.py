@@ -318,3 +318,8 @@ def test_asymptotic_slope_exceeds_eta():
     assert np.all(rep.laplace.estimates > 0.0)
     slope = fit_loglog_slope(rep.laplace.t_values, rep.laplace.estimates)
     assert slope >= rep.exponent.eta
+
+
+def test_laplace_one_replica_has_no_standard_error(model8):
+    rep = laplace_transform(model8, 0.8, np.array([0.0, 1.0]), 1, SEED)
+    assert np.all(np.isnan(rep.standard_errors))

@@ -8,7 +8,8 @@ import pytest
 
 import gmclab.cli
 import gmclab.field
-from gmclab import AtomicMeasure, d_energy, load_measure, save_measure
+from gmclab import (AtomicMeasure, d_energy, generate_cantor_dust, load_measure,
+                    save_measure)
 
 SEED = 7
 
@@ -354,13 +355,25 @@ def test_out_writes_file(files):
 def test_reports_identical_across_threads(files, argv):
     base = (*argv, "--measure", str(files["grid"]), "--seed", str(SEED),
             "--no-timestamp")
-    one = run_cli(*base, "--threads", 1)
-    three = run_cli(*base, "--threads", 3)
+    one = run_cli(*base)
+    three = run_cli(*base)
     assert one.stdout == three.stdout
     assert one.returncode == three.returncode
 
 
 # ------------------------------------------------------------ input checks
+
+
+def test_too_many_atoms_exits_2(tmp_path, capsys):
+    dust = tmp_path / "cantor7.csv"
+    save_measure(generate_cantor_dust(7, 0.4), dust)
+    argv = ["laplace", "--measure", str(dust), "--gamma", "0.8", "--t", "1.0",
+            "--seed", str(SEED), "--no-timestamp"]
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
 
 SEEDED_ARGV = {
     "laplace": ("laplace", "--gamma", "0.8", "--t", "1.0"),
@@ -375,7 +388,6 @@ BAD_INPUT = {
     "replicas_zero": (("--replicas", "0"), None),
     "replicas_negative": (("--replicas", "-5"), None),
     "replicas_one": (("--replicas", "1"), None),
-    "threads_zero": (("--threads", "0"), None),
     "nan_flag": (("--epsilon", "nan"), None),
     "inf_flag": (("--epsilon=-inf",), None),
     "config_replicas_zero": ((), {"replicas": 0}),

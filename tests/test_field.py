@@ -56,14 +56,6 @@ def test_field_matrix_matches_single_samples(model4):
         assert np.allclose(values[:, col], single, rtol=0, atol=1e-13)
 
 
-def test_field_matrix_thread_independent(model4):
-    # 3000 replicas span several fixed-size blocks
-    idx = np.arange(3000)
-    a = field_matrix(model4, SEED, idx, threads=1)
-    b = field_matrix(model4, SEED, idx, threads=4)
-    assert np.array_equal(a, b)
-
-
 def test_stream_pairwise_correlation():
     za = replica_generator(SEED, 0).standard_normal(N_BIG)
     zb = replica_generator(SEED, 1).standard_normal(N_BIG)
@@ -121,7 +113,6 @@ def test_mid_block_range_matches_aligned_call(model4, aligned):
     idx = np.arange(1000, 1100)
     assert np.array_equal(normal_block(model4.n, SEED, idx), normals[:, idx])
     assert np.array_equal(field_matrix(model4, SEED, idx), values[:, idx])
-    assert np.array_equal(field_matrix(model4, SEED, idx, threads=2), values[:, idx])
 
 
 def test_shuffled_and_duplicated_indices_permute_columns(model4, aligned):
@@ -130,7 +121,7 @@ def test_shuffled_and_duplicated_indices_permute_columns(model4, aligned):
     idx = rng.permutation(2 * BATCH)[:300]
     idx = np.r_[idx, idx[:20], 1023, 1024, 1023]
     assert np.array_equal(normal_block(model4.n, SEED, idx), normals[:, idx])
-    assert np.array_equal(field_matrix(model4, SEED, idx, threads=2), values[:, idx])
+    assert np.array_equal(field_matrix(model4, SEED, idx), values[:, idx])
 
 
 def test_replica_is_its_row_of_the_block_draw(model4):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gmclab import (
     verify_change_of_measure,
     verify_rooted_identity,
 )
+from gmclab.bounds import local_energy_samples
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
 from gmclab.gmc import beta_singular_integral, beta_singular_samples, draw_roots, mass_columns
 
@@ -274,8 +276,66 @@ def test_one_generator_per_block_and_substream(model4, monkeypatch):
     monkeypatch.setattr(gmclab.field, "replica_generator", counting)
     monkeypatch.setattr(gmclab.gmc, "replica_generator", counting)
     indices = np.arange(3 * BATCH + 5)
-    field_matrix(model4, SEED, indices, threads=2)
+    field_matrix(model4, SEED, indices)
     draw_roots(model4, SEED, indices)
     assert len(made) == len(set(made))
     assert set(made) == {(block, sub) for block in range(4)
                          for sub in (ROOT_SUBSTREAM, FIELD_SUBSTREAM)}
+
+
+# ------------------------------------------------------ block-streaming engine
+
+
+@pytest.mark.parametrize("start, n", [
+    (1000, 1100),   # starts mid-block, crosses blocks 0 | 1 | 2
+    (1023, 1026),   # blocks 0 and 2 hold one replica each
+])
+def test_streamed_samplers_match_materialized_path(model8, start, n):
+    gamma, beta = 0.8, 1.5
+    indices = np.arange(start, start + n)
+    values = field_matrix(model8, SEED, indices)
+    roots = draw_roots(model8, SEED, indices)
+    masses = mass_columns(model8, values, gamma)
+    p = model8.measure.positions
+    dist = np.abs(p[:, None] - p[None, :])
+    np.fill_diagonal(dist, np.inf)
+    green = np.log(np.abs(1.0 - np.outer(p, p.conj()))) - np.log(dist)
+    singular = np.exp(beta * green)
+    np.fill_diagonal(singular, 0.0)
+
+    assert np.array_equal(total_masses(model8, gamma, SEED, n, start=start),
+                          masses.sum(axis=0))
+    assert np.array_equal(
+        local_energy_samples(model8, gamma, beta, SEED, n, start=start),
+        np.einsum("ki,ik->k", (dist ** -beta)[roots], masses))
+    assert np.array_equal(beta_singular_samples(model8, SEED, indices, gamma, beta),
+                          np.einsum("ki,ik->k", singular[roots], masses))
+    # rooted_identity_errors always starts at replica 0
+    whole = np.arange(start + n)
+    values = field_matrix(model8, SEED, whole)
+    rows = model8.matrix[draw_roots(model8, SEED, whole)].T
+    base_mass = mass_columns(model8, values, gamma)
+    lhs = np.sum(np.exp(gamma * gamma * rows) * base_mass, axis=0)
+    rhs = np.sum(mass_columns(model8, values + gamma * rows, gamma), axis=0)
+    assert np.array_equal(rooted_identity_errors(model8, SEED, start + n, gamma, gamma),
+                          np.abs(lhs - rhs) / rhs)
+
+
+def test_change_of_measure_memory_flat_in_replicas(grid16_model):
+    stat = clipped_mass_statistic(grid16_model, 0.6, 10.0)
+
+    def peak(n_replicas):
+        tracemalloc.start()
+        try:
+            verify_change_of_measure(grid16_model, 0.6, stat, n_replicas, SEED)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * BATCH) <= 1.25 * peak(2 * BATCH)
+
+
+def test_change_of_measure_one_replica_is_not_graded(model8):
+    rep = verify_change_of_measure(model8, 0.6, atom_value_statistic(0), 1, SEED)
+    assert math.isnan(rep.se_weighted) and math.isnan(rep.se_rooted)
+    assert rep.overlap is False

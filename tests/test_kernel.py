@@ -7,10 +7,12 @@ from gmclab import (
     AtomicMeasure,
     DiskKernel,
     DomainError,
+    ResourceLimitError,
     SingularityError,
     build_covariance,
     clip_to_psd,
     default_epsilon,
+    generate_cantor_dust,
     generate_uniform_grid,
     green_disk,
     green_subdisk,
@@ -237,26 +239,20 @@ def test_build_rejects_bad_epsilon(two_atom):
         build_covariance(two_atom, 1.5)
 
 
-class _PlainKernel:
-    """Same kernel without the vectorized entry path."""
-
-    def __init__(self, radius):
-        self.base = DiskKernel(radius)
-
-    def inside(self, z):
-        return self.base.inside(z)
-
-    def __call__(self, x, y):
-        return self.base(x, y)
-
-    def smooth_part(self, x, y):
-        return self.base.smooth_part(x, y)
-
-
 def test_build_slow_path_matches_fast(two_atom):
+    # the scalar regularized_entry loop is the reference for entry_matrix
     fast = build_covariance(two_atom, 0.1, DiskKernel(1.0))
-    slow = build_covariance(two_atom, 0.1, _PlainKernel(1.0))
-    assert np.allclose(fast.matrix, slow.matrix, rtol=1e-14, atol=0)
+    p = two_atom.positions
+    raw = np.array([[regularized_entry(x, y, 0.1) for y in p] for x in p])
+    slow = clip_to_psd((raw + raw.T) / 2.0)[0]
+    assert np.allclose(fast.matrix, slow, rtol=1e-14, atol=0)
+
+
+def test_build_refuses_more_than_max_atoms():
+    # Cantor level 7 has 16384 atoms; the check comes before any n x n work
+    dust = generate_cantor_dust(7, 0.4)
+    with pytest.raises(ResourceLimitError):
+        build_covariance(dust)
 
 
 # ------------------------------------------------------ markov difference
