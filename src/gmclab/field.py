@@ -12,8 +12,10 @@ BATCH x n draw, about 60 ms at n = 2304, plus the factor product over its
 block, about 0.25 s at n = 2304 on two cores. Substream 0 is reserved for
 root selection, substream 1 for the Gaussian vector itself.
 
-STREAM_VERSION names this keying in reports. Version 1 keyed one stream per
-replica; version 2 changes every sampled number compared with it.
+STREAM_VERSION names this keying and the factor it feeds in reports. Version 1
+keyed one stream per replica; version 2 changes every sampled number compared
+with it. Version 3 factors by Cholesky first, which changes sampled values
+where the eigen-clip bites (another triangular root of the same matrix).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it

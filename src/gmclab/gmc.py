@@ -18,7 +18,6 @@ import numpy as np
 from . import field as field_mod
 from .errors import DomainError
 from .field import FieldSample, replica_blocks, replica_generator
-from .kernel import offdiagonal_green
 
 
 @dataclass(frozen=True)
@@ -204,25 +203,6 @@ def rooted_kernel_sums(model, base_seed: int, indices, gamma: float,
         masses = mass_columns(model, values, gamma)
         sums[positions] = np.einsum("ki,ik->k", weight[roots[positions]], masses)
     return sums
-
-
-def beta_singular_integral(model, base_seed: int, replica_index: int,
-                           gamma: float, beta: float) -> float:
-    """Singular integral sum_{i != root} exp(beta * G(root, p_i)) * mass_i
-    for one rooted replica, with G the exact unit-disk kernel."""
-    return float(beta_singular_samples(model, base_seed, [replica_index],
-                                       gamma, beta)[0])
-
-
-def beta_singular_samples(model, base_seed: int, indices, gamma: float,
-                          beta: float) -> np.ndarray:
-    # beta = 0 is the degenerate case: total unbiased mass minus the root atom's
-    if beta < 0:
-        raise DomainError("beta must be >= 0")
-    green, _ = offdiagonal_green(model.measure.positions)
-    kernel_weight = np.exp(beta * green)
-    np.fill_diagonal(kernel_weight, 0.0)
-    return rooted_kernel_sums(model, base_seed, indices, gamma, kernel_weight)
 
 
 def mean_se(samples, axis: int = -1):

@@ -5,14 +5,17 @@ The base kernel on a centered disk of radius R is
 zero when either point leaves the closed disk. Truncating the distance at a
 scale epsilon gives a finite covariance matrix whose diagonal
     log(1/epsilon) + log((R**2 - |x|**2)/R)
-matches the variance of a circle average at radius epsilon. The matrix is
-repaired to positive semidefinite by clipping negative eigenvalues at zero.
+matches the variance of a circle average at radius epsilon. build_covariance
+factors it by Cholesky when it is positive definite, as a grid's is at the
+default epsilon; otherwise one eigendecomposition clips the negative
+eigenvalues at zero and gives both the repaired matrix and its factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,43 +107,37 @@ def default_epsilon(measure: AtomicMeasure) -> float:
     return gap / 2.0
 
 
-def clip_to_psd(matrix: np.ndarray):
-    """Eigenvalue clip at zero.
+def _eigen_clip(matrix: np.ndarray):
+    """One eigh, negative eigenvalues clipped at zero.
 
-    Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
-    is the size of the most negative eigenvalue removed (0.0 if none).
+    Returns (repaired, clip_magnitude, eig_min, eig_max, root) with
+    root = V sqrt(clipped eigenvalues), so that root @ root.T is repaired.
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
     clipped = np.clip(eigvals, 0.0, None)
     repaired = (eigvecs * clipped) @ eigvecs.T
     repaired = (repaired + repaired.T) / 2.0
-    return repaired, max(0.0, -eig_min), eig_min, eig_max
+    return repaired, max(0.0, -eig_min), eig_min, eig_max, eigvecs * np.sqrt(clipped)
 
 
-def _lower_triangular_factor(matrix: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    # exactly singular after the clip: build L from the QR decomposition of an
-    # eigenvalue square root, S @ S.T = matrix and S.T = Q R gives L = R.T
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    _, r = np.linalg.qr(root.T)
-    factor = r.T
-    signs = np.sign(np.diag(factor))
-    signs[signs == 0.0] = 1.0
-    return factor * signs[None, :]
+def clip_to_psd(matrix: np.ndarray):
+    """Eigenvalue clip at zero.
+
+    Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
+    is the size of the most negative eigenvalue removed (0.0 if none).
+    """
+    return _eigen_clip(matrix)[:4]
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
     """Repaired covariance matrix over a measure's atoms, ready for sampling.
 
-    matrix is the PSD-repaired regularized kernel matrix, factor a lower
-    triangular square root, diag_variance the per-atom variance the factor
-    actually realizes (row sums of squares).
+    matrix is the symmetrized regularized kernel matrix, eigen-clipped to PSD
+    only when Cholesky fails on it; factor is a lower triangular square root,
+    diag_variance the per-atom variance the factor actually realizes (row sums
+    of squares).
     """
 
     measure: AtomicMeasure
@@ -149,17 +146,29 @@ class CovarianceModel:
     factor: np.ndarray
     diag_variance: np.ndarray
     clip_magnitude: float
-    eig_min_raw: float
-    eig_max: float
+    known_eig_range: tuple[float, float] | None = None
 
     @property
     def n(self) -> int:
         return self.measure.n
 
+    @cached_property
+    def eig_range(self) -> tuple[float, float]:
+        """(eig_min_raw, eig_max) of the raw matrix: from the clipped build's
+        eigh, else one eigvalsh of matrix, which then is the raw matrix."""
+        if self.known_eig_range is None:
+            eigvals = np.linalg.eigvalsh(self.matrix)
+            return float(eigvals[0]), float(eigvals[-1])
+        return self.known_eig_range
+
+    eig_min_raw = property(lambda self: self.eig_range[0])
+    eig_max = property(lambda self: self.eig_range[1])
+
 
 def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
                      green=UNIT_DISK) -> CovarianceModel:
-    """Assemble, symmetrize and PSD-repair the regularized kernel matrix."""
+    """Assemble and symmetrize the regularized kernel matrix and factor it:
+    Cholesky first, one eigen-clip and a QR only when Cholesky fails."""
     _check_atom_count(measure)
     if epsilon is None:
         epsilon = default_epsilon(measure)
@@ -168,22 +177,30 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     for p in measure.positions:
         if not green.inside(p):
             raise DomainError("atom outside the kernel domain")
-    raw = green.entry_matrix(measure.positions, epsilon)
-    raw = (raw + raw.T) / 2.0
-    repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
-    factor = _lower_triangular_factor(repaired)
-    scale = float(np.linalg.norm(repaired))
-    defect = float(np.linalg.norm(factor @ factor.T - repaired))
+    matrix = green.entry_matrix(measure.positions, epsilon)
+    matrix = (matrix + matrix.T) / 2.0
+    try:
+        factor = np.linalg.cholesky(matrix)
+        clip_magnitude, eig_range = 0.0, None
+    except np.linalg.LinAlgError:
+        # root @ root.T == repaired, so root.T = Q R gives the factor L = R.T
+        matrix, clip_magnitude, eig_min, eig_max, root = _eigen_clip(matrix)
+        eig_range = (eig_min, eig_max)
+        factor = np.linalg.qr(root.T, mode="r").T
+        factor = factor * np.where(np.diag(factor) < 0.0, -1.0, 1.0)
+    diag_variance = np.einsum("ij,ij->i", factor, factor)
+    for array in (matrix, factor, diag_variance):
+        array.setflags(write=False)
+    model = CovarianceModel(measure, float(epsilon), matrix, factor, diag_variance,
+                            clip_magnitude, eig_range)
+    scale = float(np.linalg.norm(matrix))
+    defect = float(np.linalg.norm(factor @ factor.T - matrix))
     if scale > 0 and defect > FACTOR_RTOL * scale:
         raise NumericalError(
             f"factorization defect {defect:.3e} exceeds {FACTOR_RTOL:.0e} * {scale:.3e} "
-            f"(eigenvalues in [{eig_min:.3e}, {eig_max:.3e}], clip {clip_magnitude:.3e})")
-    diag_variance = np.einsum("ij,ij->i", factor, factor)
-    diag_variance.setflags(write=False)
-    repaired.setflags(write=False)
-    factor.setflags(write=False)
-    return CovarianceModel(measure, float(epsilon), repaired, factor, diag_variance,
-                           clip_magnitude, eig_min, eig_max)
+            f"(eigenvalues in [{model.eig_min_raw:.3e}, {model.eig_max:.3e}], "
+            f"clip {clip_magnitude:.3e})")
+    return model
 
 
 def offdiagonal_green(positions: np.ndarray):
@@ -209,6 +226,7 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
         raise DomainError("r must lie in (0, 1]")
     if measure.support_radius >= r:
         raise DomainError("every atom must satisfy |p| < r")
+    _check_atom_count(measure)
     outer = np.outer(measure.positions, measure.positions.conj())
     diff = np.log(np.abs(1.0 - outer)) - np.log(np.abs(r * r - outer)) + math.log(r)
     diff = (diff + diff.T) / 2.0

@@ -367,12 +367,14 @@ def test_reports_identical_across_threads(files, argv):
 def test_too_many_atoms_exits_2(tmp_path, capsys):
     dust = tmp_path / "cantor7.csv"
     save_measure(generate_cantor_dust(7, 0.4), dust)
-    argv = ["laplace", "--measure", str(dust), "--gamma", "0.8", "--t", "1.0",
-            "--seed", str(SEED), "--no-timestamp"]
-    assert gmclab.cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:")
+    for argv in (["laplace", "--measure", str(dust), "--gamma", "0.8", "--t", "1.0",
+                  "--seed", str(SEED), "--no-timestamp"],
+                 ["verify-ineq", "--which", "markov", "--measure", str(dust),
+                  "--no-timestamp"]):
+        assert gmclab.cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
 
 
 SEEDED_ARGV = {
@@ -419,7 +421,7 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 2
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 3
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov

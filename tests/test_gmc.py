@@ -26,7 +26,8 @@ from gmclab import (
 )
 from gmclab.bounds import local_energy_samples
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
-from gmclab.gmc import beta_singular_integral, beta_singular_samples, draw_roots, mass_columns
+from gmclab.gmc import draw_roots, mass_columns, rooted_kernel_sums
+from gmclab.kernel import offdiagonal_green
 
 SEED = 7
 
@@ -197,10 +198,20 @@ def test_clipped_mass_statistic_cap(model8):
 # --------------------------------------------------------- singular integral
 
 
+def _singular_weight(model, beta):
+    # exp(beta * G) between distinct atoms, 0 on the diagonal: rooted_kernel_sums
+    # with it gives the singular integral sum_{i != root} e^{beta G(root, p_i)} mass_i
+    green, _ = offdiagonal_green(model.measure.positions)
+    weight = np.exp(beta * green)
+    np.fill_diagonal(weight, 0.0)
+    return weight
+
+
 def test_beta_singular_zero_beta(two_model):
     # beta = 0: total unbiased mass minus the root atom's own mass
     gamma = 0.7
-    samples = beta_singular_samples(two_model, SEED, np.arange(50), gamma, 0.0)
+    samples = rooted_kernel_sums(two_model, SEED, np.arange(50), gamma,
+                                 _singular_weight(two_model, 0.0))
     roots = draw_roots(two_model, SEED, np.arange(50))
     from gmclab.field import field_matrix
     masses = mass_columns(two_model, field_matrix(two_model, SEED, np.arange(50)), gamma)
@@ -211,7 +222,8 @@ def test_beta_singular_zero_beta(two_model):
 def test_beta_singular_one_term(two_model):
     # two atoms at distance 0.5: a single off-root term, evaluated directly
     gamma, beta = 0.7, 1.1
-    value = beta_singular_integral(two_model, SEED, 3, gamma, beta)
+    value = rooted_kernel_sums(two_model, SEED, [3], gamma,
+                               _singular_weight(two_model, beta))[0]
     roots = draw_roots(two_model, SEED, [3])
     root = int(roots[0])
     other = 1 - root
@@ -225,15 +237,11 @@ def test_beta_singular_one_term(two_model):
 def test_beta_singular_mean_bound(model8):
     # E[sum_{i != root} e^{d*G} mass_i] <= 4 E_d / sigma since G <= log(2/|x-y|)
     gamma, d = 0.8, 2.0
-    samples = beta_singular_samples(model8, SEED, np.arange(4000), gamma, d)
+    samples = rooted_kernel_sums(model8, SEED, np.arange(4000), gamma,
+                                 _singular_weight(model8, d))
     bound = 4.0 * d_energy(model8.measure, d) / model8.measure.total_mass
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert samples.mean() <= bound + 3.0 * se
-
-
-def test_beta_singular_rejects(model8):
-    with pytest.raises(DomainError):
-        beta_singular_samples(model8, SEED, [0], 0.8, -1.0)
 
 
 # ------------------------------------------------------- block-keyed streams
@@ -308,7 +316,7 @@ def test_streamed_samplers_match_materialized_path(model8, start, n):
     assert np.array_equal(
         local_energy_samples(model8, gamma, beta, SEED, n, start=start),
         np.einsum("ki,ik->k", (dist ** -beta)[roots], masses))
-    assert np.array_equal(beta_singular_samples(model8, SEED, indices, gamma, beta),
+    assert np.array_equal(rooted_kernel_sums(model8, SEED, indices, gamma, singular),
                           np.einsum("ki,ik->k", singular[roots], masses))
     # rooted_identity_errors always starts at replica 0
     whole = np.arange(start + n)

@@ -1,12 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import gmclab.kernel
 from gmclab import (
     AtomicMeasure,
     DiskKernel,
     DomainError,
+    NumericalError,
     ResourceLimitError,
     SingularityError,
     build_covariance,
@@ -248,6 +251,72 @@ def test_build_slow_path_matches_fast(two_atom):
     assert np.allclose(fast.matrix, slow, rtol=1e-14, atol=0)
 
 
+def _count_decompositions(monkeypatch):
+    # calls per np.linalg decomposition made from here on
+    calls = {}
+    for name in ("cholesky", "eigh", "eigvalsh", "qr", "svd"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _raw_matrix(measure, epsilon):
+    raw = DiskKernel(1.0).entry_matrix(measure.positions, epsilon)
+    return (raw + raw.T) / 2.0
+
+
+def test_build_positive_definite_takes_cholesky_alone(grid8, monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    model = build_covariance(grid8)
+    assert calls == {"cholesky": 1}
+    assert np.array_equal(model.matrix, _raw_matrix(grid8, default_epsilon(grid8)))
+    assert np.array_equal(model.factor, np.linalg.cholesky(model.matrix))
+
+
+def test_build_eigen_ranges_are_lazy_on_cholesky_path(grid8, monkeypatch):
+    calls = _count_decompositions(monkeypatch)
+    model = build_covariance(grid8)
+    assert "eigvalsh" not in calls
+    eigs = np.linalg.eigvalsh(_raw_matrix(grid8, default_epsilon(grid8)))
+    assert model.eig_min_raw == eigs[0]
+    assert model.eig_max == eigs[-1]
+    assert calls["eigvalsh"] == 2    # one for the model, cached; one above
+
+
+GRID16 = generate_uniform_grid(16, 0.8)
+
+
+# frozen clip magnitudes (minus the raw matrix's least eigenvalue)
+@pytest.mark.parametrize("measure, epsilon, clip", [
+    (GRID16, GRID16.min_pair_distance(), 0.6123086017530268),
+    (generate_cantor_dust(5, 0.4), 0.05, 2.7429608881189984),
+], ids=["grid16_spacing", "cantor5"])
+def test_build_clipped_takes_one_eigh(measure, epsilon, clip, monkeypatch):
+    raw = _raw_matrix(measure, epsilon)
+    repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
+    calls = _count_decompositions(monkeypatch)
+    model = build_covariance(measure, epsilon)
+    assert calls == {"cholesky": 1, "eigh": 1, "qr": 1}
+    assert np.array_equal(model.matrix, repaired)
+    assert model.clip_magnitude == clip_magnitude
+    assert model.clip_magnitude == pytest.approx(clip, rel=1e-9)
+    assert (model.eig_min_raw, model.eig_max) == (eig_min, eig_max)
+    assert np.all(np.tril(model.factor) == model.factor)
+    assert np.all(np.diag(model.factor) >= 0.0)
+    defect = np.linalg.norm(model.factor @ model.factor.T - model.matrix)
+    assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
+    assert "eigvalsh" not in calls
+
+
+def test_build_defect_error_reports_eigenvalue_range(grid8, monkeypatch):
+    monkeypatch.setattr(gmclab.kernel, "FACTOR_RTOL", 0.0)
+    eigs = np.linalg.eigvalsh(_raw_matrix(grid8, default_epsilon(grid8)))
+    with pytest.raises(NumericalError, match=re.escape(f"[{eigs[0]:.3e}, {eigs[-1]:.3e}]")):
+        build_covariance(grid8)
+
+
 def test_build_refuses_more_than_max_atoms():
     # Cantor level 7 has 16384 atoms; the check comes before any n x n work
     dust = generate_cantor_dust(7, 0.4)
@@ -290,6 +359,12 @@ def test_markov_grid_psd():
     for r in (0.5, 0.7, 0.9):
         _, _, _, psd = markov_difference_psd(m, r)
         assert psd
+
+
+def test_markov_refuses_more_than_max_atoms():
+    # Cantor level 7 has 16384 atoms: the n x n complex matrix would take 4 GB
+    with pytest.raises(ResourceLimitError):
+        markov_difference_psd(generate_cantor_dust(7, 0.4), 0.5)
 
 
 def test_markov_rejects(grid8):
