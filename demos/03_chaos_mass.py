@@ -56,4 +56,6 @@ print(f"  mass-weighted unbiased sample: {rep.mean_weighted:.5f} "
       f"+- {rep.se_weighted:.5f}")
 print(f"  rooted (shifted) sample:       {rep.mean_rooted:.5f} "
       f"+- {rep.se_rooted:.5f}")
-print(f"  overlap within 3 SE: {rep.overlap}")
+print(f"  paired difference SE {rep.se_difference:.5f}, weighted-branch ESS "
+      f"{rep.effective_sample_size:.0f} of {rep.n_replicas}")
+print(f"  overlap within 3 paired SE: {rep.overlap}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
+from .field import BATCH
 from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
 from .gmc import mean_se, rooted_kernel_sums, total_masses
 from .kernel import offdiagonal_green
@@ -168,10 +169,13 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     """Test estimate + 3 SE <= 2^5/(sigma * t^eta) on a 12-points-per-decade
     grid over [t0, 100*t0], plus the concentration-event frequency check.
 
-    Replica blocks are disjoint per stage: Laplace estimates use replicas
-    [0, N), the threshold estimate [N, 2N), the event check [2N, 3N).
+    Replica ranges are disjoint per stage and no stream block is drawn by two
+    stages: with stride = ceil(N / BATCH) * BATCH, Laplace estimates use
+    replicas [0, N), the threshold estimate [stride, stride + N), the event
+    check [2 * stride, 2 * stride + N).
     """
     report = exponents(gamma, d, beta, delta)
+    stride = -(-n_replicas // BATCH) * BATCH
     sigma = model.measure.total_mass
     if l2 is None:
         l2 = beta == d and delta == 1.0 and gamma * gamma < d
@@ -182,7 +186,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         s0 = BOUND_CONSTANT * d_energy(model.measure, d) / sigma
     else:
         s0 = estimate_s0(model, gamma, beta, delta, n_replicas, base_seed,
-                         start=n_replicas)
+                         start=stride)
     if not s0 > 0.0:
         raise DomainError("threshold s0 is zero; measure too degenerate to grade")
     inv_eta = (beta + gamma * gamma * delta) / (beta - gamma * gamma)
@@ -205,7 +209,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     r = s0 ** -report.L
     green, dist = offdiagonal_green(model.measure.positions)
     weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
-    event_replicas = np.arange(2 * n_replicas, 3 * n_replicas)
+    event_replicas = np.arange(2 * stride, 2 * stride + n_replicas)
     ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
     freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma * gamma))
     event_pass = freq >= 0.5 - 3.0 * se

@@ -174,7 +174,8 @@ def _cmd_laplace(args) -> tuple[dict, dict, int]:
     if args.csv:
         write_plot_csv(args.csv, report.t_values, report.estimates,
                        report.standard_errors, report.bound_values)
-    return cfg, {"laplace": report, "stream_version": STREAM_VERSION}, 0
+    return cfg, {"laplace": report, "stream_version": STREAM_VERSION,
+                 "clip_magnitude": model.clip_magnitude}, 0
 
 
 def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
@@ -194,7 +195,8 @@ def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
     if args.csv:
         write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
                        report.laplace.standard_errors, report.laplace.bound_values)
-    payload = {"bound": report, "stream_version": STREAM_VERSION}
+    payload = {"bound": report, "stream_version": STREAM_VERSION,
+               "clip_magnitude": model.clip_magnitude}
     if report.trivial_pass:
         payload["warning"] = ("laplace estimates underflowed to zero at every "
                               "grid point; the bound holds vacuously at double "
@@ -215,7 +217,8 @@ def _cmd_verify_identity(args) -> tuple[dict, dict, int]:
     worst = float(errors.max())
     ok = worst <= cfg["tolerance"]
     payload = {"max_rel_err": worst, "mean_rel_err": float(errors.mean()),
-               "passed": bool(ok), "stream_version": STREAM_VERSION}
+               "passed": bool(ok), "stream_version": STREAM_VERSION,
+               "clip_magnitude": model.clip_magnitude}
     return cfg, payload, 0 if ok else 1
 
 
@@ -242,8 +245,8 @@ def _cmd_verify_com(args) -> tuple[dict, dict, int]:
         raise ValidationError("statistic must be 'mass' or 'atom-value'")
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
                                           int(cfg["replicas"]), cfg["seed"])
-    return cfg, {"change_of_measure": report,
-                 "stream_version": STREAM_VERSION}, 0 if report.overlap else 1
+    return cfg, {"change_of_measure": report, "stream_version": STREAM_VERSION,
+                 "clip_magnitude": model.clip_magnitude}, 0 if report.overlap else 1
 
 
 def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
@@ -259,6 +262,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
             verdicts = [inequalities.fkg_check(model, cfg["gamma"], cfg["s"],
                                                cfg["t"], int(cfg["replicas"]),
                                                cfg["seed"])]
+            clip = model.clip_magnitude
         elif cfg["which"] == "kahane":
             _resolve_seed(cfg)
             _require(cfg, "measure")
@@ -269,6 +273,9 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
                                                   cfg["r_inner"], cfg["t"],
                                                   int(cfg["replicas"]), cfg["seed"],
                                                   epsilon=cfg["epsilon"])]
+            details = verdicts[0].details
+            clip = max(details["clip_magnitude_subdisk"],
+                       details["clip_magnitude_disk"])
         elif cfg["which"] == "markov":
             _require(cfg, "measure")
             atoms = measure_mod.load_measure(cfg["measure"])
@@ -280,6 +287,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
     payload = {"verdicts": verdicts}
     if cfg["which"] != "markov":
         payload["stream_version"] = STREAM_VERSION
+        payload["clip_magnitude"] = clip
     all_pass = all(v.passed for v in verdicts)
     return cfg, payload, 0 if all_pass else 1
 
@@ -301,7 +309,8 @@ def _cmd_tail(args) -> tuple[dict, dict, int]:
     model = _load_model(cfg)
     report = bounds.small_ball_tail(model, cfg["gamma"], cfg["eps"],
                                     int(cfg["replicas"]), cfg["seed"])
-    return cfg, {"tail": report, "stream_version": STREAM_VERSION}, 0
+    return cfg, {"tail": report, "stream_version": STREAM_VERSION,
+                 "clip_magnitude": model.clip_magnitude}, 0
 
 
 # ----------------------------------------------------------------- parser

@@ -65,14 +65,19 @@ class TwoSampleReport:
     se_weighted: float
     mean_rooted: float
     se_rooted: float
+    se_difference: float
+    effective_sample_size: float
     overlap: bool
 
 
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
     """Per-atom masses for one field vector or for a matrix of field columns
     (atoms along the first axis, moved last by the transpose to broadcast)."""
-    shift = 0.5 * gamma * gamma * model.diag_variance
-    return (model.measure.weights * np.exp(gamma * values.T - shift)).T
+    masses = np.multiply(values.T, gamma)
+    masses -= 0.5 * gamma * gamma * model.diag_variance
+    np.exp(masses, out=masses)
+    masses *= model.measure.weights
+    return masses.T
 
 
 def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
@@ -175,22 +180,28 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
 
     Weighted branch: E[F(h) * mass_{gamma'}(h)] / total base mass under the
     plain field law. Rooted branch: E[F(shifted field)] under the rooted
-    sampler. The two estimates must agree within 3 combined standard errors.
+    sampler. Both branches are evaluated on the same replicas, so the two
+    estimates must agree within 3 standard errors of the per-replica
+    difference. effective_sample_size is (sum m)^2 / sum m^2 over the
+    gamma' masses m that weight the first branch.
     """
     indices = np.arange(n_replicas)
     roots = draw_roots(model, base_seed, indices)
-    weighted, rooted = np.empty((2, indices.size))
+    masses, weighted, rooted = np.empty((3, indices.size))
     for positions, values in replica_blocks(model, base_seed, indices):
-        masses = mass_columns(model, values, gamma_prime).sum(axis=0)
-        weighted[positions] = statistic(values) * masses / model.measure.total_mass
+        masses[positions] = mass_columns(model, values, gamma_prime).sum(axis=0)
+        weighted[positions] = (statistic(values) * masses[positions]
+                               / model.measure.total_mass)
         shifted = gamma_prime * model.matrix[roots[positions]].T
         shifted += values  # in place, as in rooted_identity_errors
         rooted[positions] = statistic(shifted)
     mean_w, se_w = mean_se(weighted)
     mean_r, se_r = mean_se(rooted)
-    overlap = bool(abs(mean_w - mean_r) <= 3.0 * np.hypot(se_w, se_r))
+    se_d = mean_se(weighted - rooted)[1]
+    ess = masses.sum() ** 2 / np.sum(masses ** 2)
+    overlap = bool(abs(mean_w - mean_r) <= 3.0 * se_d)
     return TwoSampleReport(statistic.name, gamma_prime, n_replicas, base_seed,
-                           mean_w, se_w, mean_r, se_r, overlap)
+                           mean_w, se_w, mean_r, se_r, se_d, ess, overlap)
 
 
 def rooted_kernel_sums(model, base_seed: int, indices, gamma: float,

@@ -98,6 +98,8 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         "estimate_subdisk": float(np.exp(-t * totals_small).mean()),
         "estimate_disk": float(np.exp(-t * totals_big).mean()),
         "epsilon": float(epsilon),
+        "clip_magnitude_subdisk": small.clip_magnitude,
+        "clip_magnitude_disk": big.clip_magnitude,
     }
     return InequalityVerdict("kahane", statistic, threshold, statistic >= threshold,
                              n_replicas, base_seed, details)

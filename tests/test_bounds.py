@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gmclab.field
 from gmclab import (
     AtomicMeasure,
     DomainError,
@@ -254,6 +255,22 @@ def test_verify_bound_disjoint_replica_blocks(model8):
     rep = verify_bound(model8, 0.0, 1.0, 1.0, 1.0, n, SEED)
     direct = laplace_transform(model8, 0.0, rep.laplace.t_values, n, SEED)
     assert np.array_equal(rep.laplace.estimates, direct.estimates)
+
+
+def test_verify_bound_draws_each_block_once(model8, monkeypatch):
+    # the threshold and event stages start at block-aligned offsets, so no
+    # stream block is drawn by two stages even when N is not a block multiple
+    keys = []
+    real = gmclab.field.normal_block
+
+    def recording(n, base_seed, indices):
+        keys.extend(np.unique(np.asarray(indices) // gmclab.field.BATCH).tolist())
+        return real(n, base_seed, indices)
+
+    monkeypatch.setattr(gmclab.field, "normal_block", recording)
+    verify_bound(model8, 0.8, 2.0, 1.8, 1.0, 1500, SEED)
+    assert len(keys) == 6
+    assert len(set(keys)) == len(keys)
 
 
 # ----------------------------------------------------------------- small ball

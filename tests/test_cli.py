@@ -8,8 +8,8 @@ import pytest
 
 import gmclab.cli
 import gmclab.field
-from gmclab import (AtomicMeasure, d_energy, generate_cantor_dust, load_measure,
-                    save_measure)
+from gmclab import (AtomicMeasure, DiskKernel, build_covariance, d_energy,
+                    generate_cantor_dust, load_measure, save_measure)
 
 SEED = 7
 
@@ -421,8 +421,24 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 3
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 4
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov
     assert "stream_version" not in energy
+
+
+@pytest.mark.parametrize("command", [*sorted(SEEDED_ARGV), "kahane"])
+def test_sampled_reports_carry_clip_magnitude(files, capsys, command):
+    # at epsilon 0.05 the PSD clip bites on this grid
+    argv = SEEDED_ARGV.get(command, ("verify-ineq", "--which", "kahane"))
+    assert gmclab.cli.main([*argv, "--measure", str(files["small"]),
+                            "--epsilon", "0.05", "--replicas", "16",
+                            "--seed", str(SEED), "--no-timestamp"]) in (0, 1)
+    rep = json.loads(capsys.readouterr().out)
+    atoms = load_measure(files["small"])
+    clips = [build_covariance(atoms, 0.05).clip_magnitude]
+    if command == "kahane":
+        clips.append(build_covariance(atoms, 0.05, DiskKernel(0.5)).clip_magnitude)
+    assert rep["stream_version"] == gmclab.field.STREAM_VERSION
+    assert rep["clip_magnitude"] == max(clips) > 0.0

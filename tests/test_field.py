@@ -6,10 +6,11 @@ from gmclab import (
     DiskKernel,
     build_covariance,
     field_matrix,
+    generate_cantor_dust,
     replica_generator,
     sample_field,
 )
-from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, normal_block
+from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, normal_block
 
 SEED = 2024
 N_BIG = 100000
@@ -133,3 +134,40 @@ def test_replica_is_its_row_of_the_block_draw(model4):
 def test_empty_index_list(model4):
     assert field_matrix(model4, SEED, []).shape == (model4.n, 0)
     assert normal_block(model4.n, SEED, []).shape == (model4.n, 0)
+
+
+# ------------------------------------------------------ strip-wise product
+
+
+@pytest.fixture(scope="module")
+def cantor5_clipped():
+    return build_covariance(generate_cantor_dust(5, 0.4), 0.05)
+
+
+def test_factor_upper_triangle_is_zero(model8, cantor5_clipped):
+    # field_matrix skips the upper triangle; the Cholesky path (grid8) and the
+    # eigen-clip path (cantor5 at epsilon 0.05) must both leave it exactly zero
+    assert cantor5_clipped.clip_magnitude > 0.0
+    for model in (model8, cantor5_clipped):
+        assert not np.triu(model.factor, 1).any()
+
+
+def _disk_measure(n):
+    rng = np.random.default_rng(n)
+    radius = 0.8 * np.sqrt(rng.random(n))
+    positions = radius * np.exp(2j * np.pi * rng.random(n))
+    return AtomicMeasure(positions, np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("n", [1, STRIP - 1, STRIP, STRIP + 1, 400])
+def test_strip_product_matches_dense_product(n):
+    model = build_covariance(_disk_measure(n))
+    idx = np.arange(1000, 1100)
+    dense = model.factor @ normal_block(n, SEED, idx)
+    values = field_matrix(model, SEED, idx)
+    assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_normal_block_is_column_major(model4):
+    # each replica's column is one contiguous row of the block draw
+    assert normal_block(model4.n, SEED, np.arange(BATCH)).flags.f_contiguous

@@ -15,6 +15,7 @@ from gmclab import (
     clipped_mass_statistic,
     d_energy,
     field_matrix,
+    generate_uniform_grid,
     gmc_mass,
     green_disk,
     rooted_identity_errors,
@@ -48,6 +49,11 @@ def test_mass_formula_exact(model8):
     manual = model8.measure.weights * np.exp(
         gamma * field.values - 0.5 * gamma ** 2 * model8.diag_variance)
     assert np.array_equal(sample.per_atom_mass, manual)
+    # a matrix of columns, formed in place, equals the out-of-place expression
+    values = field_matrix(model8, SEED, np.arange(1000, 1100))
+    shift = 0.5 * gamma * gamma * model8.diag_variance
+    manual = (model8.measure.weights * np.exp(gamma * values.T - shift)).T
+    assert np.array_equal(mass_columns(model8, values, gamma), manual)
 
 
 def test_single_atom_lognormal_mean(single_model):
@@ -187,6 +193,27 @@ def test_change_of_measure_gamma_prime_zero(model8):
     assert report.overlap
 
 
+def test_change_of_measure_paired_standard_error(model8):
+    # the branches share replicas: grade on the SE of their per-replica
+    # difference, and report the ESS of the mass weights
+    gamma_prime, n = 0.6, 300
+    stat = clipped_mass_statistic(model8, gamma_prime, 10.0)
+    report = verify_change_of_measure(model8, gamma_prime, stat, n, SEED)
+    indices = np.arange(n)
+    values = field_matrix(model8, SEED, indices)
+    masses = mass_columns(model8, values, gamma_prime).sum(axis=0)
+    rows = model8.matrix[draw_roots(model8, SEED, indices)].T
+    diff = (stat(values) * masses / model8.measure.total_mass
+            - stat(values + gamma_prime * rows))
+    assert report.se_difference == pytest.approx(
+        diff.std(ddof=1) / math.sqrt(n), rel=1e-12)
+    assert report.effective_sample_size == pytest.approx(
+        masses.sum() ** 2 / np.sum(masses ** 2), rel=1e-12)
+    assert 1.0 <= report.effective_sample_size < n
+    assert report.overlap == (abs(report.mean_weighted - report.mean_rooted)
+                              <= 3.0 * report.se_difference)
+
+
 def test_clipped_mass_statistic_cap(model8):
     stat = clipped_mass_statistic(model8, 0.8, 0.5)
     values = np.full((model8.n, 3), 5.0)
@@ -294,38 +321,49 @@ def test_one_generator_per_block_and_substream(model4, monkeypatch):
 # ------------------------------------------------------ block-streaming engine
 
 
-@pytest.mark.parametrize("start, n", [
-    (1000, 1100),   # starts mid-block, crosses blocks 0 | 1 | 2
-    (1023, 1026),   # blocks 0 and 2 hold one replica each
+@pytest.fixture(scope="module")
+def model20():
+    # n = 400 > field.STRIP, so the factor product runs in two strips
+    return build_covariance(generate_uniform_grid(20, 0.8))
+
+
+@pytest.mark.parametrize("model_name, start, n", [
+    # starts mid-block, crosses blocks 0 | 1 | 2
+    pytest.param("model8", 1000, 1100, id="1000-1100"),
+    # blocks 0 and 2 hold one replica each
+    pytest.param("model8", 1023, 1026, id="1023-1026"),
+    pytest.param("model20", 1000, 1100, id="n400-1000-1100"),
+    pytest.param("model20", 1023, 1026, id="n400-1023-1026"),
 ])
-def test_streamed_samplers_match_materialized_path(model8, start, n):
+def test_streamed_samplers_match_materialized_path(request, model_name, start, n):
+    model = request.getfixturevalue(model_name)
     gamma, beta = 0.8, 1.5
     indices = np.arange(start, start + n)
-    values = field_matrix(model8, SEED, indices)
-    roots = draw_roots(model8, SEED, indices)
-    masses = mass_columns(model8, values, gamma)
-    p = model8.measure.positions
+    values = field_matrix(model, SEED, indices)
+    roots = draw_roots(model, SEED, indices)
+    masses = mass_columns(model, values, gamma)
+    p = model.measure.positions
     dist = np.abs(p[:, None] - p[None, :])
     np.fill_diagonal(dist, np.inf)
     green = np.log(np.abs(1.0 - np.outer(p, p.conj()))) - np.log(dist)
     singular = np.exp(beta * green)
     np.fill_diagonal(singular, 0.0)
 
-    assert np.array_equal(total_masses(model8, gamma, SEED, n, start=start),
+    assert np.array_equal(total_masses(model, gamma, SEED, n, start=start),
                           masses.sum(axis=0))
     assert np.array_equal(
-        local_energy_samples(model8, gamma, beta, SEED, n, start=start),
+        local_energy_samples(model, gamma, beta, SEED, n, start=start),
         np.einsum("ki,ik->k", (dist ** -beta)[roots], masses))
-    assert np.array_equal(rooted_kernel_sums(model8, SEED, indices, gamma, singular),
+    assert np.array_equal(rooted_kernel_sums(model, SEED, indices, gamma, singular),
                           np.einsum("ki,ik->k", singular[roots], masses))
     # rooted_identity_errors always starts at replica 0
     whole = np.arange(start + n)
-    values = field_matrix(model8, SEED, whole)
-    rows = model8.matrix[draw_roots(model8, SEED, whole)].T
-    base_mass = mass_columns(model8, values, gamma)
+    values = field_matrix(model, SEED, whole)
+    rows = model.matrix[draw_roots(model, SEED, whole)].T
+    base_mass = mass_columns(model, values, gamma)
     lhs = np.sum(np.exp(gamma * gamma * rows) * base_mass, axis=0)
-    rhs = np.sum(mass_columns(model8, values + gamma * rows, gamma), axis=0)
-    assert np.array_equal(rooted_identity_errors(model8, SEED, start + n, gamma, gamma),
+    rhs = np.sum(mass_columns(model, values + gamma * rows, gamma), axis=0)
+    assert np.array_equal(rooted_identity_errors(model, SEED, start + n, gamma, gamma),
                           np.abs(lhs - rhs) / rhs)
 
 
