@@ -179,11 +179,12 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     sigma = model.measure.total_mass
     if l2 is None:
         l2 = beta == d and delta == 1.0 and gamma * gamma < d
+    energy_ratio = d_energy(model.measure, d) / sigma if gamma * gamma < d else None
     if l2:
         if not (beta == d and delta == 1.0 and gamma * gamma < d):
             raise DomainError(
                 "square-integrable branch requires beta = d, delta = 1, gamma < sqrt(d)")
-        s0 = BOUND_CONSTANT * d_energy(model.measure, d) / sigma
+        s0 = BOUND_CONSTANT * energy_ratio
     else:
         s0 = estimate_s0(model, gamma, beta, delta, n_replicas, base_seed,
                          start=stride)
@@ -196,7 +197,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         raise DomainError(
             f"threshold t0 = 2^4 * s0^(1/eta) overflows double precision "
             f"(s0 = {s0:.6g}, 1/eta = {inv_eta:.6g}); the grid cannot be formed")
-    l2_t0 = t0_l2(model.measure, gamma, d) if gamma * gamma < d else None
+    l2_t0 = None if energy_ratio is None else t0_from_ratio(energy_ratio, gamma, d)
     report = replace(report, s0=s0, t0=t0, l2_t0=l2_t0)
     steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)

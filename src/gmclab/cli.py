@@ -26,6 +26,11 @@ from .reports import render_report, to_jsonable, write_plot_csv
 IDENTITY_TOLERANCE = 1e-10
 # fewer replicas leave every standard error undefined
 MIN_REPLICAS = 2
+# parameters that hold text; all others but l2 and the complex c hold numbers
+TEXT_KEYS = frozenset({"kind", "out", "measure", "which", "statistic"})
+# integer parameters and their least value; the library checks tighter ranges
+INTEGER_KEYS = {"replicas": MIN_REPLICAS, "seed": 0, "n": 0, "level": 0,
+                "pixels": 0, "max_iter": 0, "atom_index": 0}
 
 
 def _float_list(text: str) -> list[float]:
@@ -42,8 +47,9 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"bad complex number {text!r}") from exc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags."""
+def _resolve(args: argparse.Namespace, defaults: dict, lists: tuple = ()) -> dict:
+    """Merge defaults < config file < explicit flags; the keys in lists take
+    a number or a non-empty list of numbers."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         try:
@@ -60,30 +66,59 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
-    _check_values(merged)
+    _check_values(merged, lists)
     return merged
 
 
-def _check_values(cfg: dict) -> None:
-    """Reject replica counts too small to grade and non-finite numbers,
-    whether they came from a flag or from the config file."""
-    replicas = cfg.get("replicas")
-    if replicas is not None and (isinstance(replicas, bool)
-                                 or not isinstance(replicas, int)
-                                 or replicas < MIN_REPLICAS):
-        raise ValidationError(
-            f"replicas must be an integer >= {MIN_REPLICAS}, got {replicas!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, int) or cmath.isfinite(value)
+
+
+def _admitted(key: str):
+    """(description, test) of the values a parameter admits."""
+    if key in TEXT_KEYS:
+        return "a string", lambda v: isinstance(v, str)
+    if key == "l2":
+        return "true or false", lambda v: isinstance(v, bool)
+    if key in INTEGER_KEYS:
+        least = INTEGER_KEYS[key]
+        return (f"an integer >= {least}",
+                lambda v: _is_number(v) and isinstance(v, int) and v >= least)
+    if key == "c":
+        return ("a finite complex number",
+                lambda v: (_is_number(v) or isinstance(v, complex)) and _is_finite(v))
+    return "a finite number", lambda v: _is_number(v) and _is_finite(v)
+
+
+def _check_values(cfg: dict, lists: tuple) -> None:
+    """Reject values of the wrong type or range, empty lists and non-finite
+    numbers, whether they came from a flag or from the config file; a c given
+    as text is parsed to a complex number."""
+    if isinstance(cfg.get("c"), str):
+        try:
+            cfg["c"] = _complex_arg(cfg["c"])
+        except argparse.ArgumentTypeError as exc:
+            raise ValidationError(str(exc)) from exc
     for key, value in cfg.items():
-        for item in value if isinstance(value, list) else [value]:
-            if (isinstance(item, (float, complex))
-                    and not cmath.isfinite(item)):
-                raise ValidationError(f"{key} must be finite, got {item!r}")
+        if value is None:
+            continue
+        kind, test = _admitted(key)
+        items = [value]
+        if key in lists:
+            kind = f"{kind} or a non-empty list of them"
+            if isinstance(value, list):
+                items = value
+        if not items or not all(map(test, items)):
+            raise ValidationError(f"{key} must be {kind}, got {value!r}")
 
 
 def _resolve_seed(cfg: dict) -> None:
     if cfg.get("seed") is None:
         cfg["seed"] = int(np.random.SeedSequence().entropy % (2 ** 63))
-    cfg["seed"] = int(cfg["seed"])
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -110,17 +145,15 @@ def _cmd_generate(args) -> tuple[dict, dict, int]:
     cfg["out"] = args.measure_out
     _require(cfg, "out")
     if args.kind == "grid":
-        atoms = measure_mod.generate_uniform_grid(int(cfg["n"]), cfg["radius"])
+        atoms = measure_mod.generate_uniform_grid(cfg["n"], cfg["radius"])
         cfg = {k: cfg[k] for k in ("kind", "out", "n", "radius")}
     elif args.kind == "cantor":
-        atoms = measure_mod.generate_cantor_dust(int(cfg["level"]), cfg["radius"])
+        atoms = measure_mod.generate_cantor_dust(cfg["level"], cfg["radius"])
         cfg = {k: cfg[k] for k in ("kind", "out", "level", "radius")}
     else:
         c = cfg["c"] if cfg["c"] is not None else complex(-1.0, 0.0)
-        if isinstance(c, str):
-            c = _complex_arg(c)
         atoms = measure_mod.generate_julia_boundary(
-            c, int(cfg["pixels"]), int(cfg["max_iter"]), cfg["radius"])
+            c, cfg["pixels"], cfg["max_iter"], cfg["radius"])
         cfg = {"kind": cfg["kind"], "out": cfg["out"], "c": c,
                "pixels": cfg["pixels"], "max_iter": cfg["max_iter"],
                "radius": cfg["radius"]}
@@ -165,12 +198,12 @@ def _cmd_exponents(args) -> tuple[dict, dict, int]:
 def _cmd_laplace(args) -> tuple[dict, dict, int]:
     defaults = {"measure": None, "gamma": None, "t": None, "replicas": 10000,
                 "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, defaults, lists=("t",))
     _require(cfg, "gamma", "t")
     _resolve_seed(cfg)
     model = _load_model(cfg)
     report = bounds.laplace_transform(model, cfg["gamma"], cfg["t"],
-                                      int(cfg["replicas"]), cfg["seed"])
+                                      cfg["replicas"], cfg["seed"])
     if args.csv:
         write_plot_csv(args.csv, report.t_values, report.estimates,
                        report.standard_errors, report.bound_values)
@@ -190,7 +223,7 @@ def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
     _resolve_seed(cfg)
     model = _load_model(cfg)
     report = bounds.verify_bound(model, cfg["gamma"], cfg["d"], cfg["beta"],
-                                 cfg["delta"], int(cfg["replicas"]), cfg["seed"],
+                                 cfg["delta"], cfg["replicas"], cfg["seed"],
                                  l2=bool(cfg["l2"]))
     if args.csv:
         write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
@@ -212,7 +245,7 @@ def _cmd_verify_identity(args) -> tuple[dict, dict, int]:
     _require(cfg, "gamma", "gamma_prime")
     _resolve_seed(cfg)
     model = _load_model(cfg)
-    errors = gmc.rooted_identity_errors(model, cfg["seed"], int(cfg["replicas"]),
+    errors = gmc.rooted_identity_errors(model, cfg["seed"], cfg["replicas"],
                                         cfg["gamma"], cfg["gamma_prime"])
     worst = float(errors.max())
     ok = worst <= cfg["tolerance"]
@@ -237,14 +270,13 @@ def _cmd_verify_com(args) -> tuple[dict, dict, int]:
             cfg["cap"] = 10.0 * model.measure.total_mass
         stat = gmc.clipped_mass_statistic(model, cfg["gamma"], cfg["cap"])
     elif cfg["statistic"] == "atom-value":
-        index = int(cfg["atom_index"])
-        if not 0 <= index < model.n:
+        if cfg["atom_index"] >= model.n:
             raise ValidationError("atom_index out of range")
-        stat = gmc.atom_value_statistic(index)
+        stat = gmc.atom_value_statistic(cfg["atom_index"])
     else:
         raise ValidationError("statistic must be 'mass' or 'atom-value'")
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
-                                          int(cfg["replicas"]), cfg["seed"])
+                                          cfg["replicas"], cfg["seed"])
     return cfg, {"change_of_measure": report, "stream_version": STREAM_VERSION,
                  "clip_magnitude": model.clip_magnitude}, 0 if report.overlap else 1
 
@@ -253,14 +285,14 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
     defaults = {"measure": None, "which": None, "gamma": 0.8, "s": 1.0,
                 "t": 2.0, "r_inner": 0.5, "radii": [0.5, 0.7, 0.9],
                 "replicas": 20000, "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, defaults, lists=("radii",))
     _require(cfg, "which")
     try:
         if cfg["which"] == "fkg":
             _resolve_seed(cfg)
             model = _load_model(cfg)
             verdicts = [inequalities.fkg_check(model, cfg["gamma"], cfg["s"],
-                                               cfg["t"], int(cfg["replicas"]),
+                                               cfg["t"], cfg["replicas"],
                                                cfg["seed"])]
             clip = model.clip_magnitude
         elif cfg["which"] == "kahane":
@@ -271,7 +303,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
                 cfg["epsilon"] = default_epsilon(atoms)
             verdicts = [inequalities.kahane_check(atoms, cfg["gamma"],
                                                   cfg["r_inner"], cfg["t"],
-                                                  int(cfg["replicas"]), cfg["seed"],
+                                                  cfg["replicas"], cfg["seed"],
                                                   epsilon=cfg["epsilon"])]
             details = verdicts[0].details
             clip = max(details["clip_magnitude_subdisk"],
@@ -303,12 +335,12 @@ def _cmd_split(args) -> tuple[dict, dict, int]:
 def _cmd_tail(args) -> tuple[dict, dict, int]:
     defaults = {"measure": None, "gamma": None, "eps": None,
                 "replicas": 10000, "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args, defaults, lists=("eps",))
     _require(cfg, "gamma", "eps")
     _resolve_seed(cfg)
     model = _load_model(cfg)
     report = bounds.small_ball_tail(model, cfg["gamma"], cfg["eps"],
-                                    int(cfg["replicas"]), cfg["seed"])
+                                    cfg["replicas"], cfg["seed"])
     return cfg, {"tail": report, "stream_version": STREAM_VERSION,
                  "clip_magnitude": model.clip_magnitude}, 0
 

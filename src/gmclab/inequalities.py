@@ -89,14 +89,13 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         raise HypothesisViolationError(
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")
-    totals_small = total_masses(small, gamma, base_seed, n_replicas)
-    totals_big = total_masses(big, gamma, base_seed, n_replicas)
-    diffs = np.exp(-t * totals_big) - np.exp(-t * totals_small)
-    statistic, se = map(float, mean_se(diffs))
+    damped_small, damped_big = (np.exp(-t * total_masses(m, gamma, base_seed, n_replicas))
+                                for m in (small, big))
+    statistic, se = map(float, mean_se(damped_big - damped_small))
     threshold = -3.0 * se
     details = {
-        "estimate_subdisk": float(np.exp(-t * totals_small).mean()),
-        "estimate_disk": float(np.exp(-t * totals_big).mean()),
+        "estimate_subdisk": float(damped_small.mean()),
+        "estimate_disk": float(damped_big.mean()),
         "epsilon": float(epsilon),
         "clip_magnitude_subdisk": small.clip_magnitude,
         "clip_magnitude_disk": big.clip_magnitude,

@@ -56,12 +56,19 @@ class DiskKernel:
             return 0.0
         return math.log(abs(r * r - x * y.conjugate()) / r)
 
+    def smooth_matrix(self, positions: np.ndarray) -> np.ndarray:
+        """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
+        r = self.radius
+        x, y = positions.real[:, None], positions.imag[:, None]
+        re = r * r - x * x.T - y * y.T
+        im = y * x.T - x * y.T
+        return np.log(np.sqrt(re * re + im * im) / r)
+
     def entry_matrix(self, positions: np.ndarray, epsilon: float) -> np.ndarray:
         """Vectorized regularized entries for all atom pairs (diagonal included)."""
-        r = self.radius
-        smooth = np.log(np.abs(r * r - np.outer(positions, positions.conj())) / r)
+        smooth = self.smooth_matrix(positions)
         dist = np.abs(positions[:, None] - positions[None, :])
-        return smooth - np.log(np.maximum(dist, epsilon))
+        return smooth - np.log(np.maximum(dist, epsilon, out=dist), out=dist)
 
 
 UNIT_DISK = DiskKernel(1.0)
@@ -115,10 +122,8 @@ def _eigen_clip(matrix: np.ndarray):
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
-    clipped = np.clip(eigvals, 0.0, None)
-    repaired = (eigvecs * clipped) @ eigvecs.T
-    repaired = (repaired + repaired.T) / 2.0
-    return repaired, max(0.0, -eig_min), eig_min, eig_max, eigvecs * np.sqrt(clipped)
+    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    return root @ root.T, max(0.0, -eig_min), eig_min, eig_max, root
 
 
 def clip_to_psd(matrix: np.ndarray):
@@ -134,7 +139,7 @@ def clip_to_psd(matrix: np.ndarray):
 class CovarianceModel:
     """Repaired covariance matrix over a measure's atoms, ready for sampling.
 
-    matrix is the symmetrized regularized kernel matrix, eigen-clipped to PSD
+    matrix is the regularized kernel matrix, eigen-clipped to PSD
     only when Cholesky fails on it; factor is a lower triangular square root,
     diag_variance the per-atom variance the factor actually realizes (row sums
     of squares).
@@ -167,7 +172,7 @@ class CovarianceModel:
 
 def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
                      green=UNIT_DISK) -> CovarianceModel:
-    """Assemble and symmetrize the regularized kernel matrix and factor it:
+    """Assemble the regularized kernel matrix and factor it:
     Cholesky first, one eigen-clip and a QR only when Cholesky fails."""
     _check_atom_count(measure)
     if epsilon is None:
@@ -178,7 +183,6 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
         if not green.inside(p):
             raise DomainError("atom outside the kernel domain")
     matrix = green.entry_matrix(measure.positions, epsilon)
-    matrix = (matrix + matrix.T) / 2.0
     try:
         factor = np.linalg.cholesky(matrix)
         clip_magnitude, eig_range = 0.0, None
@@ -209,7 +213,7 @@ def offdiagonal_green(positions: np.ndarray):
     dist**-beta and the ball test dist <= r leave each atom itself out."""
     dist = np.abs(positions[:, None] - positions[None, :])
     np.fill_diagonal(dist, math.inf)
-    green = np.log(np.abs(1.0 - np.outer(positions, positions.conj()))) - np.log(dist)
+    green = UNIT_DISK.smooth_matrix(positions) - np.log(dist)
     np.fill_diagonal(green, 0.0)
     return green, dist
 
@@ -227,9 +231,8 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
     if measure.support_radius >= r:
         raise DomainError("every atom must satisfy |p| < r")
     _check_atom_count(measure)
-    outer = np.outer(measure.positions, measure.positions.conj())
-    diff = np.log(np.abs(1.0 - outer)) - np.log(np.abs(r * r - outer)) + math.log(r)
-    diff = (diff + diff.T) / 2.0
+    diff = UNIT_DISK.smooth_matrix(measure.positions)
+    diff -= DiskKernel(r).smooth_matrix(measure.positions)
     eigvals = np.linalg.eigvalsh(diff)
     min_eig, max_eig = float(eigvals[0]), float(eigvals[-1])
     psd = min_eig >= -1e-8 * max(max_eig, 0.0)

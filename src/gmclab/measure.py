@@ -77,15 +77,15 @@ class AtomicMeasure:
 
     def min_pair_distance(self) -> float:
         """Smallest distance between two distinct atoms; inf for a single atom."""
-        if self.n < 2:
-            return math.inf
-        best = math.inf
-        for start in range(0, self.n, 1024):
-            block = self.positions[start:start + 1024, None] - self.positions[None, :]
-            dist = np.abs(block)
-            dist[dist == 0.0] = math.inf
-            best = min(best, float(dist.min()))
-        return best
+        return min(float(dist.min()) for _, dist in _pair_distance_blocks(self.positions))
+
+
+def _pair_distance_blocks(positions: np.ndarray):
+    """Yield (start, dist) per 1024 atoms: dist[i - start, j] = |p_i - p_j|, inf at j = i."""
+    for start in range(0, positions.size, 1024):
+        dist = np.abs(positions[start:start + 1024, None] - positions[None, :])
+        np.fill_diagonal(dist[:, start:start + 1024], math.inf)
+        yield start, dist
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,9 @@ def d_energy(measure: AtomicMeasure, d: float) -> float:
     """Off-diagonal interaction energy sum_{i != j} w_i w_j / |p_i - p_j|**d."""
     if d <= 0:
         raise DomainError("d must be > 0")
-    total = 0.0
-    p, w = measure.positions, measure.weights
-    for start in range(0, measure.n, 1024):
-        dist = np.abs(p[start:start + 1024, None] - p[None, :])
-        np.fill_diagonal(dist[:, start:start + 1024], math.inf)
-        total += float(w[start:start + 1024] @ (dist ** -d @ w))
-    return total
+    w = measure.weights
+    return sum(float(w[start:start + 1024] @ (dist ** -d @ w))
+               for start, dist in _pair_distance_blocks(measure.positions))
 
 
 def local_energy(root: complex, gmc, beta: float) -> float:

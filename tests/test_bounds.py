@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gmclab.bounds
 import gmclab.field
 from gmclab import (
     AtomicMeasure,
@@ -232,6 +233,22 @@ def test_verify_bound_l2_t0_field(model8):
         t0_l2(model8.measure, 0.8, 2.0), rel=1e-12)
     # the l2 route computes t0 analytically, so the two coincide
     assert rep.exponent.t0 == pytest.approx(rep.exponent.l2_t0, rel=1e-12)
+
+
+def test_verify_bound_l2_computes_energy_once(model8, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return d_energy(*args)
+
+    monkeypatch.setattr(gmclab.bounds, "d_energy", counted)
+    rep = verify_bound(model8, 0.8, 2.0, 2.0, 1.0, 200, SEED, l2=True)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    sigma = model8.measure.total_mass
+    assert rep.exponent.s0 == 2.0 ** 5 * d_energy(model8.measure, 2.0) / sigma
+    assert rep.exponent.l2_t0 == t0_l2(model8.measure, 0.8, 2.0)
 
 
 def test_verify_bound_l2_requires_matching_parameters(model8):

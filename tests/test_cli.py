@@ -395,6 +395,10 @@ BAD_INPUT = {
     "config_replicas_zero": ((), {"replicas": 0}),
     "config_replicas_fraction": ((), {"replicas": 2.5}),
     "config_nan": ((), {"epsilon": float("nan")}),
+    "seed_negative": (("--seed", "-1"), None),
+    "config_seed_string": ((), {"seed": "abc"}),
+    "config_seed_fraction": ((), {"seed": 1.5}),
+    "config_epsilon_string": ((), {"epsilon": "0.05"}),
 }
 
 
@@ -402,8 +406,35 @@ BAD_INPUT = {
 @pytest.mark.parametrize("command", sorted(SEEDED_ARGV))
 def test_invalid_sampling_input_exits_2(files, tmp_path, capsys, command, bad):
     flags, config = BAD_INPUT[bad]
+    # a --seed flag would override the config file's seed
+    seed = () if config and "seed" in config else ("--seed", str(SEED))
     argv = [*SEEDED_ARGV[command], "--measure", str(files["small"]),
-            "--seed", str(SEED), "--no-timestamp", *flags]
+            *seed, "--no-timestamp", *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("laplace", "--gamma", "0.8", "--t", ""), None),
+    (("laplace", "--gamma", "0.8"), {"t": []}),
+    (("laplace", "--gamma", "0.8"), {"t": "1,2"}),
+    (("laplace", "--t", "1.0"), {"gamma": "0.8"}),
+    (("tail", "--gamma", "0.8", "--eps", ""), None),
+    (("verify-ineq", "--which", "markov", "--radii", ""), None),
+    (("verify-ineq", "--which", "markov"), {"radii": []}),
+], ids=["laplace_empty_t", "config_empty_t", "config_t_string",
+        "config_gamma_string", "tail_empty_eps", "markov_empty_radii",
+        "config_empty_radii"])
+def test_empty_or_mistyped_values_exit_2(files, tmp_path, capsys, argv, config):
+    argv = [*argv, "--measure", str(files["small"]), "--no-timestamp"]
+    if argv[0] != "verify-ineq":
+        argv += ["--seed", str(SEED), "--replicas", "16"]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -421,7 +452,7 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 4
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 5
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov

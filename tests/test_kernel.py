@@ -22,6 +22,7 @@ from gmclab import (
     markov_difference_psd,
     regularized_entry,
 )
+from gmclab.kernel import offdiagonal_green
 
 SEED = 99
 # frozen spot values, recomputed from the kernel formula by hand
@@ -362,7 +363,7 @@ def test_markov_grid_psd():
 
 
 def test_markov_refuses_more_than_max_atoms():
-    # Cantor level 7 has 16384 atoms: the n x n complex matrix would take 4 GB
+    # Cantor level 7 has 16384 atoms: each n x n matrix would take 2 GB
     with pytest.raises(ResourceLimitError):
         markov_difference_psd(generate_cantor_dust(7, 0.4), 0.5)
 
@@ -372,3 +373,36 @@ def test_markov_rejects(grid8):
         markov_difference_psd(grid8, 0.5)   # support 0.8 >= r
     with pytest.raises(DomainError):
         markov_difference_psd(grid8, 1.5)
+
+
+# ---------------------------------------------------------- pair matrices
+
+
+def test_smooth_matrix_matches_scalar_smooth_part():
+    x, y = _random_disk_pairs(40)
+    for r in (1.0, 0.5):
+        kernel = DiskKernel(r)
+        p = r * np.concatenate([x, y])
+        loop = np.array([[kernel.smooth_part(a, b) for b in p] for a in p])
+        assert np.abs(kernel.smooth_matrix(p) - loop).max() <= 1e-15
+
+
+@pytest.fixture(scope="module", params=["grid48", "cantor5"])
+def pair_case(request):
+    """A measure and epsilon whose model factors by Cholesky (grid48) or
+    needs the eigen-clip (cantor5)."""
+    if request.param == "grid48":
+        return generate_uniform_grid(48, 0.4), None
+    return generate_cantor_dust(5, 0.4), 0.05
+
+
+def test_pair_matrices_symmetric_bit_for_bit(pair_case):
+    measure, epsilon = pair_case
+    model = build_covariance(measure, epsilon)
+    assert (model.clip_magnitude > 0.0) == (epsilon is not None)
+    green, dist = offdiagonal_green(measure.positions)
+    matrices = [model.matrix, green, dist, markov_difference_psd(measure, 0.5)[0]]
+    matrices += [DiskKernel(r).entry_matrix(measure.positions, model.epsilon)
+                 for r in (1.0, 0.5)]
+    for m in matrices:
+        assert np.array_equal(m, m.T)
