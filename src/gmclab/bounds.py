@@ -21,7 +21,7 @@ from .errors import DomainError
 from .field import BATCH
 from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
 from .gmc import mean_se, rooted_kernel_sums, total_masses
-from .kernel import offdiagonal_green
+from .kernel import offdiagonal_green, pair_distances
 from .measure import AtomicMeasure, d_energy
 
 BOUND_CONSTANT = 2.0 ** 5
@@ -130,7 +130,7 @@ def t0_l2(measure: AtomicMeasure, gamma: float, d: float) -> float:
 def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
                          n_replicas: int, start: int = 0) -> np.ndarray:
     """Rooted local energies phi_beta(root, mass), root atom excluded."""
-    _, dist = offdiagonal_green(model.measure.positions)
+    dist = pair_distances(model.measure.positions)
     return rooted_kernel_sums(model, base_seed, np.arange(start, start + n_replicas),
                               gamma, dist ** -beta)
 

@@ -34,8 +34,14 @@ INTEGER_KEYS = {"replicas": MIN_REPLICAS, "seed": 0, "n": 0, "level": 0,
 
 
 def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers; blank text gives [], which validation rejects."""
+    if not text.strip():
+        return []
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValidationError(f"empty item in number list {text!r}")
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in tokens]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
 
@@ -446,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg, payload, code = args.handler(args)
     except GmcLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

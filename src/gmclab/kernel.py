@@ -9,6 +9,14 @@ matches the variance of a circle average at radius epsilon. build_covariance
 factors it by Cholesky when it is positive definite, as a grid's is at the
 default epsilon; otherwise one eigendecomposition clips the negative
 eigenvalues at zero and gives both the repaired matrix and its factor.
+
+Every matrix over atom pairs is written into one preallocated n x n array a
+tile of rows at a time (about TILE_ENTRIES entries per tile), so the
+temporaries of the elementwise formulas stay in cache instead of spanning
+n x n. Each entry comes from the same expression as an untiled evaluation,
+so the matrices are bit-identical to stream version 5. The factor check runs
+over row strips of the lower triangle; a build therefore holds about two
+n x n arrays at its peak, the kernel matrix and its factor.
 """
 
 from __future__ import annotations
@@ -20,12 +28,27 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceLimitError, SingularityError
-from .measure import AtomicMeasure
+from .measure import AtomicMeasure, _pair_distance_blocks
 
 # relative Frobenius tolerance the factor must reproduce the repaired matrix to
 FACTOR_RTOL = 1e-8
 # most atoms a kernel matrix is built for: each n x n matrix is then 134 MB
 MAX_ATOMS = 4096
+# entries per row tile of a pair matrix: its few temporaries then fit in cache
+TILE_ENTRIES = 2 ** 16
+# rows per strip of the factor check
+DEFECT_STRIP = 256
+
+
+def _tile_rows(n: int) -> int:
+    """Rows per tile of an n x n pair matrix: about TILE_ENTRIES entries, at least 8."""
+    return max(8, TILE_ENTRIES // n)
+
+
+def _row_tiles(n: int) -> list[slice]:
+    """Slices of _tile_rows(n) rows covering n rows."""
+    rows = _tile_rows(n)
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 @dataclass(frozen=True)
@@ -56,19 +79,32 @@ class DiskKernel:
             return 0.0
         return math.log(abs(r * r - x * y.conjugate()) / r)
 
+    def _smooth_rows(self, positions: np.ndarray, tile: slice, out=None) -> np.ndarray:
+        """The rows tile of smooth_matrix, in real arithmetic."""
+        r = self.radius
+        x, y = positions.real, positions.imag
+        xi, yi = x[tile, None], y[tile, None]
+        re = r * r - xi * x - yi * y
+        im = yi * x - xi * y
+        return np.log(np.sqrt(re * re + im * im) / r, out=out)
+
     def smooth_matrix(self, positions: np.ndarray) -> np.ndarray:
         """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
-        r = self.radius
-        x, y = positions.real[:, None], positions.imag[:, None]
-        re = r * r - x * x.T - y * y.T
-        im = y * x.T - x * y.T
-        return np.log(np.sqrt(re * re + im * im) / r)
+        n = positions.size
+        out = np.empty((n, n))
+        for tile in _row_tiles(n):
+            self._smooth_rows(positions, tile, out=out[tile])
+        return out
 
     def entry_matrix(self, positions: np.ndarray, epsilon: float) -> np.ndarray:
         """Vectorized regularized entries for all atom pairs (diagonal included)."""
-        smooth = self.smooth_matrix(positions)
-        dist = np.abs(positions[:, None] - positions[None, :])
-        return smooth - np.log(np.maximum(dist, epsilon, out=dist), out=dist)
+        n = positions.size
+        out = np.empty((n, n))
+        for tile in _row_tiles(n):
+            self._smooth_rows(positions, tile, out=out[tile])
+            dist = np.abs(positions[tile, None] - positions)
+            out[tile] -= np.log(np.maximum(dist, epsilon, out=dist), out=dist)
+        return out
 
 
 UNIT_DISK = DiskKernel(1.0)
@@ -135,6 +171,24 @@ def clip_to_psd(matrix: np.ndarray):
     return _eigen_clip(matrix)[:4]
 
 
+def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:
+    """||factor @ factor.T - matrix||_F from row strips of the lower triangle.
+
+    factor is lower triangular, so strip rows [lo, hi) need only its first hi
+    columns. Both products are symmetric, so each block left of the diagonal
+    counts twice: the strip twice, less its diagonal block once. No n x n
+    temporary is formed.
+    """
+    total = 0.0
+    for lo in range(0, len(matrix), DEFECT_STRIP):
+        hi = min(lo + DEFECT_STRIP, len(matrix))
+        strip = factor[lo:hi, :hi] @ factor[:hi, :hi].T
+        strip -= matrix[lo:hi, :hi]
+        block = strip[:, lo:]
+        total += 2.0 * np.vdot(strip, strip) - np.vdot(block, block)
+    return math.sqrt(total)
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     """Repaired covariance matrix over a measure's atoms, ready for sampling.
@@ -198,7 +252,7 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     model = CovarianceModel(measure, float(epsilon), matrix, factor, diag_variance,
                             clip_magnitude, eig_range)
     scale = float(np.linalg.norm(matrix))
-    defect = float(np.linalg.norm(factor @ factor.T - matrix))
+    defect = _factor_defect(factor, matrix)
     if scale > 0 and defect > FACTOR_RTOL * scale:
         raise NumericalError(
             f"factorization defect {defect:.3e} exceeds {FACTOR_RTOL:.0e} * {scale:.3e} "
@@ -207,13 +261,24 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     return model
 
 
+def pair_distances(positions: np.ndarray) -> np.ndarray:
+    """|p_i - p_j| over all atom pairs with an infinite diagonal, so that
+    dist**-beta and the ball test dist <= r leave each atom itself out."""
+    n = positions.size
+    dist = np.empty((n, n))
+    for start, block in _pair_distance_blocks(positions, rows=_tile_rows(n)):
+        dist[start:start + len(block)] = block
+    return dist
+
+
 def offdiagonal_green(positions: np.ndarray):
     """(green, dist): the unit-disk Green matrix between distinct atoms, 0 on
-    the diagonal, and the pair distances with an infinite diagonal, so that
-    dist**-beta and the ball test dist <= r leave each atom itself out."""
-    dist = np.abs(positions[:, None] - positions[None, :])
-    np.fill_diagonal(dist, math.inf)
-    green = UNIT_DISK.smooth_matrix(positions) - np.log(dist)
+    the diagonal, and pair_distances(positions)."""
+    dist = pair_distances(positions)
+    green = np.empty_like(dist)
+    for tile in _row_tiles(positions.size):
+        UNIT_DISK._smooth_rows(positions, tile, out=green[tile])
+        green[tile] -= np.log(dist[tile])
     np.fill_diagonal(green, 0.0)
     return green, dist
 
@@ -231,8 +296,11 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
     if measure.support_radius >= r:
         raise DomainError("every atom must satisfy |p| < r")
     _check_atom_count(measure)
-    diff = UNIT_DISK.smooth_matrix(measure.positions)
-    diff -= DiskKernel(r).smooth_matrix(measure.positions)
+    positions, subdisk = measure.positions, DiskKernel(r)
+    diff = np.empty((measure.n, measure.n))
+    for tile in _row_tiles(measure.n):
+        UNIT_DISK._smooth_rows(positions, tile, out=diff[tile])
+        diff[tile] -= subdisk._smooth_rows(positions, tile)
     eigvals = np.linalg.eigvalsh(diff)
     min_eig, max_eig = float(eigvals[0]), float(eigvals[-1])
     psd = min_eig >= -1e-8 * max(max_eig, 0.0)

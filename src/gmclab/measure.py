@@ -77,14 +77,19 @@ class AtomicMeasure:
 
     def min_pair_distance(self) -> float:
         """Smallest distance between two distinct atoms; inf for a single atom."""
-        return min(float(dist.min()) for _, dist in _pair_distance_blocks(self.positions))
+        # a min does not depend on the block shape; small blocks stay in cache
+        return min(float(dist.min())
+                   for _, dist in _pair_distance_blocks(self.positions, rows=256))
 
 
-def _pair_distance_blocks(positions: np.ndarray):
-    """Yield (start, dist) per 1024 atoms: dist[i - start, j] = |p_i - p_j|, inf at j = i."""
-    for start in range(0, positions.size, 1024):
-        dist = np.abs(positions[start:start + 1024, None] - positions[None, :])
-        np.fill_diagonal(dist[:, start:start + 1024], math.inf)
+def _pair_distance_blocks(positions: np.ndarray, rows: int = 1024):
+    """Yield (start, dist) per rows atoms: dist[i - start, j] = |p_i - p_j|, inf at j = i.
+
+    d_energy's sum order, and so its bits, depends on the default of 1024 rows.
+    """
+    for start in range(0, positions.size, rows):
+        dist = np.abs(positions[start:start + rows, None] - positions[None, :])
+        np.fill_diagonal(dist[:, start:start + rows], math.inf)
         yield start, dist
 
 

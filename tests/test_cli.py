@@ -428,9 +428,11 @@ def test_invalid_sampling_input_exits_2(files, tmp_path, capsys, command, bad):
     (("tail", "--gamma", "0.8", "--eps", ""), None),
     (("verify-ineq", "--which", "markov", "--radii", ""), None),
     (("verify-ineq", "--which", "markov"), {"radii": []}),
+    (("laplace", "--gamma", "0.8", "--t", "1,,2"), None),
+    (("tail", "--gamma", "0.8", "--eps", "0.1,0.5,"), None),
 ], ids=["laplace_empty_t", "config_empty_t", "config_t_string",
         "config_gamma_string", "tail_empty_eps", "markov_empty_radii",
-        "config_empty_radii"])
+        "config_empty_radii", "laplace_stray_comma", "tail_stray_comma"])
 def test_empty_or_mistyped_values_exit_2(files, tmp_path, capsys, argv, config):
     argv = [*argv, "--measure", str(files["small"]), "--no-timestamp"]
     if argv[0] != "verify-ineq":

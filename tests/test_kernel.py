@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,3 +407,88 @@ def test_pair_matrices_symmetric_bit_for_bit(pair_case):
                  for r in (1.0, 0.5)]
     for m in matrices:
         assert np.array_equal(m, m.T)
+
+
+# -------------------------------------------------- tiled pair matrices
+
+
+def _untiled_smooth(r, p):
+    # the one-shot n x n evaluation the tiled kernels must reproduce bit for bit
+    x, y = p.real[:, None], p.imag[:, None]
+    re = r * r - x * x.T - y * y.T
+    im = y * x.T - x * y.T
+    return np.log(np.sqrt(re * re + im * im) / r)
+
+
+def _untiled_dist(p):
+    dist = np.abs(p[:, None] - p[None, :])
+    np.fill_diagonal(dist, math.inf)
+    return dist
+
+
+@pytest.fixture(scope="module", params=[1, 2, 257, 2304])
+def tile_points(request):
+    """Random atoms in the disk of radius 0.45; no n is a multiple of a tile."""
+    rng = np.random.default_rng(SEED + request.param)
+    n = request.param
+    return 0.45 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+def test_tiled_kernel_matrices_equal_untiled(tile_points, r):
+    p, epsilon = tile_points, 0.05
+    kernel = DiskKernel(r)
+    smooth = _untiled_smooth(r, p)
+    assert np.array_equal(kernel.smooth_matrix(p), smooth)
+    dist = np.abs(p[:, None] - p[None, :])
+    entry = smooth - np.log(np.maximum(dist, epsilon, out=dist), out=dist)
+    assert np.array_equal(kernel.entry_matrix(p, epsilon), entry)
+
+
+def test_tiled_green_and_distances_equal_untiled(tile_points):
+    p = tile_points
+    dist = _untiled_dist(p)
+    green = _untiled_smooth(1.0, p) - np.log(dist)
+    np.fill_diagonal(green, 0.0)
+    got_green, got_dist = offdiagonal_green(p)
+    assert np.array_equal(got_green, green)
+    assert np.array_equal(got_dist, dist)
+    assert np.array_equal(gmclab.kernel.pair_distances(p), dist)
+    measure = AtomicMeasure(p, np.ones(p.size))
+    assert measure.min_pair_distance() == dist.min()
+
+
+def test_strip_defect_matches_full_norm():
+    # 625 atoms: two full 256-row strips and a partial one
+    matrix = build_covariance(generate_uniform_grid(25, 0.8)).matrix
+    rng = np.random.default_rng(SEED)
+    factor = np.linalg.cholesky(matrix) + 1e-3 * np.tril(rng.standard_normal(matrix.shape))
+    full = np.linalg.norm(factor @ factor.T - matrix)
+    assert gmclab.kernel._factor_defect(factor, matrix) == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("entry", [(300, 10), (399, 390)],
+                         ids=["left_of_diagonal", "diagonal_block"])
+def test_build_rejects_factor_off_by_1e3(monkeypatch, entry):
+    real_cholesky = np.linalg.cholesky
+
+    def off_by_one_entry(matrix):
+        factor = real_cholesky(matrix)
+        factor[entry] += 1e-3
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", off_by_one_entry)
+    with pytest.raises(NumericalError, match="factorization defect"):
+        build_covariance(generate_uniform_grid(20, 0.8))
+
+
+def test_build_peak_memory_is_about_two_matrices():
+    # the kernel matrix and its factor; no n x n temporary beside them
+    measure = generate_uniform_grid(48, 0.8)
+    tracemalloc.start()
+    try:
+        build_covariance(measure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * measure.n ** 2 * 8
