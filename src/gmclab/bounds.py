@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .field import BATCH
 from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
-from .gmc import mean_se, rooted_kernel_sums, total_masses
+from .gmc import check_replica_count, mean_se, rooted_kernel_sums, total_masses
 from .kernel import offdiagonal_green, pair_distances
 from .measure import AtomicMeasure, d_energy
 
@@ -130,6 +130,7 @@ def t0_l2(measure: AtomicMeasure, gamma: float, d: float) -> float:
 def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
                          n_replicas: int, start: int = 0) -> np.ndarray:
     """Rooted local energies phi_beta(root, mass), root atom excluded."""
+    check_replica_count(n_replicas)
     dist = pair_distances(model.measure.positions)
     return rooted_kernel_sums(model, base_seed, np.arange(start, start + n_replicas),
                               gamma, dist ** -beta)
@@ -152,6 +153,7 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values < 0):
         raise DomainError("t values must be >= 0")
+    check_replica_count(n_replicas, rows=t_values.size)
     totals = total_masses(model, gamma, base_seed, n_replicas, start=start)
     damped = np.exp(-t_values[:, None] * totals[None, :])
     estimates, ses = mean_se(damped, axis=1)
@@ -175,6 +177,8 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     check [2 * stride, 2 * stride + N).
     """
     report = exponents(gamma, d, beta, delta)
+    steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
+    check_replica_count(n_replicas, rows=steps)
     stride = -(-n_replicas // BATCH) * BATCH
     sigma = model.measure.total_mass
     if l2 is None:
@@ -199,7 +203,6 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
             f"(s0 = {s0:.6g}, 1/eta = {inv_eta:.6g}); the grid cannot be formed")
     l2_t0 = None if energy_ratio is None else t0_from_ratio(energy_ratio, gamma, d)
     report = replace(report, s0=s0, t0=t0, l2_t0=l2_t0)
-    steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)
     laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed,
                                 exponent=report)
@@ -225,6 +228,7 @@ def small_ball_tail(model, gamma: float, thresholds, n_replicas: int,
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if np.any(thresholds <= 0):
         raise DomainError("thresholds must be > 0")
+    check_replica_count(n_replicas, rows=thresholds.size)
     totals = total_masses(model, gamma, base_seed, n_replicas)
     freqs, ses = mean_se(totals[None, :] < thresholds[:, None], axis=1)
     return TailReport(thresholds, freqs, ses, gamma, n_replicas, base_seed)

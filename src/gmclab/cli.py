@@ -133,6 +133,16 @@ def _require(cfg: dict, *keys: str) -> None:
             raise ValidationError(f"missing required parameter: {key}")
 
 
+def _sampled_keys(clip_magnitude: float, factor_rank: int) -> dict:
+    """Diagnostics every report of a sampled command carries."""
+    return {"stream_version": STREAM_VERSION, "clip_magnitude": clip_magnitude,
+            "factor_rank": factor_rank}
+
+
+def _model_keys(model) -> dict:
+    return _sampled_keys(model.clip_magnitude, model.factor_rank)
+
+
 def _load_model(cfg: dict):
     _require(cfg, "measure")
     atoms = measure_mod.load_measure(cfg["measure"])
@@ -213,8 +223,7 @@ def _cmd_laplace(args) -> tuple[dict, dict, int]:
     if args.csv:
         write_plot_csv(args.csv, report.t_values, report.estimates,
                        report.standard_errors, report.bound_values)
-    return cfg, {"laplace": report, "stream_version": STREAM_VERSION,
-                 "clip_magnitude": model.clip_magnitude}, 0
+    return cfg, {"laplace": report, **_model_keys(model)}, 0
 
 
 def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
@@ -234,8 +243,7 @@ def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
     if args.csv:
         write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
                        report.laplace.standard_errors, report.laplace.bound_values)
-    payload = {"bound": report, "stream_version": STREAM_VERSION,
-               "clip_magnitude": model.clip_magnitude}
+    payload = {"bound": report, **_model_keys(model)}
     if report.trivial_pass:
         payload["warning"] = ("laplace estimates underflowed to zero at every "
                               "grid point; the bound holds vacuously at double "
@@ -256,8 +264,7 @@ def _cmd_verify_identity(args) -> tuple[dict, dict, int]:
     worst = float(errors.max())
     ok = worst <= cfg["tolerance"]
     payload = {"max_rel_err": worst, "mean_rel_err": float(errors.mean()),
-               "passed": bool(ok), "stream_version": STREAM_VERSION,
-               "clip_magnitude": model.clip_magnitude}
+               "passed": bool(ok), **_model_keys(model)}
     return cfg, payload, 0 if ok else 1
 
 
@@ -283,8 +290,8 @@ def _cmd_verify_com(args) -> tuple[dict, dict, int]:
         raise ValidationError("statistic must be 'mass' or 'atom-value'")
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
                                           cfg["replicas"], cfg["seed"])
-    return cfg, {"change_of_measure": report, "stream_version": STREAM_VERSION,
-                 "clip_magnitude": model.clip_magnitude}, 0 if report.overlap else 1
+    return (cfg, {"change_of_measure": report, **_model_keys(model)},
+            0 if report.overlap else 1)
 
 
 def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
@@ -300,7 +307,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
             verdicts = [inequalities.fkg_check(model, cfg["gamma"], cfg["s"],
                                                cfg["t"], cfg["replicas"],
                                                cfg["seed"])]
-            clip = model.clip_magnitude
+            diagnostics = _model_keys(model)
         elif cfg["which"] == "kahane":
             _resolve_seed(cfg)
             _require(cfg, "measure")
@@ -312,8 +319,9 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
                                                   cfg["replicas"], cfg["seed"],
                                                   epsilon=cfg["epsilon"])]
             details = verdicts[0].details
-            clip = max(details["clip_magnitude_subdisk"],
-                       details["clip_magnitude_disk"])
+            diagnostics = _sampled_keys(
+                max(details["clip_magnitude_subdisk"], details["clip_magnitude_disk"]),
+                max(details["factor_rank_subdisk"], details["factor_rank_disk"]))
         elif cfg["which"] == "markov":
             _require(cfg, "measure")
             atoms = measure_mod.load_measure(cfg["measure"])
@@ -324,8 +332,7 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
         return cfg, {"skipped": True, "reason": str(exc)}, 0
     payload = {"verdicts": verdicts}
     if cfg["which"] != "markov":
-        payload["stream_version"] = STREAM_VERSION
-        payload["clip_magnitude"] = clip
+        payload.update(diagnostics)
     all_pass = all(v.passed for v in verdicts)
     return cfg, payload, 0 if all_pass else 1
 
@@ -347,8 +354,7 @@ def _cmd_tail(args) -> tuple[dict, dict, int]:
     model = _load_model(cfg)
     report = bounds.small_ball_tail(model, cfg["gamma"], cfg["eps"],
                                     cfg["replicas"], cfg["seed"])
-    return cfg, {"tail": report, "stream_version": STREAM_VERSION,
-                 "clip_magnitude": model.clip_magnitude}, 0
+    return cfg, {"tail": report, **_model_keys(model)}, 0
 
 
 # ----------------------------------------------------------------- parser

@@ -3,15 +3,16 @@
 Replica indices are grouped into fixed blocks of BATCH consecutive indices.
 Each block owns one counter-based Philox stream per substream, keyed by
 SeedSequence(base_seed, spawn_key=(k // BATCH, substream)). Replica k is row
-k % BATCH of its block's bulk draw: a (BATCH, n) standard normal array for the
-field and a (BATCH,) uniform array for the root. Field values come from the
-lower triangular model factor times the whole block of normals, taken in row
-strips of STRIP atoms so the zero upper triangle is skipped. A replica's
-numbers therefore depend only on (base_seed, k), never on index order or
-which other replicas are drawn with it. Regenerating a lone replica costs one
-BATCH x n draw, about 55 ms at n = 2304, plus the factor product over its
-block, about 80 ms at n = 2304 on two cores. Substream 0 is reserved for root
-selection, substream 1 for the Gaussian vector itself.
+k % BATCH of its block's bulk draw: a (BATCH, r) standard normal array for the
+field, r being the factor rank, and a (BATCH,) uniform array for the root.
+Field values come from the lower trapezoidal n x r model factor times the
+whole block of normals, taken in row strips of STRIP atoms so the zero upper
+triangle is skipped. A replica's numbers therefore depend only on
+(base_seed, k), never on index order or which other replicas are drawn with
+it. Regenerating a lone replica costs one BATCH x r draw, about 55 ms at
+r = n = 2304, plus the factor product over its block, about 80 ms at
+n = 2304 on two cores. Substream 0 is reserved for root selection,
+substream 1 for the Gaussian vector itself.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports.
 Version 1 keyed one stream per replica; version 2 changes every sampled number
@@ -24,7 +25,11 @@ matrix in real arithmetic, symmetric by construction: on a 48x48 grid the
 covariance matrix moves by at most 8.9e-16 and its Cholesky factor by 7.1e-15;
 on a level-5 Cantor dust at epsilon 0.05 the clipped matrix moves by up to
 1.4e-13, but the factor by up to 0.10, since the triangular root of a
-clipped matrix is not unique (the field's law is the same).
+clipped matrix is not unique (the field's law is the same). Version 6 keeps
+only the r root columns of a clipped matrix whose eigenvalue is strictly
+positive, so its factor is n x r and each replica draws r normals, not n:
+every sampled value of a clipped model changes (same law), while positive
+definite models, where r = n, sample bit for bit as under version 5.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it
@@ -111,12 +116,13 @@ def field_matrix(model, base_seed: int, indices) -> np.ndarray:
     shape. The product runs in row strips of STRIP atoms and skips the zero
     upper triangle of the factor.
     """
-    n = model.n
+    n, rank = model.factor.shape
     out = np.empty((n, len(indices)))
     for key, positions, rows in block_groups(indices):
-        z = normal_block(n, base_seed, np.arange(key * BATCH, (key + 1) * BATCH))
+        z = normal_block(rank, base_seed, np.arange(key * BATCH, (key + 1) * BATCH))
         product = np.empty((n, BATCH))
-        # the factor is lower triangular: rows [lo, hi) need only z[:hi]
+        # the factor is lower trapezoidal: rows [lo, hi) need only its first
+        # min(hi, rank) columns and normals, which the slices below take
         for lo in range(0, n, STRIP):
             hi = min(lo + STRIP, n)
             np.matmul(model.factor[lo:hi, :hi], z[:hi], out=product[lo:hi])

@@ -16,8 +16,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import field as field_mod
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .field import FieldSample, replica_blocks, replica_generator
+
+# Replica ceiling: the most cells a per-replica array may hold, checked before
+# any is allocated. The largest such arrays are a command's N-length vectors
+# (total masses, roots, identity errors), the 3 x N sums of the change of
+# measure and the len(t) x N damped masses of the Laplace transform. 2**27
+# float64 cells are 1 GiB; the default counts (at most 20k replicas, 25 t
+# values) use 500k.
+MAX_REPLICA_CELLS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,15 @@ class TwoSampleReport:
     overlap: bool
 
 
+def check_replica_count(n_replicas: int, rows: int = 1) -> None:
+    """Refuse n_replicas replicas whose largest per-replica array holds rows
+    values per replica when it would exceed MAX_REPLICA_CELLS."""
+    if int(n_replicas) * max(int(rows), 1) > MAX_REPLICA_CELLS:
+        raise ResourceLimitError(
+            f"{n_replicas} replicas x {rows} values per replica exceed the limit "
+            f"of {MAX_REPLICA_CELLS} cells")
+
+
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
     """Per-atom masses for one field vector or for a matrix of field columns
     (atoms along the first axis, moved last by the transpose to broadcast)."""
@@ -88,6 +105,7 @@ def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
     """Total chaos mass for replicas start .. start+n_replicas-1."""
+    check_replica_count(n_replicas)
     indices = np.arange(start, start + n_replicas)
     totals = np.empty(indices.size)
     for positions, values in replica_blocks(model, base_seed, indices):
@@ -138,6 +156,7 @@ def verify_rooted_identity(model, base_seed: int, replica_index: int,
 def rooted_identity_errors(model, base_seed: int, n_replicas: int,
                            gamma: float, gamma_prime: float) -> np.ndarray:
     """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized)."""
+    check_replica_count(n_replicas)
     indices = np.arange(n_replicas)
     roots = draw_roots(model, base_seed, indices)
     errors = np.empty(indices.size)
@@ -185,6 +204,7 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     difference. effective_sample_size is (sum m)^2 / sum m^2 over the
     gamma' masses m that weight the first branch.
     """
+    check_replica_count(n_replicas, rows=3)
     indices = np.arange(n_replicas)
     roots = draw_roots(model, base_seed, indices)
     masses, weighted, rooted = np.empty((3, indices.size))

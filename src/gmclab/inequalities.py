@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
-from .gmc import mean_se, total_masses
+from .gmc import check_replica_count, mean_se, total_masses
 from .kernel import DiskKernel, build_covariance, default_epsilon, markov_difference_psd
 from .measure import AtomicMeasure
 
@@ -78,6 +78,7 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         raise DomainError("r_inner must lie in (0, 1]")
     if measure.support_radius >= r_inner:
         raise DomainError("every atom must satisfy |p| < r_inner")
+    check_replica_count(n_replicas)
     if epsilon is None:
         epsilon = default_epsilon(measure)
     small = build_covariance(measure, epsilon, DiskKernel(r_inner))
@@ -99,6 +100,8 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         "epsilon": float(epsilon),
         "clip_magnitude_subdisk": small.clip_magnitude,
         "clip_magnitude_disk": big.clip_magnitude,
+        "factor_rank_subdisk": small.factor_rank,
+        "factor_rank_disk": big.factor_rank,
     }
     return InequalityVerdict("kahane", statistic, threshold, statistic >= threshold,
                              n_replicas, base_seed, details)

@@ -8,13 +8,15 @@ scale epsilon gives a finite covariance matrix whose diagonal
 matches the variance of a circle average at radius epsilon. build_covariance
 factors it by Cholesky when it is positive definite, as a grid's is at the
 default epsilon; otherwise one eigendecomposition clips the negative
-eigenvalues at zero and gives both the repaired matrix and its factor.
+eigenvalues at zero and gives both the repaired matrix and its factor. That
+factor keeps only the r eigenvectors whose eigenvalue is strictly positive,
+so it is lower trapezoidal, n x r, and a replica needs r normals, not n.
 
 Every matrix over atom pairs is written into one preallocated n x n array a
 tile of rows at a time (about TILE_ENTRIES entries per tile), so the
 temporaries of the elementwise formulas stay in cache instead of spanning
 n x n. Each entry comes from the same expression as an untiled evaluation,
-so the matrices are bit-identical to stream version 5. The factor check runs
+so the pair matrices are bit-identical to it. The factor check runs
 over row strips of the lower triangle; a build therefore holds about two
 n x n arrays at its peak, the kernel matrix and its factor.
 """
@@ -153,12 +155,16 @@ def default_epsilon(measure: AtomicMeasure) -> float:
 def _eigen_clip(matrix: np.ndarray):
     """One eigh, negative eigenvalues clipped at zero.
 
-    Returns (repaired, clip_magnitude, eig_min, eig_max, root) with
-    root = V sqrt(clipped eigenvalues), so that root @ root.T is repaired.
+    Returns (repaired, clip_magnitude, eig_min, eig_max, root) with the n x r
+    root = V[:, lam > 0] sqrt(lam[lam > 0]) over the r strictly positive
+    eigenvalues, so that root @ root.T is repaired: the clipped eigenvalues
+    would only add zero columns.
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    # eigh sorts ascending, so the positive eigenvalues are a tail
+    first = int(np.searchsorted(eigvals, 0.0, side="right"))
+    root = eigvecs[:, first:] * np.sqrt(eigvals[first:])
     return root @ root.T, max(0.0, -eig_min), eig_min, eig_max, root
 
 
@@ -174,7 +180,7 @@ def clip_to_psd(matrix: np.ndarray):
 def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:
     """||factor @ factor.T - matrix||_F from row strips of the lower triangle.
 
-    factor is lower triangular, so strip rows [lo, hi) need only its first hi
+    factor is lower trapezoidal, so strip rows [lo, hi) need only its first hi
     columns. Both products are symmetric, so each block left of the diagonal
     counts twice: the strip twice, less its diagonal block once. No n x n
     temporary is formed.
@@ -194,9 +200,10 @@ class CovarianceModel:
     """Repaired covariance matrix over a measure's atoms, ready for sampling.
 
     matrix is the regularized kernel matrix, eigen-clipped to PSD
-    only when Cholesky fails on it; factor is a lower triangular square root,
-    diag_variance the per-atom variance the factor actually realizes (row sums
-    of squares).
+    only when Cholesky fails on it; factor is a lower trapezoidal n x r square
+    root, with r = n on the Cholesky path and r the number of eigenvalues the
+    clip left positive otherwise; diag_variance is the per-atom variance the
+    factor actually realizes (row sums of squares).
     """
 
     measure: AtomicMeasure
@@ -210,6 +217,11 @@ class CovarianceModel:
     @property
     def n(self) -> int:
         return self.measure.n
+
+    @property
+    def factor_rank(self) -> int:
+        """r, the factor's column count: normals drawn per replica."""
+        return self.factor.shape[1]
 
     @cached_property
     def eig_range(self) -> tuple[float, float]:
@@ -241,7 +253,8 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
         factor = np.linalg.cholesky(matrix)
         clip_magnitude, eig_range = 0.0, None
     except np.linalg.LinAlgError:
-        # root @ root.T == repaired, so root.T = Q R gives the factor L = R.T
+        # root @ root.T == repaired, so the r x n root.T = Q R gives the
+        # n x r lower trapezoidal factor L = R.T
         matrix, clip_magnitude, eig_min, eig_max, root = _eigen_clip(matrix)
         eig_range = (eig_min, eig_max)
         factor = np.linalg.qr(root.T, mode="r").T

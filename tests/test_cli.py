@@ -454,7 +454,7 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 5
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 6
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov
@@ -475,3 +475,36 @@ def test_sampled_reports_carry_clip_magnitude(files, capsys, command):
         clips.append(build_covariance(atoms, 0.05, DiskKernel(0.5)).clip_magnitude)
     assert rep["stream_version"] == gmclab.field.STREAM_VERSION
     assert rep["clip_magnitude"] == max(clips) > 0.0
+
+
+@pytest.mark.parametrize("command", [*sorted(SEEDED_ARGV), "kahane"])
+@pytest.mark.parametrize("epsilon", [None, 0.05], ids=["cholesky", "clipped"])
+def test_sampled_reports_carry_factor_rank(files, capsys, command, epsilon):
+    argv = [*SEEDED_ARGV.get(command, ("verify-ineq", "--which", "kahane")),
+            "--measure", str(files["small"]), "--replicas", "16",
+            "--seed", str(SEED), "--no-timestamp"]
+    if epsilon is not None:
+        argv += ["--epsilon", str(epsilon)]
+    assert gmclab.cli.main(argv) in (0, 1)
+    rep = json.loads(capsys.readouterr().out)
+    atoms = load_measure(files["small"])
+    kernels = [DiskKernel(1.0), DiskKernel(0.5)] if command == "kahane" else [DiskKernel(1.0)]
+    ranks = [build_covariance(atoms, rep["config"]["epsilon"], k).factor_rank
+             for k in kernels]
+    assert rep["factor_rank"] == max(ranks)
+    assert (rep["factor_rank"] < atoms.n) == (epsilon is not None)
+    if command == "kahane":
+        details = rep["verdicts"][0]["details"]
+        assert [details["factor_rank_disk"], details["factor_rank_subdisk"]] == ranks
+
+
+@pytest.mark.parametrize("command", [*sorted(SEEDED_ARGV), "kahane"])
+def test_impossible_replica_count_exits_2(files, capsys, command):
+    # 1e13 replicas would need 72.8 TiB for the total masses alone
+    argv = SEEDED_ARGV.get(command, ("verify-ineq", "--which", "kahane"))
+    assert gmclab.cli.main([*argv, "--measure", str(files["single"]),
+                            "--replicas", str(10 ** 13), "--seed", str(SEED),
+                            "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "exceed the limit" in err

@@ -7,8 +7,10 @@ from gmclab import (
     build_covariance,
     field_matrix,
     generate_cantor_dust,
+    generate_uniform_grid,
     replica_generator,
     sample_field,
+    total_masses,
 )
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, normal_block
 
@@ -171,3 +173,71 @@ def test_strip_product_matches_dense_product(n):
 def test_normal_block_is_column_major(model4):
     # each replica's column is one contiguous row of the block draw
     assert normal_block(model4.n, SEED, np.arange(BATCH)).flags.f_contiguous
+
+
+# ------------------------------------------------ rank-sized clipped factor
+
+
+@pytest.fixture(scope="module")
+def grid16_clipped():
+    return build_covariance(generate_uniform_grid(16, 0.8), 0.05)
+
+
+@pytest.fixture(scope="module", params=["cantor5", "grid16"])
+def clipped(request):
+    model = request.getfixturevalue(f"{request.param}_clipped")
+    assert 0 < model.factor_rank < model.n
+    return model
+
+
+def test_clipped_field_is_factor_times_rank_normals(clipped):
+    idx = np.arange(1000, 1100)
+    dense = clipped.factor @ normal_block(clipped.factor_rank, SEED, idx)
+    values = field_matrix(clipped, SEED, idx)
+    assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_clipped_ranges_match_aligned_call(clipped):
+    values = field_matrix(clipped, SEED, np.arange(3 * BATCH))
+    for idx in (np.arange(1000, 1100), np.arange(1023, 2049)):
+        assert np.array_equal(field_matrix(clipped, SEED, idx), values[:, idx])
+
+
+def test_clipped_grid_field_law(grid16_clipped):
+    # the rank-sized factor samples the repaired covariance: field second
+    # moments at a few atom pairs and the mean total mass, each within 4 SE
+    model = grid16_clipped
+    n = 16 * BATCH
+    values = field_matrix(model, SEED, np.arange(n))
+    c = model.matrix
+    for i, j in ((0, 0), (0, 1), (0, 16), (17, 200), (128, 129), (255, 0)):
+        se = np.sqrt((c[i, i] * c[j, j] + c[i, j] ** 2) / n)
+        assert abs(np.mean(values[i] * values[j]) - c[i, j]) <= 4.0 * se
+    totals = total_masses(model, 0.8, SEED, n)
+    se = totals.std(ddof=1) / np.sqrt(n)
+    assert abs(totals.mean() - model.measure.total_mass) <= 4.0 * se
+
+
+def _version5_field(model, base_seed, indices):
+    # stream version 5: each block's n normals through the square factor,
+    # in strips of STRIP rows over the lower triangle
+    n = model.n
+    out = np.empty((n, len(indices)))
+    for column, k in enumerate(indices):
+        z = replica_generator(base_seed, k // BATCH).standard_normal((BATCH, n)).T
+        product = np.empty((n, BATCH))
+        for lo in range(0, n, STRIP):
+            hi = min(lo + STRIP, n)
+            np.matmul(model.factor[lo:hi, :hi], z[:hi], out=product[lo:hi])
+        out[:, column] = product[:, k % BATCH]
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_positive_definite_models_sample_as_version_5(n):
+    model = build_covariance(_disk_measure(n))
+    assert model.clip_magnitude == 0.0
+    assert model.factor.shape == (n, n)
+    idx = np.array([0, 5, BATCH - 1, BATCH, 2 * BATCH + 7])
+    assert np.array_equal(field_matrix(model, SEED, idx),
+                          _version5_field(model, SEED, idx))

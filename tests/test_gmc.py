@@ -25,9 +25,13 @@ from gmclab import (
     verify_change_of_measure,
     verify_rooted_identity,
 )
-from gmclab.bounds import local_energy_samples
+from gmclab.bounds import (laplace_transform, local_energy_samples, small_ball_tail,
+                           verify_bound)
+from gmclab.errors import ResourceLimitError
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
-from gmclab.gmc import draw_roots, mass_columns, rooted_kernel_sums
+from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, draw_roots, mass_columns,
+                        rooted_kernel_sums)
+from gmclab.inequalities import fkg_check, kahane_check
 from gmclab.kernel import offdiagonal_green
 
 SEED = 7
@@ -385,3 +389,45 @@ def test_change_of_measure_one_replica_is_not_graded(model8):
     rep = verify_change_of_measure(model8, 0.6, atom_value_statistic(0), 1, SEED)
     assert math.isnan(rep.se_weighted) and math.isnan(rep.se_rooted)
     assert rep.overlap is False
+
+
+# ---------------------------------------------------------- replica ceiling
+
+
+def test_replica_ceiling_counts_rows_per_replica():
+    check_replica_count(MAX_REPLICA_CELLS)
+    check_replica_count(MAX_REPLICA_CELLS // 25, rows=25)
+    with pytest.raises(ResourceLimitError):
+        check_replica_count(MAX_REPLICA_CELLS + 1)
+    with pytest.raises(ResourceLimitError):
+        check_replica_count(MAX_REPLICA_CELLS // 25 + 1, rows=25)
+    # the largest default count (20k) over a 25-point t grid, and the
+    # benchmark's 12.5k, stay two orders of magnitude below the ceiling
+    assert 100 * 25 * 20000 <= MAX_REPLICA_CELLS
+
+
+def test_replica_ceiling_refuses_before_allocating(single_atom, single_model):
+    huge = 10 ** 13     # 72.8 TiB for one vector of total masses
+    stat = atom_value_statistic(0)
+    calls = [
+        lambda: total_masses(single_model, 0.8, SEED, huge),
+        lambda: rooted_identity_errors(single_model, SEED, huge, 0.8, 0.8),
+        lambda: verify_change_of_measure(single_model, 0.6, stat, huge, SEED),
+        lambda: local_energy_samples(single_model, 0.8, 1.0, SEED, huge),
+        lambda: small_ball_tail(single_model, 0.8, [0.5], huge, SEED),
+        lambda: verify_bound(single_model, 0.6, 1.0, 1.0, 1.0, huge, SEED),
+        lambda: fkg_check(single_model, 0.8, 1.0, 2.0, huge, SEED),
+        lambda: kahane_check(single_atom, 0.8, 0.5, 2.0, huge, SEED),
+        # 25 t values: the len(t) x N matrix is what would not fit
+        lambda: laplace_transform(single_model, 0.8, np.ones(25),
+                                  MAX_REPLICA_CELLS // 25 + 1, SEED),
+    ]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ResourceLimitError):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

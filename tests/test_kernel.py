@@ -312,6 +312,29 @@ def test_build_clipped_takes_one_eigh(measure, epsilon, clip, monkeypatch):
     assert "eigvalsh" not in calls
 
 
+@pytest.mark.parametrize("measure", [generate_cantor_dust(5, 0.4), GRID16],
+                         ids=["cantor5", "grid16"])
+def test_build_clipped_factor_has_rank_columns(measure):
+    # epsilon 0.05 clips both; r comes from LAPACK's eigh, so it is recounted
+    # here from the same decomposition of the raw matrix, not pinned
+    raw = _raw_matrix(measure, 0.05)
+    eigvals, eigvecs = np.linalg.eigh(raw)
+    rank = int(np.count_nonzero(eigvals > 0.0))
+    repaired, clip_magnitude, _, _ = clip_to_psd(raw)
+    model = build_covariance(measure, 0.05)
+    assert 0 < rank < measure.n
+    assert model.factor.shape == (measure.n, rank) == (model.n, model.factor_rank)
+    assert not np.triu(model.factor, 1).any()
+    assert np.all(np.diag(model.factor) >= 0.0)
+    defect = np.linalg.norm(model.factor @ model.factor.T - model.matrix)
+    assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
+    assert model.clip_magnitude == clip_magnitude
+    assert np.abs(model.matrix - repaired).max() <= 1e-14 * np.abs(repaired).max()
+    # the n-column root, clipped eigenvalues included, gives the same matrix
+    full = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+    assert np.abs(model.matrix - full).max() <= 1e-14 * np.abs(full).max()
+
+
 def test_build_defect_error_reports_eigenvalue_range(grid8, monkeypatch):
     monkeypatch.setattr(gmclab.kernel, "FACTOR_RTOL", 0.0)
     eigs = np.linalg.eigvalsh(_raw_matrix(grid8, default_epsilon(grid8)))
