@@ -7,11 +7,12 @@ G(x_i, x_j) off the diagonal (zero-boundary disk Green kernel, distance
 regularized at scale epsilon) and log(1/eps) + log(1 - |x|^2) on it.
 The matrix is factored once, by Cholesky when it is positive definite, as
 here, and through one eigenvalue clip to positive semidefinite otherwise; the
-clipped factor keeps only the r eigenvectors with a positive eigenvalue, so
-it is n x r and each replica draws r normals. The raw eigenvalue range below
-is computed on first access. Replicas are drawn
-from counter-based streams, one stream per block of 1024 replicas, so replica
-k is the same numbers whichever batch of replicas produced it.
+clipped factor keeps only the r eigenvectors whose eigenvalue lies above the
+rounding level n * eps * lam_max of the eigensolver, so it is n x r and each
+replica draws r normals. The raw eigenvalue range below is computed on
+first access. Replicas are drawn from counter-based streams, one stream per
+block of 1024 replicas, so replica k is the same numbers whichever batch of
+replicas produced it.
 """
 
 import numpy as np

@@ -30,6 +30,13 @@ only the r root columns of a clipped matrix whose eigenvalue is strictly
 positive, so its factor is n x r and each replica draws r normals, not n:
 every sampled value of a clipped model changes (same law), while positive
 definite models, where r = n, sample bit for bit as under version 5.
+Version 7 keeps only the eigenvalues above eigh's rounding level
+n * eps * lam_max, not all positive ones: r falls from 497 to 139 on a
+level-5 Cantor dust at epsilon 0.05, whose repaired matrix moves by 2.0e-12
+of its largest entry, and every sampled value there changes (same law up to
+that rounding). Positive definite models, and clipped ones with no eigenvalue
+between zero and that level, such as a 16x16 grid at epsilon 0.05, sample
+bit for bit as under version 6.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it

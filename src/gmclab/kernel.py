@@ -7,10 +7,13 @@ scale epsilon gives a finite covariance matrix whose diagonal
     log(1/epsilon) + log((R**2 - |x|**2)/R)
 matches the variance of a circle average at radius epsilon. build_covariance
 factors it by Cholesky when it is positive definite, as a grid's is at the
-default epsilon; otherwise one eigendecomposition clips the negative
-eigenvalues at zero and gives both the repaired matrix and its factor. That
-factor keeps only the r eigenvectors whose eigenvalue is strictly positive,
-so it is lower trapezoidal, n x r, and a replica needs r normals, not n.
+default epsilon; otherwise one eigendecomposition clips the eigenvalues and
+gives both the repaired matrix and its factor. The clip keeps the r
+eigenvalues above eigh's rounding level n * eps * lam_max (the tolerance
+np.linalg.matrix_rank uses), since the signs of those below it are noise:
+eigh and eigvalsh of one matrix disagree on how many are positive. The
+factor keeps only those r eigenvectors, so it is lower trapezoidal, n x r,
+and a replica needs r normals, not n.
 
 Every matrix over atom pairs is written into one preallocated n x n array a
 tile of rows at a time (about TILE_ENTRIES entries per tile), so the
@@ -153,26 +156,31 @@ def default_epsilon(measure: AtomicMeasure) -> float:
 
 
 def _eigen_clip(matrix: np.ndarray):
-    """One eigh, negative eigenvalues clipped at zero.
+    """One eigh, eigenvalues at or below eigh's rounding level set to zero.
 
-    Returns (repaired, clip_magnitude, eig_min, eig_max, root) with the n x r
-    root = V[:, lam > 0] sqrt(lam[lam > 0]) over the r strictly positive
-    eigenvalues, so that root @ root.T is repaired: the clipped eigenvalues
-    would only add zero columns.
+    The cut is n * eps * max(lam_max, 0), the tolerance np.linalg.matrix_rank
+    uses: eigh's eigenvalues carry errors of about that size, so the signs of
+    those below it are arbitrary. Returns (repaired, clip_magnitude, eig_min,
+    eig_max, root) with the n x r root = V[:, lam > cut] sqrt(lam[lam > cut])
+    over the r eigenvalues above the cut, so that root @ root.T is repaired.
+    Dropping the eigenvalues in (0, cut] moves the matrix by at most their
+    sum; clip_magnitude still counts only the negative ones.
     """
     eigvals, eigvecs = np.linalg.eigh(matrix)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
-    # eigh sorts ascending, so the positive eigenvalues are a tail
-    first = int(np.searchsorted(eigvals, 0.0, side="right"))
+    cut = len(eigvals) * np.finfo(np.float64).eps * max(eig_max, 0.0)
+    # eigh sorts ascending, so the eigenvalues above the cut are a tail
+    first = int(np.searchsorted(eigvals, cut, side="right"))
     root = eigvecs[:, first:] * np.sqrt(eigvals[first:])
     return root @ root.T, max(0.0, -eig_min), eig_min, eig_max, root
 
 
 def clip_to_psd(matrix: np.ndarray):
-    """Eigenvalue clip at zero.
+    """Eigenvalue clip at eigh's rounding level, n * eps * max(lam_max, 0).
 
     Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
-    is the size of the most negative eigenvalue removed (0.0 if none).
+    is the size of the most negative eigenvalue removed (0.0 if none); the
+    nonnegative eigenvalues below the cut, rounding noise, are dropped too.
     """
     return _eigen_clip(matrix)[:4]
 
@@ -201,9 +209,9 @@ class CovarianceModel:
 
     matrix is the regularized kernel matrix, eigen-clipped to PSD
     only when Cholesky fails on it; factor is a lower trapezoidal n x r square
-    root, with r = n on the Cholesky path and r the number of eigenvalues the
-    clip left positive otherwise; diag_variance is the per-atom variance the
-    factor actually realizes (row sums of squares).
+    root, with r = n on the Cholesky path and otherwise r the number of
+    eigenvalues above the clip's cut n * eps * lam_max; diag_variance is the
+    per-atom variance the factor actually realizes (row sums of squares).
     """
 
     measure: AtomicMeasure

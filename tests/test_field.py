@@ -203,19 +203,30 @@ def test_clipped_ranges_match_aligned_call(clipped):
         assert np.array_equal(field_matrix(clipped, SEED, idx), values[:, idx])
 
 
-def test_clipped_grid_field_law(grid16_clipped):
-    # the rank-sized factor samples the repaired covariance: field second
-    # moments at a few atom pairs and the mean total mass, each within 4 SE
-    model = grid16_clipped
+def test_clipped_grid_field_law(grid16_clipped, cantor5_clipped):
+    # the rank-sized factor samples the version-6 law, the full n-column clip
+    # of the raw matrix: field second moments at a few atom pairs and the
+    # mean total mass, each within 4 SE. On cantor5 the factor drops the
+    # eigenvalues below the rounding cut, so this shows they carried no variance
     n = 16 * BATCH
-    values = field_matrix(model, SEED, np.arange(n))
-    c = model.matrix
-    for i, j in ((0, 0), (0, 1), (0, 16), (17, 200), (128, 129), (255, 0)):
-        se = np.sqrt((c[i, i] * c[j, j] + c[i, j] ** 2) / n)
-        assert abs(np.mean(values[i] * values[j]) - c[i, j]) <= 4.0 * se
-    totals = total_masses(model, 0.8, SEED, n)
-    se = totals.std(ddof=1) / np.sqrt(n)
-    assert abs(totals.mean() - model.measure.total_mass) <= 4.0 * se
+    pairs = {"grid16": ((0, 0), (0, 1), (0, 16), (17, 200), (128, 129), (255, 0)),
+             "cantor5": ((0, 0), (0, 1), (0, 4), (100, 101), (511, 512), (1023, 0))}
+    for model, name in ((grid16_clipped, "grid16"), (cantor5_clipped, "cantor5")):
+        eigvals, eigvecs = np.linalg.eigh(
+            DiskKernel().entry_matrix(model.measure.positions, model.epsilon))
+        c = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+        # one block at a time, so the n x 16 BATCH field is never held
+        moments = dict.fromkeys(pairs[name], 0.0)
+        for lo in range(0, n, BATCH):
+            values = field_matrix(model, SEED, np.arange(lo, lo + BATCH))
+            for i, j in moments:
+                moments[i, j] += values[i] @ values[j] / n
+        for (i, j), moment in moments.items():
+            se = np.sqrt((c[i, i] * c[j, j] + c[i, j] ** 2) / n)
+            assert abs(moment - c[i, j]) <= 4.0 * se, (name, i, j)
+        totals = total_masses(model, 0.8, SEED, n)
+        se = totals.std(ddof=1) / np.sqrt(n)
+        assert abs(totals.mean() - model.measure.total_mass) <= 4.0 * se, name
 
 
 def _version5_field(model, base_seed, indices):

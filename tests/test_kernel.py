@@ -315,11 +315,12 @@ def test_build_clipped_takes_one_eigh(measure, epsilon, clip, monkeypatch):
 @pytest.mark.parametrize("measure", [generate_cantor_dust(5, 0.4), GRID16],
                          ids=["cantor5", "grid16"])
 def test_build_clipped_factor_has_rank_columns(measure):
-    # epsilon 0.05 clips both; r comes from LAPACK's eigh, so it is recounted
-    # here from the same decomposition of the raw matrix, not pinned
+    # epsilon 0.05 clips both; r is recounted here from the same decomposition
+    # of the raw matrix, above the rounding cut n * eps * lam_max
     raw = _raw_matrix(measure, 0.05)
     eigvals, eigvecs = np.linalg.eigh(raw)
-    rank = int(np.count_nonzero(eigvals > 0.0))
+    cut = measure.n * np.finfo(np.float64).eps * eigvals[-1]
+    rank = int(np.count_nonzero(eigvals > cut))
     repaired, clip_magnitude, _, _ = clip_to_psd(raw)
     model = build_covariance(measure, 0.05)
     assert 0 < rank < measure.n
@@ -331,8 +332,25 @@ def test_build_clipped_factor_has_rank_columns(measure):
     assert model.clip_magnitude == clip_magnitude
     assert np.abs(model.matrix - repaired).max() <= 1e-14 * np.abs(repaired).max()
     # the n-column root, clipped eigenvalues included, gives the same matrix
+    # up to the eigenvalues in (0, cut] the factor drops: each entry of
+    # V diag(d) V.T is at most sum(d), since V is orthogonal
     full = (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-    assert np.abs(model.matrix - full).max() <= 1e-14 * np.abs(full).max()
+    dropped = eigvals[(eigvals > 0.0) & (eigvals <= cut)].sum()
+    assert np.abs(model.matrix - full).max() <= dropped + 1e-14 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("measure", [generate_cantor_dust(4, 0.4),
+                                     generate_cantor_dust(5, 0.4), GRID16],
+                         ids=["cantor4", "cantor5", "grid16"])
+def test_clipped_rank_is_stable_across_eigen_solvers(measure):
+    # the count of positive eigenvalues is noise (eigh 497, eigvalsh 515 on
+    # cantor5); the count above n * eps * lam_max is the same for both
+    raw = _raw_matrix(measure, 0.05)
+    eps = np.finfo(np.float64).eps
+    counts = []
+    for eigvals in (np.linalg.eigh(raw)[0], np.linalg.eigvalsh(raw)):
+        counts.append(int(np.count_nonzero(eigvals > measure.n * eps * eigvals[-1])))
+    assert counts[0] == counts[1] == build_covariance(measure, 0.05).factor_rank
 
 
 def test_build_defect_error_reports_eigenvalue_range(grid8, monkeypatch):
