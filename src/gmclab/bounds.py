@@ -132,7 +132,7 @@ def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
     """Rooted local energies phi_beta(root, mass), root atom excluded."""
     check_replica_count(n_replicas)
     dist = pair_distances(model.measure.positions)
-    return rooted_kernel_sums(model, base_seed, np.arange(start, start + n_replicas),
+    return rooted_kernel_sums(model, base_seed, range(start, start + n_replicas),
                               gamma, dist ** -beta)
 
 
@@ -213,7 +213,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     r = s0 ** -report.L
     green, dist = offdiagonal_green(model.measure.positions)
     weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
-    event_replicas = np.arange(2 * stride, 2 * stride + n_replicas)
+    event_replicas = range(2 * stride, 2 * stride + n_replicas)
     ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
     freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma * gamma))
     event_pass = freq >= 0.5 - 3.0 * se

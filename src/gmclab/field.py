@@ -5,14 +5,18 @@ Each block owns one counter-based Philox stream per substream, keyed by
 SeedSequence(base_seed, spawn_key=(k // BATCH, substream)). Replica k is row
 k % BATCH of its block's bulk draw: a (BATCH, r) standard normal array for the
 field, r being the factor rank, and a (BATCH,) uniform array for the root.
-Field values come from the lower trapezoidal n x r model factor times the
-whole block of normals, taken in row strips of STRIP atoms so the zero upper
-triangle is skipped. A replica's numbers therefore depend only on
-(base_seed, k), never on index order or which other replicas are drawn with
-it. Regenerating a lone replica costs one BATCH x r draw, about 55 ms at
-r = n = 2304, plus the factor product over its block, about 80 ms at
-n = 2304 on two cores. Substream 0 is reserved for root selection,
-substream 1 for the Gaussian vector itself.
+Substream 0 is reserved for root selection, substream 1 for the Gaussian
+vector itself.
+
+All field values come from block_field: the lower trapezoidal n x r factor
+times the whole block of normals, in row strips of STRIP atoms so the zero
+upper triangle is skipped. Samplers walk a replica range with replica_blocks
+and reduce each whole block; field_matrix and normal_block pick columns from
+whole blocks for arbitrary index lists. Replica k's numbers, and every
+per-replica scalar reduced from them, thus depend only on (base_seed, k),
+never on index order or which other replicas are drawn with it. Regenerating
+a lone replica costs one BATCH x r draw, about 55 ms at r = n = 2304, plus
+the factor product over its block, about 80 ms at n = 2304 on two cores.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports.
 Version 1 keyed one stream per replica; version 2 changes every sampled number
@@ -74,86 +78,69 @@ def replica_generator(base_seed: int, block_index: int,
     return np.random.Generator(np.random.Philox(seq))
 
 
-def block_groups(indices):
-    """Split replica indices by stream block.
+def block_field(model, base_seed: int, key: int) -> np.ndarray:
+    """Field values of the whole stream block key, one column per replica.
 
-    Yields (block_index, positions, rows) per distinct block, in increasing
-    block order: positions locate the block's replicas within indices, and
-    rows are their rows in the block's bulk draw.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return
-    blocks = indices // BATCH
-    order = np.argsort(blocks, kind="stable")
-    cuts = np.flatnonzero(np.diff(blocks[order])) + 1
-    for positions in np.split(order, cuts):
-        block = int(blocks[positions[0]])
-        yield block, positions, indices[positions] - block * BATCH
-
-
-def _run(a: np.ndarray):
-    """a as a slice when it is an ascending run of consecutive integers, so
-    copies through it stay contiguous; otherwise a itself."""
-    if a.size and np.all(np.diff(a) == 1):
-        return slice(int(a[0]), int(a[-1]) + 1)
-    return a
-
-
-def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
-    """Standard normal matrix with one replica per column.
-
-    The matrix is column-major, so each replica's column is a copy of one
-    contiguous row of its block's (BATCH, n) draw.
-    """
-    block = np.empty((len(indices), n)).T
-    for key, positions, rows in block_groups(indices):
-        z = replica_generator(base_seed, key).standard_normal((BATCH, n))
-        block.T[_run(positions)] = z[_run(rows)]
-    return block
-
-
-def field_matrix(model, base_seed: int, indices) -> np.ndarray:
-    """Field values for many replicas at once, one column per replica.
-
-    Work is cut at stream-block boundaries: each distinct block is drawn once,
-    multiplied through the model factor whole, and the requested columns are
-    taken from that product. A column thus never depends on what else was
-    requested, and the result is bit-identical for any index order or batch
-    shape. The product runs in row strips of STRIP atoms and skips the zero
-    upper triangle of the factor.
+    The normals are the column-major view of the block's one (BATCH, r) draw,
+    r being the factor rank, so nothing is copied. The (n, BATCH) product runs
+    in row strips of STRIP atoms and skips the zero upper triangle of the
+    lower trapezoidal factor.
     """
     n, rank = model.factor.shape
-    out = np.empty((n, len(indices)))
-    for key, positions, rows in block_groups(indices):
-        z = normal_block(rank, base_seed, np.arange(key * BATCH, (key + 1) * BATCH))
-        product = np.empty((n, BATCH))
-        # the factor is lower trapezoidal: rows [lo, hi) need only its first
-        # min(hi, rank) columns and normals, which the slices below take
-        for lo in range(0, n, STRIP):
-            hi = min(lo + STRIP, n)
-            np.matmul(model.factor[lo:hi, :hi], z[:hi], out=product[lo:hi])
-        out[:, _run(positions)] = product[:, _run(rows)]
+    z = replica_generator(base_seed, key).standard_normal((BATCH, rank)).T
+    product = np.empty((n, BATCH))
+    # rows [lo, hi) need only the factor's first min(hi, rank) columns and
+    # normals, which the slices below take
+    for lo in range(0, n, STRIP):
+        hi = min(lo + STRIP, n)
+        np.matmul(model.factor[lo:hi, :hi], z[:hi], out=product[lo:hi])
+    return product
+
+
+def replica_blocks(model, base_seed: int, start: int, stop: int):
+    """Yield (key, positions, columns, values) for each stream block that
+    overlaps replicas [start, stop), in block order: values is the block's
+    whole field from block_field, columns the slice of its columns that lies
+    in the range and positions where those replicas sit within the range."""
+    if stop <= start:
+        return
+    for key in range(start // BATCH, (stop - 1) // BATCH + 1):
+        lo, hi = max(start, key * BATCH), min(stop, (key + 1) * BATCH)
+        yield (key, slice(lo - start, hi - start),
+               slice(lo - key * BATCH, hi - key * BATCH),
+               block_field(model, base_seed, key))
+
+
+def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
+    """Fill out[..., j] with column indices[j] % BATCH of block(indices[j] //
+    BATCH), calling block once per distinct block of the arbitrary index
+    list; block(key) returns that block's whole array, replicas last."""
+    indices = np.asarray(indices, dtype=np.int64)
+    keys = indices // BATCH
+    for key in np.unique(keys):
+        picked = keys == key
+        out[..., picked] = block(int(key))[..., indices[picked] - key * BATCH]
     return out
 
 
-def replica_blocks(model, base_seed: int, indices):
-    """Yield (positions, values) per stream block of indices, in block order:
-    the block's replicas' positions within indices and their field columns,
-    bit for bit those of field_matrix, in O(n * BATCH) memory.
+def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
+    """Standard normal matrix with one replica per column, column-major like
+    the normals block_field multiplies: replica k's column is row k % BATCH of
+    the (BATCH, n) draw of block k // BATCH."""
+    return gather_blocks(
+        lambda key: replica_generator(base_seed, key).standard_normal((BATCH, n)).T,
+        indices, np.empty((len(indices), n)).T)
 
-    A block with one requested replica joins its neighbour, since NumPy sums
-    a lone column pairwise but the columns of a wider matrix row by row.
+
+def field_matrix(model, base_seed: int, indices) -> np.ndarray:
+    """Field values for arbitrary replica indices, one column per replica.
+
+    Each distinct block is computed whole by block_field and the requested
+    columns are taken from it, so a column never depends on what else was
+    requested: the result is bit-identical for any index order or batch shape.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    chunks = []
-    for _, positions, _ in block_groups(indices):
-        if chunks and (positions.size == 1 or chunks[-1].size == 1):
-            chunks[-1] = np.concatenate([chunks[-1], positions])
-        else:
-            chunks.append(positions)
-    for positions in chunks:
-        yield positions, field_matrix(model, base_seed, indices[positions])
+    return gather_blocks(lambda key: block_field(model, base_seed, key),
+                         indices, np.empty((model.n, len(indices))))
 
 
 def sample_field(model, base_seed: int, replica_index: int) -> FieldSample:

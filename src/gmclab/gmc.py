@@ -17,7 +17,7 @@ import numpy as np
 
 from . import field as field_mod
 from .errors import DomainError, ResourceLimitError
-from .field import FieldSample, replica_blocks, replica_generator
+from .field import FieldSample, gather_blocks, replica_blocks, replica_generator
 
 # Replica ceiling: the most cells a per-replica array may hold, checked before
 # any is allocated. The largest such arrays are a command's N-length vectors
@@ -106,26 +106,28 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
     """Total chaos mass for replicas start .. start+n_replicas-1."""
     check_replica_count(n_replicas)
-    indices = np.arange(start, start + n_replicas)
-    totals = np.empty(indices.size)
-    for positions, values in replica_blocks(model, base_seed, indices):
-        totals[positions] = mass_columns(model, values, gamma).sum(axis=0)
+    totals = np.empty(n_replicas)
+    for _, positions, columns, values in replica_blocks(
+            model, base_seed, start, start + n_replicas):
+        totals[positions] = mass_columns(model, values, gamma).sum(axis=0)[columns]
     return totals
 
 
-def draw_roots(model, base_seed: int, indices) -> np.ndarray:
-    """Weight-proportional root atom index per replica (root substream).
-
-    Replica k's uniform is entry k % BATCH of one (BATCH,) draw from the root
-    stream of block k // BATCH.
-    """
+def block_roots(model, base_seed: int, key: int) -> np.ndarray:
+    """Weight-proportional root atom index of every replica of stream block
+    key, from one (BATCH,) uniform draw of the block's root substream."""
     cum = np.cumsum(model.measure.weights)
-    uniforms = np.empty(len(indices))
-    for key, positions, rows in field_mod.block_groups(indices):
-        rng = replica_generator(base_seed, key, field_mod.ROOT_SUBSTREAM)
-        uniforms[positions] = rng.random(field_mod.BATCH)[rows]
+    uniforms = replica_generator(base_seed, key, field_mod.ROOT_SUBSTREAM).random(
+        field_mod.BATCH)
     roots = np.searchsorted(cum, uniforms * cum[-1], side="right")
     return np.minimum(roots, model.n - 1)
+
+
+def draw_roots(model, base_seed: int, indices) -> np.ndarray:
+    """Root atom index per replica of an arbitrary index list: replica k's is
+    entry k % BATCH of block_roots of block k // BATCH."""
+    return gather_blocks(lambda key: block_roots(model, base_seed, key), indices,
+                         np.empty(len(indices), dtype=np.intp))
 
 
 def sample_rooted(model, base_seed: int, replica_index: int,
@@ -157,19 +159,18 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
                            gamma: float, gamma_prime: float) -> np.ndarray:
     """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized)."""
     check_replica_count(n_replicas)
-    indices = np.arange(n_replicas)
-    roots = draw_roots(model, base_seed, indices)
-    errors = np.empty(indices.size)
-    for positions, values in replica_blocks(model, base_seed, indices):
-        rows = model.matrix[roots[positions]].T
-        # in place, as NumPy does for large temporaries: the products keep the
-        # column-major layout of rows, and column sums their order, at any width
+    errors = np.empty(n_replicas)
+    for key, positions, columns, values in replica_blocks(model, base_seed, 0, n_replicas):
+        rows = model.matrix[block_roots(model, base_seed, key)].T
+        # in place, so the products keep the column-major layout of rows and
+        # at most four n x BATCH arrays are alive
         lhs = np.exp(gamma * gamma_prime * rows)
         lhs *= mass_columns(model, values, gamma)
-        shifted = gamma_prime * rows
-        shifted += values
-        rhs = mass_columns(model, shifted, gamma).sum(axis=0)
-        errors[positions] = np.abs(lhs.sum(axis=0) - rhs) / rhs
+        lhs = lhs.sum(axis=0)
+        rows *= gamma_prime
+        rows += values
+        rhs = mass_columns(model, rows, gamma).sum(axis=0)
+        errors[positions] = (np.abs(lhs - rhs) / rhs)[columns]
     return errors
 
 
@@ -205,16 +206,15 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     gamma' masses m that weight the first branch.
     """
     check_replica_count(n_replicas, rows=3)
-    indices = np.arange(n_replicas)
-    roots = draw_roots(model, base_seed, indices)
-    masses, weighted, rooted = np.empty((3, indices.size))
-    for positions, values in replica_blocks(model, base_seed, indices):
-        masses[positions] = mass_columns(model, values, gamma_prime).sum(axis=0)
-        weighted[positions] = (statistic(values) * masses[positions]
-                               / model.measure.total_mass)
-        shifted = gamma_prime * model.matrix[roots[positions]].T
+    masses, weighted, rooted = np.empty((3, n_replicas))
+    for key, positions, columns, values in replica_blocks(model, base_seed, 0, n_replicas):
+        block_masses = mass_columns(model, values, gamma_prime).sum(axis=0)
+        masses[positions] = block_masses[columns]
+        weighted[positions] = (statistic(values) * block_masses
+                               / model.measure.total_mass)[columns]
+        shifted = gamma_prime * model.matrix[block_roots(model, base_seed, key)].T
         shifted += values  # in place, as in rooted_identity_errors
-        rooted[positions] = statistic(shifted)
+        rooted[positions] = statistic(shifted)[columns]
     mean_w, se_w = mean_se(weighted)
     mean_r, se_r = mean_se(rooted)
     se_d = mean_se(weighted - rooted)[1]
@@ -224,15 +224,23 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
                            mean_w, se_w, mean_r, se_r, se_d, ess, overlap)
 
 
-def rooted_kernel_sums(model, base_seed: int, indices, gamma: float,
+def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
     """sum_i weight[root, i] * mass_i per replica, with the gamma chaos mass
-    and an n x n weight matrix over the atoms, streamed block by block."""
-    roots = draw_roots(model, base_seed, indices)
-    sums = np.empty(len(indices))
-    for positions, values in replica_blocks(model, base_seed, indices):
+    and an n x n weight matrix over the atoms, streamed block by block.
+
+    replicas is a run of consecutive indices, such as range(start, stop).
+    """
+    replicas = np.asarray(replicas, dtype=np.int64)
+    start = int(replicas[0]) if replicas.size else 0
+    if not np.array_equal(replicas, np.arange(start, start + replicas.size)):
+        raise DomainError("replicas must be consecutive ascending indices")
+    sums = np.empty(replicas.size)
+    for key, positions, columns, values in replica_blocks(
+            model, base_seed, start, start + replicas.size):
         masses = mass_columns(model, values, gamma)
-        sums[positions] = np.einsum("ki,ik->k", weight[roots[positions]], masses)
+        roots = block_roots(model, base_seed, key)
+        sums[positions] = np.einsum("ki,ik->k", weight[roots], masses)[columns]
     return sums
 
 

@@ -278,13 +278,14 @@ def test_verify_bound_draws_each_block_once(model8, monkeypatch):
     # the threshold and event stages start at block-aligned offsets, so no
     # stream block is drawn by two stages even when N is not a block multiple
     keys = []
-    real = gmclab.field.normal_block
+    real = gmclab.field.replica_generator
 
-    def recording(n, base_seed, indices):
-        keys.extend(np.unique(np.asarray(indices) // gmclab.field.BATCH).tolist())
-        return real(n, base_seed, indices)
+    def recording(base_seed, block_index, substream=gmclab.field.FIELD_SUBSTREAM):
+        if substream == gmclab.field.FIELD_SUBSTREAM:
+            keys.append(block_index)
+        return real(base_seed, block_index, substream)
 
-    monkeypatch.setattr(gmclab.field, "normal_block", recording)
+    monkeypatch.setattr(gmclab.field, "replica_generator", recording)
     verify_bound(model8, 0.8, 2.0, 1.8, 1.0, 1500, SEED)
     assert len(keys) == 6
     assert len(set(keys)) == len(keys)

@@ -12,7 +12,8 @@ from gmclab import (
     sample_field,
     total_masses,
 )
-from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, normal_block
+from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, block_field,
+                          normal_block, replica_blocks)
 
 SEED = 2024
 N_BIG = 100000
@@ -131,6 +132,22 @@ def test_replica_is_its_row_of_the_block_draw(model4):
     k = BATCH + 37
     block = replica_generator(SEED, 1).standard_normal((BATCH, model4.n))
     assert np.array_equal(normal_block(model4.n, SEED, [k])[:, 0], block[37])
+
+
+def test_block_field_is_the_whole_block(model4, aligned):
+    _, values = aligned
+    assert np.array_equal(block_field(model4, SEED, 1), values[:, BATCH:])
+
+
+def test_replica_blocks_cut_a_range_at_block_edges(model4, aligned):
+    _, values = aligned
+    cuts = []
+    for key, positions, columns, block in replica_blocks(model4, SEED, 1000, 2 * BATCH):
+        assert np.array_equal(block[:, columns], values[:, 1000:][:, positions])
+        cuts.append((key, positions, columns))
+    assert cuts == [(0, slice(0, 24), slice(1000, 1024)),
+                    (1, slice(24, 1048), slice(0, 1024))]
+    assert list(replica_blocks(model4, SEED, 5, 5)) == []
 
 
 def test_empty_index_list(model4):

@@ -371,6 +371,62 @@ def test_streamed_samplers_match_materialized_path(request, model_name, start, n
                           np.abs(lhs - rhs) / rhs)
 
 
+@pytest.fixture(scope="module")
+def wide20(model20):
+    # two whole blocks of every per-replica sampler, n = 400 > field.STRIP
+    gamma, beta = 0.8, 1.5
+    weight = _singular_weight(model20, beta)
+    return {
+        "total_masses": total_masses(model20, gamma, SEED, 2 * BATCH),
+        "local_energy_samples": local_energy_samples(model20, gamma, beta, SEED, 2 * BATCH),
+        "rooted_kernel_sums": rooted_kernel_sums(model20, SEED, range(2 * BATCH), gamma,
+                                                 weight),
+    }
+
+
+@pytest.mark.parametrize("k", [0, 5, BATCH - 1, BATCH, 1500])
+def test_one_replica_call_matches_wide_call(model20, wide20, k):
+    # a lone replica is reduced inside its whole block, so its scalar is the
+    # one a wider call computes, bit for bit
+    gamma, beta = 0.8, 1.5
+    lone = {
+        "total_masses": total_masses(model20, gamma, SEED, 1, start=k),
+        "local_energy_samples": local_energy_samples(model20, gamma, beta, SEED, 1,
+                                                     start=k),
+        "rooted_kernel_sums": rooted_kernel_sums(model20, SEED, range(k, k + 1), gamma,
+                                                 _singular_weight(model20, beta)),
+    }
+    for name, value in lone.items():
+        assert value.shape == (1,), name
+        assert value[0] == wide20[name][k], name
+
+
+@pytest.mark.parametrize("start", [0, 5])
+def test_empty_range_draws_nothing(model20, monkeypatch, start):
+    made = []
+    real = gmclab.field.replica_generator
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gmclab.field, "replica_generator", counting)
+    monkeypatch.setattr(gmclab.gmc, "replica_generator", counting)
+    weight = _singular_weight(model20, 1.5)
+    results = (total_masses(model20, 0.8, SEED, 0, start=start),
+               local_energy_samples(model20, 0.8, 1.5, SEED, 0, start=start),
+               rooted_kernel_sums(model20, SEED, range(start, start), 0.8, weight),
+               rooted_identity_errors(model20, SEED, 0, 0.8, 0.8))
+    for result in results:
+        assert result.shape == (0,)
+    assert made == []
+
+
+def test_rooted_kernel_sums_refuses_a_gapped_run(model8):
+    with pytest.raises(DomainError):
+        rooted_kernel_sums(model8, SEED, [0, 2], 0.8, _singular_weight(model8, 1.5))
+
+
 def test_change_of_measure_memory_flat_in_replicas(grid16_model):
     stat = clipped_mass_statistic(grid16_model, 0.6, 10.0)
 
