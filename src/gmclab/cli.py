@@ -5,15 +5,23 @@ config file (flags override the file), echoes the fully resolved parameters
 into its JSON report and exits 0 on pass/success, 1 on a failed verdict, 2 on
 usage or validation problems. Execution knobs (--out, --no-timestamp) never
 enter the report, so reruns with the same seed are byte-identical.
+
+The table ``COMMANDS`` is where a subcommand is declared: its handler, help
+text, parameters with their defaults and the parameters that take a number
+list. The parser, the config-file keys and the report's ``config`` echo all
+derive from it; a parameter ``a_b`` is the flag ``--a-b``. ``_admitted`` is
+the one map from a parameter to the values it admits.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import copy
 import json
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,13 +29,17 @@ from . import bounds, gmc, inequalities, measure as measure_mod
 from .errors import GmcLabError, HypothesisViolationError, ValidationError
 from .field import STREAM_VERSION
 from .kernel import build_covariance, default_epsilon
-from .reports import render_report, to_jsonable, write_plot_csv
+from .reports import render_report, write_plot_csv
 
 IDENTITY_TOLERANCE = 1e-10
 # fewer replicas leave every standard error undefined
 MIN_REPLICAS = 2
-# parameters that hold text; all others but l2 and the complex c hold numbers
-TEXT_KEYS = frozenset({"kind", "out", "measure", "which", "statistic"})
+# parameters that take one of a fixed set of strings
+CHOICES = {"kind": ("grid", "cantor", "julia"),
+           "which": ("fkg", "kahane", "markov"),
+           "statistic": ("mass", "atom-value")}
+# parameters that hold other text; all others but l2 and the complex c hold numbers
+TEXT_KEYS = frozenset({"out", "measure"})
 # integer parameters and their least value; the library checks tighter ranges
 INTEGER_KEYS = {"replicas": MIN_REPLICAS, "seed": 0, "n": 0, "level": 0,
                 "pixels": 0, "max_iter": 0, "atom_index": 0}
@@ -55,8 +67,9 @@ def _complex_arg(text: str) -> complex:
 
 def _resolve(args: argparse.Namespace, defaults: dict, lists: tuple = ()) -> dict:
     """Merge defaults < config file < explicit flags; the keys in lists take
-    a number or a non-empty list of numbers."""
-    merged = dict(defaults)
+    a number or a non-empty list of numbers. The defaults are the table's
+    own, shared by every call, so the merge works on a copy."""
+    merged = copy.deepcopy(defaults)
     if getattr(args, "config", None):
         try:
             with open(args.config) as handle:
@@ -85,19 +98,24 @@ def _is_finite(value) -> bool:
 
 
 def _admitted(key: str):
-    """(description, test) of the values a parameter admits."""
+    """(description, test, flag type) of the values a parameter admits; a
+    flag type of None keeps the flag's text as it is."""
+    if key in CHOICES:
+        choices = CHOICES[key]
+        return f"one of {', '.join(choices)}", lambda v: v in choices, None
     if key in TEXT_KEYS:
-        return "a string", lambda v: isinstance(v, str)
+        return "a string", lambda v: isinstance(v, str), None
     if key == "l2":
-        return "true or false", lambda v: isinstance(v, bool)
+        return "true or false", lambda v: isinstance(v, bool), None
     if key in INTEGER_KEYS:
         least = INTEGER_KEYS[key]
         return (f"an integer >= {least}",
-                lambda v: _is_number(v) and isinstance(v, int) and v >= least)
+                lambda v: _is_number(v) and isinstance(v, int) and v >= least, int)
     if key == "c":
         return ("a finite complex number",
-                lambda v: (_is_number(v) or isinstance(v, complex)) and _is_finite(v))
-    return "a finite number", lambda v: _is_number(v) and _is_finite(v)
+                lambda v: (_is_number(v) or isinstance(v, complex)) and _is_finite(v),
+                _complex_arg)
+    return "a finite number", lambda v: _is_number(v) and _is_finite(v), float
 
 
 def _check_values(cfg: dict, lists: tuple) -> None:
@@ -112,7 +130,7 @@ def _check_values(cfg: dict, lists: tuple) -> None:
     for key, value in cfg.items():
         if value is None:
             continue
-        kind, test = _admitted(key)
+        kind, test, _ = _admitted(key)
         items = [value]
         if key in lists:
             kind = f"{kind} or a non-empty list of them"
@@ -151,36 +169,45 @@ def _load_model(cfg: dict):
     return model
 
 
+def _seeded_model(cfg: dict):
+    """Fix the seed (drawn from entropy when absent) and build the model."""
+    _resolve_seed(cfg)
+    return _load_model(cfg)
+
+
+def _require_exponents(cfg: dict) -> None:
+    """gamma, d, beta and delta must be set; --l2 sets beta = d, delta = 1."""
+    _require(cfg, "gamma", "d")
+    if cfg["l2"]:
+        cfg["beta"], cfg["delta"] = cfg["d"], 1.0
+    _require(cfg, "beta", "delta")
+
+
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_generate(args) -> tuple[dict, dict, int]:
-    defaults = {"kind": args.kind, "out": None, "n": 16, "radius": 0.8,
-                "level": 3, "c": None, "pixels": 256, "max_iter": 100}
-    cfg = _resolve(args, defaults)
-    cfg["out"] = args.measure_out
-    _require(cfg, "out")
-    if args.kind == "grid":
+def _cmd_generate(cfg, args) -> tuple[dict, dict, int]:
+    if cfg["kind"] == "grid":
         atoms = measure_mod.generate_uniform_grid(cfg["n"], cfg["radius"])
-        cfg = {k: cfg[k] for k in ("kind", "out", "n", "radius")}
-    elif args.kind == "cantor":
+        echoed = ("n",)
+    elif cfg["kind"] == "cantor":
         atoms = measure_mod.generate_cantor_dust(cfg["level"], cfg["radius"])
-        cfg = {k: cfg[k] for k in ("kind", "out", "level", "radius")}
+        echoed = ("level",)
     else:
-        c = cfg["c"] if cfg["c"] is not None else complex(-1.0, 0.0)
+        if cfg["c"] is None:
+            cfg["c"] = complex(-1.0, 0.0)
         atoms = measure_mod.generate_julia_boundary(
-            c, cfg["pixels"], cfg["max_iter"], cfg["radius"])
-        cfg = {"kind": cfg["kind"], "out": cfg["out"], "c": c,
-               "pixels": cfg["pixels"], "max_iter": cfg["max_iter"],
-               "radius": cfg["radius"]}
+            cfg["c"], cfg["pixels"], cfg["max_iter"], cfg["radius"])
+        echoed = ("c", "pixels", "max_iter")
+    cfg = {k: cfg[k] for k in ("kind", "radius", *echoed)}
+    cfg["out"] = args.measure_out
     measure_mod.save_measure(atoms, cfg["out"])
     payload = {"atoms": atoms.n, "total_mass": atoms.total_mass,
                "support_radius": atoms.support_radius}
     return cfg, payload, 0
 
 
-def _cmd_energy(args) -> tuple[dict, dict, int]:
-    cfg = _resolve(args, {"measure": None, "d": None})
+def _cmd_energy(cfg, args) -> tuple[dict, dict, int]:
     _require(cfg, "measure", "d")
     atoms = measure_mod.load_measure(cfg["measure"])
     value = measure_mod.d_energy(atoms, cfg["d"])
@@ -188,14 +215,8 @@ def _cmd_energy(args) -> tuple[dict, dict, int]:
                  "total_mass": atoms.total_mass}, 0
 
 
-def _cmd_exponents(args) -> tuple[dict, dict, int]:
-    defaults = {"gamma": None, "d": None, "beta": None, "delta": None,
-                "l2": False, "energy_ratio": None, "measure": None}
-    cfg = _resolve(args, defaults)
-    _require(cfg, "gamma", "d")
-    if cfg["l2"]:
-        cfg["beta"], cfg["delta"] = cfg["d"], 1.0
-    _require(cfg, "beta", "delta")
+def _cmd_exponents(cfg, args) -> tuple[dict, dict, int]:
+    _require_exponents(cfg)
     report = bounds.exponents(cfg["gamma"], cfg["d"], cfg["beta"], cfg["delta"])
     payload = {}
     if cfg["gamma"] ** 2 < cfg["d"]:
@@ -211,13 +232,9 @@ def _cmd_exponents(args) -> tuple[dict, dict, int]:
     return cfg, payload, 0
 
 
-def _cmd_laplace(args) -> tuple[dict, dict, int]:
-    defaults = {"measure": None, "gamma": None, "t": None, "replicas": 10000,
-                "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults, lists=("t",))
+def _cmd_laplace(cfg, args) -> tuple[dict, dict, int]:
     _require(cfg, "gamma", "t")
-    _resolve_seed(cfg)
-    model = _load_model(cfg)
+    model = _seeded_model(cfg)
     report = bounds.laplace_transform(model, cfg["gamma"], cfg["t"],
                                       cfg["replicas"], cfg["seed"])
     if args.csv:
@@ -226,17 +243,9 @@ def _cmd_laplace(args) -> tuple[dict, dict, int]:
     return cfg, {"laplace": report, **_model_keys(model)}, 0
 
 
-def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
-    defaults = {"measure": None, "gamma": None, "d": None, "beta": None,
-                "delta": None, "l2": False, "replicas": 10000, "seed": None,
-                "epsilon": None}
-    cfg = _resolve(args, defaults)
-    _require(cfg, "gamma", "d")
-    if cfg["l2"]:
-        cfg["beta"], cfg["delta"] = cfg["d"], 1.0
-    _require(cfg, "beta", "delta")
-    _resolve_seed(cfg)
-    model = _load_model(cfg)
+def _cmd_verify_bound(cfg, args) -> tuple[dict, dict, int]:
+    _require_exponents(cfg)
+    model = _seeded_model(cfg)
     report = bounds.verify_bound(model, cfg["gamma"], cfg["d"], cfg["beta"],
                                  cfg["delta"], cfg["replicas"], cfg["seed"],
                                  l2=bool(cfg["l2"]))
@@ -251,14 +260,9 @@ def _cmd_verify_bound(args) -> tuple[dict, dict, int]:
     return cfg, payload, 0 if report.verdict else 1
 
 
-def _cmd_verify_identity(args) -> tuple[dict, dict, int]:
-    defaults = {"measure": None, "gamma": None, "gamma_prime": None,
-                "replicas": 1000, "seed": None, "epsilon": None,
-                "tolerance": IDENTITY_TOLERANCE}
-    cfg = _resolve(args, defaults)
+def _cmd_verify_identity(cfg, args) -> tuple[dict, dict, int]:
     _require(cfg, "gamma", "gamma_prime")
-    _resolve_seed(cfg)
-    model = _load_model(cfg)
+    model = _seeded_model(cfg)
     errors = gmc.rooted_identity_errors(model, cfg["seed"], cfg["replicas"],
                                         cfg["gamma"], cfg["gamma_prime"])
     worst = float(errors.max())
@@ -268,42 +272,30 @@ def _cmd_verify_identity(args) -> tuple[dict, dict, int]:
     return cfg, payload, 0 if ok else 1
 
 
-def _cmd_verify_com(args) -> tuple[dict, dict, int]:
-    defaults = {"measure": None, "gamma_prime": None, "statistic": "mass",
-                "gamma": None, "cap": None, "atom_index": 0,
-                "replicas": 10000, "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults)
-    _require(cfg, "gamma_prime")
-    _resolve_seed(cfg)
-    model = _load_model(cfg)
+def _cmd_verify_com(cfg, args) -> tuple[dict, dict, int]:
+    _require(cfg, "gamma_prime", "statistic")
+    model = _seeded_model(cfg)
     if cfg["statistic"] == "mass":
         if cfg["gamma"] is None:
             cfg["gamma"] = cfg["gamma_prime"]
         if cfg["cap"] is None:
             cfg["cap"] = 10.0 * model.measure.total_mass
         stat = gmc.clipped_mass_statistic(model, cfg["gamma"], cfg["cap"])
-    elif cfg["statistic"] == "atom-value":
+    else:
         if cfg["atom_index"] >= model.n:
             raise ValidationError("atom_index out of range")
         stat = gmc.atom_value_statistic(cfg["atom_index"])
-    else:
-        raise ValidationError("statistic must be 'mass' or 'atom-value'")
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
                                           cfg["replicas"], cfg["seed"])
     return (cfg, {"change_of_measure": report, **_model_keys(model)},
             0 if report.overlap else 1)
 
 
-def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
-    defaults = {"measure": None, "which": None, "gamma": 0.8, "s": 1.0,
-                "t": 2.0, "r_inner": 0.5, "radii": [0.5, 0.7, 0.9],
-                "replicas": 20000, "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults, lists=("radii",))
+def _cmd_verify_ineq(cfg, args) -> tuple[dict, dict, int]:
     _require(cfg, "which")
     try:
         if cfg["which"] == "fkg":
-            _resolve_seed(cfg)
-            model = _load_model(cfg)
+            model = _seeded_model(cfg)
             verdicts = [inequalities.fkg_check(model, cfg["gamma"], cfg["s"],
                                                cfg["t"], cfg["replicas"],
                                                cfg["seed"])]
@@ -322,12 +314,10 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
             diagnostics = _sampled_keys(
                 max(details["clip_magnitude_subdisk"], details["clip_magnitude_disk"]),
                 max(details["factor_rank_subdisk"], details["factor_rank_disk"]))
-        elif cfg["which"] == "markov":
+        else:
             _require(cfg, "measure")
             atoms = measure_mod.load_measure(cfg["measure"])
             verdicts = inequalities.markov_psd_suite(atoms, cfg["radii"])
-        else:
-            raise ValidationError("which must be fkg, kahane or markov")
     except HypothesisViolationError as exc:
         return cfg, {"skipped": True, "reason": str(exc)}, 0
     payload = {"verdicts": verdicts}
@@ -337,34 +327,85 @@ def _cmd_verify_ineq(args) -> tuple[dict, dict, int]:
     return cfg, payload, 0 if all_pass else 1
 
 
-def _cmd_split(args) -> tuple[dict, dict, int]:
-    cfg = _resolve(args, {"measure": None})
+def _cmd_split(cfg, args) -> tuple[dict, dict, int]:
     _require(cfg, "measure")
     atoms = measure_mod.load_measure(cfg["measure"])
     result = measure_mod.split_half_plane(atoms)
     return cfg, {"split": result, "total_mass": atoms.total_mass}, 0
 
 
-def _cmd_tail(args) -> tuple[dict, dict, int]:
-    defaults = {"measure": None, "gamma": None, "eps": None,
-                "replicas": 10000, "seed": None, "epsilon": None}
-    cfg = _resolve(args, defaults, lists=("eps",))
+def _cmd_tail(cfg, args) -> tuple[dict, dict, int]:
     _require(cfg, "gamma", "eps")
-    _resolve_seed(cfg)
-    model = _load_model(cfg)
+    model = _seeded_model(cfg)
     report = bounds.small_ball_tail(model, cfg["gamma"], cfg["eps"],
                                     cfg["replicas"], cfg["seed"])
     return cfg, {"tail": report, **_model_keys(model)}, 0
 
 
+# ------------------------------------------------------------------ table
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    # parameter -> default; each is a config-file key and a flag
+    params: dict
+    # parameters that take a number or a non-empty list of numbers
+    lists: tuple = ()
+    # whether --csv writes plot data t,estimate,stderr,bound
+    csv: bool = False
+
+
+COMMANDS = {
+    "generate": Command(
+        _cmd_generate, "write a generated measure as CSV",
+        {"kind": None, "out": None, "n": 16, "radius": 0.8, "level": 3,
+         "c": None, "pixels": 256, "max_iter": 100}),
+    "energy": Command(
+        _cmd_energy, "interaction energy of a measure",
+        {"measure": None, "d": None}),
+    "exponents": Command(
+        _cmd_exponents, "admissible decay exponents",
+        {"gamma": None, "d": None, "beta": None, "delta": None, "l2": False,
+         "energy_ratio": None, "measure": None}),
+    "laplace": Command(
+        _cmd_laplace, "Monte Carlo Laplace transform",
+        {"measure": None, "gamma": None, "t": None, "replicas": 10000,
+         "seed": None, "epsilon": None},
+        lists=("t",), csv=True),
+    "verify-bound": Command(
+        _cmd_verify_bound, "negative-moment bound over a t grid",
+        {"measure": None, "gamma": None, "d": None, "beta": None,
+         "delta": None, "l2": False, "replicas": 10000, "seed": None,
+         "epsilon": None},
+        csv=True),
+    "verify-identity": Command(
+        _cmd_verify_identity, "rooted change-of-measure identity, replica by replica",
+        {"measure": None, "gamma": None, "gamma_prime": None,
+         "replicas": 1000, "seed": None, "epsilon": None,
+         "tolerance": IDENTITY_TOLERANCE}),
+    "verify-change-of-measure": Command(
+        _cmd_verify_com, "two-sample comparison of the rooted change of measure",
+        {"measure": None, "gamma_prime": None, "statistic": "mass",
+         "gamma": None, "cap": None, "atom_index": 0,
+         "replicas": 10000, "seed": None, "epsilon": None}),
+    "verify-ineq": Command(
+        _cmd_verify_ineq, "correlation inequality harnesses",
+        {"measure": None, "which": None, "gamma": 0.8, "s": 1.0,
+         "t": 2.0, "r_inner": 0.5, "radii": [0.5, 0.7, 0.9],
+         "replicas": 20000, "seed": None, "epsilon": None},
+        lists=("radii",)),
+    "split": Command(
+        _cmd_split, "quarter-mass half-plane split", {"measure": None}),
+    "tail": Command(
+        _cmd_tail, "small-mass tail frequencies",
+        {"measure": None, "gamma": None, "eps": None,
+         "replicas": 10000, "seed": None, "epsilon": None},
+        lists=("eps",)),
+}
+
+
 # ----------------------------------------------------------------- parser
-
-
-def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file with default parameters")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp for byte-stable reports")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,94 +414,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo laboratory for multiplicative chaos measures "
                     "over atomic base measures on the unit disk")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a generated measure as CSV")
-    p.add_argument("kind", choices=["grid", "cantor", "julia"])
-    p.add_argument("--out", dest="measure_out", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--level", type=int)
-    p.add_argument("--c", type=_complex_arg)
-    p.add_argument("--pixels", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.set_defaults(handler=_cmd_generate)
-    p.add_argument("--config", help="JSON file with default parameters")
-    p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(out=None)
-
-    def command(name, handler, help_text, *, seeded=True, csv=False):
-        q = sub.add_parser(name, help=help_text)
-        _add_exec_flags(q)
-        q.set_defaults(handler=handler)
-        q.add_argument("--measure", help="measure CSV path")
-        if seeded:
-            q.add_argument("--seed", type=int)
-            q.add_argument("--replicas", type=int)
-            q.add_argument("--epsilon", type=float)
-        if csv:
-            q.add_argument("--csv", help="write plot data t,estimate,stderr,bound")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.set_defaults(handler=command.handler, defaults=command.params,
+                       lists=command.lists)
+        p.add_argument("--config", help="JSON file with default parameters")
+        if name == "generate":
+            # --out names the measure file; the report goes to stdout
+            p.add_argument("kind", choices=CHOICES["kind"])
+            p.add_argument("--out", dest="measure_out", required=True)
+            p.set_defaults(out=None)
         else:
-            q.set_defaults(csv=None)
-        return q
-
-    q = command("energy", _cmd_energy, "interaction energy of a measure", seeded=False)
-    q.add_argument("--d", type=float)
-
-    q = command("exponents", _cmd_exponents, "admissible decay exponents", seeded=False)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--d", type=float)
-    q.add_argument("--beta", type=float)
-    q.add_argument("--delta", type=float)
-    q.add_argument("--l2", action="store_true", default=None)
-    q.add_argument("--energy-ratio", dest="energy_ratio", type=float)
-
-    q = command("laplace", _cmd_laplace, "Monte Carlo Laplace transform", csv=True)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--t", type=_float_list)
-
-    q = command("verify-bound", _cmd_verify_bound,
-                "negative-moment bound over a t grid", csv=True)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--d", type=float)
-    q.add_argument("--beta", type=float)
-    q.add_argument("--delta", type=float)
-    q.add_argument("--l2", action="store_true", default=None)
-
-    q = command("verify-identity", _cmd_verify_identity,
-                "rooted change-of-measure identity, replica by replica")
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--gamma-prime", dest="gamma_prime", type=float)
-    q.add_argument("--tolerance", type=float)
-
-    q = command("verify-change-of-measure", _cmd_verify_com,
-                "two-sample comparison of the rooted change of measure")
-    q.add_argument("--gamma-prime", dest="gamma_prime", type=float)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--statistic", choices=["mass", "atom-value"])
-    q.add_argument("--cap", type=float)
-    q.add_argument("--atom-index", dest="atom_index", type=int)
-
-    q = command("verify-ineq", _cmd_verify_ineq, "correlation inequality harnesses")
-    q.add_argument("--which", choices=["fkg", "kahane", "markov"])
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--s", type=float)
-    q.add_argument("--t", type=float)
-    q.add_argument("--r-inner", dest="r_inner", type=float)
-    q.add_argument("--radii", type=_float_list)
-
-    command("split", _cmd_split, "quarter-mass half-plane split", seeded=False)
-
-    q = command("tail", _cmd_tail, "small-mass tail frequencies")
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--eps", type=_float_list)
-
+            p.add_argument("--out", help="write the JSON report here instead of stdout")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp for byte-stable reports")
+        if command.csv:
+            p.add_argument("--csv", help="write plot data t,estimate,stderr,bound")
+        for key in command.params:
+            flag = "--" + key.replace("_", "-")
+            if key == "l2":
+                p.add_argument(flag, action="store_true", default=None)
+            elif key not in ("kind", "out"):  # generate's two, added above
+                flag_type = _float_list if key in command.lists else _admitted(key)[2]
+                p.add_argument(flag, type=flag_type, choices=CHOICES.get(key),
+                               help="measure CSV path" if key == "measure" else None)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg, payload, code = args.handler(args)
+        cfg = _resolve(args, args.defaults, args.lists)
+        cfg, payload, code = args.handler(cfg, args)
     except GmcLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

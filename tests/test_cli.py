@@ -1,7 +1,10 @@
+import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -508,3 +511,128 @@ def test_impossible_replica_count_exits_2(files, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and "exceed the limit" in err
+
+
+# ---------------------------------------------------------- README and table
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The gmclab lines of the README's command line example block."""
+    text = README.read_text()
+    block = text.split("Command line:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("gmclab ")]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        code = gmclab.cli.main([*argv, "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 0, (argv, err)
+
+
+HELP = (("-h", "--help"), "help", None, None)
+CONFIG = (("--config",), "config", None, None)
+NO_TIMESTAMP = (("--no-timestamp",), "no_timestamp", None, None)
+REPORT_OUT = (("--out",), "out", None, None)
+MEASURE = (("--measure",), "measure", None, None)
+CSV = (("--csv",), "csv", None, None)
+SAMPLING = ((("--seed",), "seed", "int", None),
+            (("--replicas",), "replicas", "int", None),
+            (("--epsilon",), "epsilon", "float", None))
+COMMON = (HELP, CONFIG, NO_TIMESTAMP, REPORT_OUT, MEASURE)
+
+
+def floats(*names):
+    return tuple((("--" + name.replace("_", "-"),), name, "float", None)
+                 for name in names)
+
+
+# (option strings, dest, type, choices) of every action of each subcommand;
+# a table edit that drops, renames or retypes a flag fails here
+FLAG_SURFACE = {
+    "generate": {HELP, CONFIG, NO_TIMESTAMP,
+                 ((), "kind", None, ("grid", "cantor", "julia")),
+                 (("--out",), "measure_out", None, None),
+                 (("--n",), "n", "int", None),
+                 (("--radius",), "radius", "float", None),
+                 (("--level",), "level", "int", None),
+                 (("--c",), "c", "_complex_arg", None),
+                 (("--pixels",), "pixels", "int", None),
+                 (("--max-iter",), "max_iter", "int", None)},
+    "energy": {*COMMON, *floats("d")},
+    "exponents": {*COMMON, *floats("gamma", "d", "beta", "delta", "energy_ratio"),
+                  (("--l2",), "l2", None, None)},
+    "laplace": {*COMMON, *SAMPLING, CSV, *floats("gamma"),
+                (("--t",), "t", "_float_list", None)},
+    "verify-bound": {*COMMON, *SAMPLING, CSV,
+                     *floats("gamma", "d", "beta", "delta"),
+                     (("--l2",), "l2", None, None)},
+    "verify-identity": {*COMMON, *SAMPLING,
+                        *floats("gamma", "gamma_prime", "tolerance")},
+    "verify-change-of-measure": {
+        *COMMON, *SAMPLING, *floats("gamma_prime", "gamma", "cap"),
+        (("--statistic",), "statistic", None, ("mass", "atom-value")),
+        (("--atom-index",), "atom_index", "int", None)},
+    "verify-ineq": {*COMMON, *SAMPLING, *floats("gamma", "s", "t", "r_inner"),
+                    (("--which",), "which", None, ("fkg", "kahane", "markov")),
+                    (("--radii",), "radii", "_float_list", None)},
+    "split": {*COMMON},
+    "tail": {*COMMON, *SAMPLING, *floats("gamma"),
+             (("--eps",), "eps", "_float_list", None)},
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = gmclab.cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(FLAG_SURFACE)
+    for name, sub in subparsers.choices.items():
+        surface = {(tuple(a.option_strings), a.dest,
+                    getattr(a.type, "__name__", a.type),
+                    tuple(a.choices) if a.choices else None)
+                   for a in sub._actions}
+        assert surface == FLAG_SURFACE[name], name
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("generate", "grid"), {"n": "4"}),
+    (("generate", "cantor"), {"level": 2.5}),
+    (("generate", "julia"), {"c": "1+1x"}),
+    (("energy",), {"d": "1"}),
+    (("exponents", "--gamma", "1", "--d", "2"), {"l2": "yes"}),
+    (("laplace", "--t", "1.0"), {"gamma": True}),
+    (("verify-bound", "--gamma", "0.8", "--d", "2.0"), {"beta": [2.0]}),
+    (("verify-identity", "--gamma", "0.8", "--gamma-prime", "0.8"),
+     {"tolerance": "1e-10"}),
+    (("verify-change-of-measure", "--gamma-prime", "0.6"), {"atom_index": -1}),
+    (("verify-change-of-measure", "--gamma-prime", "0.6"), {"statistic": "foo"}),
+    (("verify-ineq",), {"which": "foo"}),
+    (("verify-ineq", "--which", "markov"), {"radii": [0.5, "x"]}),
+    (("split",), {"measure": 5}),
+    (("tail", "--gamma", "0.8"), {"eps": [0.1, None]}),
+], ids=["generate_grid", "generate_cantor", "generate_julia", "energy",
+        "exponents", "laplace", "verify_bound", "verify_identity",
+        "verify_com", "verify_com_statistic", "verify_ineq_which",
+        "verify_ineq_radii", "split", "tail"])
+def test_mistyped_config_value_exits_2(files, tmp_path, capsys, argv, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = [*argv, "--config", str(path), "--no-timestamp"]
+    if argv[0] == "generate":
+        argv += ["--out", str(tmp_path / "measure.csv")]
+    elif "measure" not in config:
+        argv += ["--measure", str(files["small"])]
+    if argv[0] in SEEDED_ARGV:
+        argv += ["--seed", str(SEED), "--replicas", "16"]
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
