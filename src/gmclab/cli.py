@@ -28,7 +28,7 @@ import numpy as np
 from . import bounds, gmc, inequalities, measure as measure_mod
 from .errors import GmcLabError, HypothesisViolationError, ValidationError
 from .field import STREAM_VERSION
-from .kernel import build_covariance, default_epsilon
+from .kernel import KERNEL_VERSION, build_covariance, default_epsilon
 from .reports import render_report, write_plot_csv
 
 IDENTITY_TOLERANCE = 1e-10
@@ -39,7 +39,7 @@ CHOICES = {"kind": ("grid", "cantor", "julia"),
            "which": ("fkg", "kahane", "markov"),
            "statistic": ("mass", "atom-value")}
 # parameters that hold other text; all others but l2 and the complex c hold numbers
-TEXT_KEYS = frozenset({"out", "measure"})
+TEXT_KEYS = frozenset({"measure"})
 # integer parameters and their least value; the library checks tighter ranges
 INTEGER_KEYS = {"replicas": MIN_REPLICAS, "seed": 0, "n": 0, "level": 0,
                 "pixels": 0, "max_iter": 0, "atom_index": 0}
@@ -187,10 +187,10 @@ def _require_exponents(cfg: dict) -> None:
 
 
 def _cmd_generate(cfg, args) -> tuple[dict, dict, int]:
-    if cfg["kind"] == "grid":
+    if args.kind == "grid":
         atoms = measure_mod.generate_uniform_grid(cfg["n"], cfg["radius"])
         echoed = ("n",)
-    elif cfg["kind"] == "cantor":
+    elif args.kind == "cantor":
         atoms = measure_mod.generate_cantor_dust(cfg["level"], cfg["radius"])
         echoed = ("level",)
     else:
@@ -199,9 +199,9 @@ def _cmd_generate(cfg, args) -> tuple[dict, dict, int]:
         atoms = measure_mod.generate_julia_boundary(
             cfg["c"], cfg["pixels"], cfg["max_iter"], cfg["radius"])
         echoed = ("c", "pixels", "max_iter")
-    cfg = {k: cfg[k] for k in ("kind", "radius", *echoed)}
-    cfg["out"] = args.measure_out
-    measure_mod.save_measure(atoms, cfg["out"])
+    cfg = {"kind": args.kind, **{k: cfg[k] for k in ("radius", *echoed)},
+           "out": args.measure_out}
+    measure_mod.save_measure(atoms, args.measure_out)
     payload = {"atoms": atoms.n, "total_mass": atoms.total_mass,
                "support_radius": atoms.support_radius}
     return cfg, payload, 0
@@ -318,11 +318,10 @@ def _cmd_verify_ineq(cfg, args) -> tuple[dict, dict, int]:
             _require(cfg, "measure")
             atoms = measure_mod.load_measure(cfg["measure"])
             verdicts = inequalities.markov_psd_suite(atoms, cfg["radii"])
+            diagnostics = {"kernel_version": KERNEL_VERSION}
     except HypothesisViolationError as exc:
         return cfg, {"skipped": True, "reason": str(exc)}, 0
-    payload = {"verdicts": verdicts}
-    if cfg["which"] != "markov":
-        payload.update(diagnostics)
+    payload = {"verdicts": verdicts, **diagnostics}
     all_pass = all(v.passed for v in verdicts)
     return cfg, payload, 0 if all_pass else 1
 
@@ -359,7 +358,7 @@ class Command(NamedTuple):
 COMMANDS = {
     "generate": Command(
         _cmd_generate, "write a generated measure as CSV",
-        {"kind": None, "out": None, "n": 16, "radius": 0.8, "level": 3,
+        {"n": 16, "radius": 0.8, "level": 3,
          "c": None, "pixels": 256, "max_iter": 100}),
     "energy": Command(
         _cmd_energy, "interaction energy of a measure",
@@ -420,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
                        lists=command.lists)
         p.add_argument("--config", help="JSON file with default parameters")
         if name == "generate":
-            # --out names the measure file; the report goes to stdout
+            # kind and --out are command-line only, no config keys: --out
+            # names the measure file and the report goes to stdout
             p.add_argument("kind", choices=CHOICES["kind"])
             p.add_argument("--out", dest="measure_out", required=True)
             p.set_defaults(out=None)
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag = "--" + key.replace("_", "-")
             if key == "l2":
                 p.add_argument(flag, action="store_true", default=None)
-            elif key not in ("kind", "out"):  # generate's two, added above
+            else:
                 flag_type = _float_list if key in command.lists else _admitted(key)[2]
                 p.add_argument(flag, type=flag_type, choices=CHOICES.get(key),
                                help="measure CSV path" if key == "measure" else None)

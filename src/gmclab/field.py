@@ -10,37 +10,18 @@ vector itself.
 
 All field values come from block_field: the lower trapezoidal n x r factor
 times the whole block of normals, in row strips of STRIP atoms so the zero
-upper triangle is skipped. Samplers walk a replica range with replica_blocks
-and reduce each whole block; field_matrix and normal_block pick columns from
-whole blocks for arbitrary index lists. Replica k's numbers, and every
-per-replica scalar reduced from them, thus depend only on (base_seed, k),
-never on index order or which other replicas are drawn with it. Regenerating
-a lone replica costs one BATCH x r draw, about 55 ms at r = n = 2304, plus
-the factor product over its block, about 80 ms at n = 2304 on two cores.
+upper triangle is skipped. gather_blocks is the one map from a replica index
+to its block and column: every sampler hands it a function from a block key
+to that whole block's per-replica values (field columns, normals, roots or
+reduced scalars) and gets back the columns of the replicas it asked for.
+Replica k's numbers, and every per-replica scalar reduced from them, thus
+depend only on (base_seed, k), never on index order or which other replicas
+are drawn with it. Regenerating a lone replica costs one BATCH x r draw,
+about 55 ms at r = n = 2304, plus the factor product over its block, about
+80 ms at n = 2304 on two cores.
 
-STREAM_VERSION names this keying and the factor product it feeds in reports.
-Version 1 keyed one stream per replica; version 2 changes every sampled number
-compared with it. Version 3 factors by Cholesky first, which changes sampled
-values where the eigen-clip bites (another triangular root of the same
-matrix). Version 4 multiplies in strips: values at n <= STRIP are unchanged,
-larger models move in the last bits (up to 1.2e-14, or 1.6e-15 of the largest
-value, on a level-5 Cantor dust with n = 1024). Version 5 forms the kernel
-matrix in real arithmetic, symmetric by construction: on a 48x48 grid the
-covariance matrix moves by at most 8.9e-16 and its Cholesky factor by 7.1e-15;
-on a level-5 Cantor dust at epsilon 0.05 the clipped matrix moves by up to
-1.4e-13, but the factor by up to 0.10, since the triangular root of a
-clipped matrix is not unique (the field's law is the same). Version 6 keeps
-only the r root columns of a clipped matrix whose eigenvalue is strictly
-positive, so its factor is n x r and each replica draws r normals, not n:
-every sampled value of a clipped model changes (same law), while positive
-definite models, where r = n, sample bit for bit as under version 5.
-Version 7 keeps only the eigenvalues above eigh's rounding level
-n * eps * lam_max, not all positive ones: r falls from 497 to 139 on a
-level-5 Cantor dust at epsilon 0.05, whose repaired matrix moves by 2.0e-12
-of its largest entry, and every sampled value there changes (same law up to
-that rounding). Positive definite models, and clipped ones with no eigenvalue
-between zero and that level, such as a 16x16 grid at epsilon 0.05, sample
-bit for bit as under version 6.
+STREAM_VERSION names this keying and the factor product it feeds in reports;
+the README's Reproducibility section tells what each version changed.
 """
 
 from __future__ import annotations
@@ -97,24 +78,21 @@ def block_field(model, base_seed: int, key: int) -> np.ndarray:
     return product
 
 
-def replica_blocks(model, base_seed: int, start: int, stop: int):
-    """Yield (key, positions, columns, values) for each stream block that
-    overlaps replicas [start, stop), in block order: values is the block's
-    whole field from block_field, columns the slice of its columns that lies
-    in the range and positions where those replicas sit within the range."""
-    if stop <= start:
-        return
-    for key in range(start // BATCH, (stop - 1) // BATCH + 1):
-        lo, hi = max(start, key * BATCH), min(stop, (key + 1) * BATCH)
-        yield (key, slice(lo - start, hi - start),
-               slice(lo - key * BATCH, hi - key * BATCH),
-               block_field(model, base_seed, key))
-
-
 def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
     """Fill out[..., j] with column indices[j] % BATCH of block(indices[j] //
-    BATCH), calling block once per distinct block of the arbitrary index
-    list; block(key) returns that block's whole array, replicas last."""
+    BATCH); block(key) returns that stream block's whole array, replicas
+    last. block is called once per block the indices touch, in block order,
+    and its array is dropped before the next is made. A step-1 range is
+    walked as slices cut at block edges; any other index list is grouped by
+    block."""
+    if isinstance(indices, range) and indices.step == 1:
+        start, stop = indices.start, indices.stop
+        keys = range(start // BATCH, (stop - 1) // BATCH + 1) if stop > start else ()
+        for key in keys:
+            lo, hi = max(start, key * BATCH), min(stop, (key + 1) * BATCH)
+            first = key * BATCH
+            out[..., lo - start:hi - start] = block(key)[..., lo - first:hi - first]
+        return out
     indices = np.asarray(indices, dtype=np.int64)
     keys = indices // BATCH
     for key in np.unique(keys):

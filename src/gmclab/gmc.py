@@ -17,7 +17,7 @@ import numpy as np
 
 from . import field as field_mod
 from .errors import DomainError, ResourceLimitError
-from .field import FieldSample, gather_blocks, replica_blocks, replica_generator
+from .field import FieldSample, block_field, gather_blocks, replica_generator
 
 # Replica ceiling: the most cells a per-replica array may hold, checked before
 # any is allocated. The largest such arrays are a command's N-length vectors
@@ -106,11 +106,10 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
     """Total chaos mass for replicas start .. start+n_replicas-1."""
     check_replica_count(n_replicas)
-    totals = np.empty(n_replicas)
-    for _, positions, columns, values in replica_blocks(
-            model, base_seed, start, start + n_replicas):
-        totals[positions] = mass_columns(model, values, gamma).sum(axis=0)[columns]
-    return totals
+    return gather_blocks(
+        lambda key: mass_columns(model, block_field(model, base_seed, key),
+                                 gamma).sum(axis=0),
+        range(start, start + n_replicas), np.empty(n_replicas))
 
 
 def block_roots(model, base_seed: int, key: int) -> np.ndarray:
@@ -159,8 +158,9 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
                            gamma: float, gamma_prime: float) -> np.ndarray:
     """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized)."""
     check_replica_count(n_replicas)
-    errors = np.empty(n_replicas)
-    for key, positions, columns, values in replica_blocks(model, base_seed, 0, n_replicas):
+
+    def block(key):
+        values = block_field(model, base_seed, key)
         rows = model.matrix[block_roots(model, base_seed, key)].T
         # in place, so the products keep the column-major layout of rows and
         # at most four n x BATCH arrays are alive
@@ -170,8 +170,9 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
         rows *= gamma_prime
         rows += values
         rhs = mass_columns(model, rows, gamma).sum(axis=0)
-        errors[positions] = (np.abs(lhs - rhs) / rhs)[columns]
-    return errors
+        return np.abs(lhs - rhs) / rhs
+
+    return gather_blocks(block, range(n_replicas), np.empty(n_replicas))
 
 
 def clipped_mass_statistic(model, gamma: float, cap: float) -> Statistic:
@@ -206,15 +207,17 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     gamma' masses m that weight the first branch.
     """
     check_replica_count(n_replicas, rows=3)
-    masses, weighted, rooted = np.empty((3, n_replicas))
-    for key, positions, columns, values in replica_blocks(model, base_seed, 0, n_replicas):
-        block_masses = mass_columns(model, values, gamma_prime).sum(axis=0)
-        masses[positions] = block_masses[columns]
-        weighted[positions] = (statistic(values) * block_masses
-                               / model.measure.total_mass)[columns]
+
+    def block(key):
+        values = block_field(model, base_seed, key)
+        masses = mass_columns(model, values, gamma_prime).sum(axis=0)
+        weighted = statistic(values) * masses / model.measure.total_mass
         shifted = gamma_prime * model.matrix[block_roots(model, base_seed, key)].T
         shifted += values  # in place, as in rooted_identity_errors
-        rooted[positions] = statistic(shifted)[columns]
+        return np.stack((masses, weighted, statistic(shifted)))
+
+    masses, weighted, rooted = gather_blocks(block, range(n_replicas),
+                                             np.empty((3, n_replicas)))
     mean_w, se_w = mean_se(weighted)
     mean_r, se_r = mean_se(rooted)
     se_d = mean_se(weighted - rooted)[1]
@@ -226,22 +229,16 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
 
 def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
-    """sum_i weight[root, i] * mass_i per replica, with the gamma chaos mass
-    and an n x n weight matrix over the atoms, streamed block by block.
+    """sum_i weight[root, i] * mass_i per replica of an index list, with the
+    gamma chaos mass and an n x n weight matrix over the atoms, streamed block
+    by block."""
+    check_replica_count(len(replicas))
 
-    replicas is a run of consecutive indices, such as range(start, stop).
-    """
-    replicas = np.asarray(replicas, dtype=np.int64)
-    start = int(replicas[0]) if replicas.size else 0
-    if not np.array_equal(replicas, np.arange(start, start + replicas.size)):
-        raise DomainError("replicas must be consecutive ascending indices")
-    sums = np.empty(replicas.size)
-    for key, positions, columns, values in replica_blocks(
-            model, base_seed, start, start + replicas.size):
-        masses = mass_columns(model, values, gamma)
-        roots = block_roots(model, base_seed, key)
-        sums[positions] = np.einsum("ki,ik->k", weight[roots], masses)[columns]
-    return sums
+    def block(key):
+        masses = mass_columns(model, block_field(model, base_seed, key), gamma)
+        return np.einsum("ki,ik->k", weight[block_roots(model, base_seed, key)], masses)
+
+    return gather_blocks(block, replicas, np.empty(len(replicas)))
 
 
 def mean_se(samples, axis: int = -1):

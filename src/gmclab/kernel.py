@@ -43,6 +43,9 @@ MAX_ATOMS = 4096
 TILE_ENTRIES = 2 ** 16
 # rows per strip of the factor check
 DEFECT_STRIP = 256
+# names the pair-matrix arithmetic in reports that sample nothing (markov);
+# bumped whenever a change moves any entry of a pair matrix
+KERNEL_VERSION = 1
 
 
 def _tile_rows(n: int) -> int:

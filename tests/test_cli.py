@@ -11,6 +11,7 @@ import pytest
 
 import gmclab.cli
 import gmclab.field
+import gmclab.kernel
 from gmclab import (AtomicMeasure, DiskKernel, build_covariance, d_energy,
                     generate_cantor_dust, load_measure, save_measure)
 
@@ -91,6 +92,20 @@ def test_generate_config_echo(files):
     assert rep["config"]["radius"] == 0.5
     assert rep["atoms"] == 16
     assert "timestamp" not in rep
+
+
+def test_generate_ignores_kind_and_out_config_keys(tmp_path, capsys):
+    # kind and --out are command-line only; a config file naming them is
+    # ignored like any key the subcommand does not take
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "cantor", "out": 5}))
+    out = tmp_path / "grid.csv"
+    assert gmclab.cli.main(["generate", "grid", "--n", "4", "--out", str(out),
+                            "--config", str(config), "--no-timestamp"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["kind"] == "grid"
+    assert rep["config"]["out"] == str(out)
+    assert load_measure(out).n == 16
 
 
 # ----------------------------------------------------------- energy/exponents
@@ -263,10 +278,13 @@ def test_verify_ineq_markov(files):
     proc = run_cli("verify-ineq", "--which", "markov", "--measure",
                    files["small"], "--radii", "0.5,0.7,0.9", "--no-timestamp")
     assert proc.returncode == 0
-    verdicts = report(proc)["verdicts"]
+    rep = report(proc)
+    verdicts = rep["verdicts"]
     assert len(verdicts) == 3
     assert all(v["pass"] for v in verdicts)
     assert verdicts[0]["name"] == "markov_psd(r=0.5)"
+    # it samples nothing, so the kernel arithmetic's version names its numbers
+    assert rep["kernel_version"] == gmclab.kernel.KERNEL_VERSION == 1
 
 
 def test_verify_ineq_fkg(files):
@@ -535,6 +553,15 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
         code = gmclab.cli.main([*argv, "--no-timestamp"])
         err = capsys.readouterr().err
         assert code == 0, (argv, err)
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text()
+    code = text.split("Library:\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("True ")
 
 
 HELP = (("-h", "--help"), "help", None, None)

@@ -13,7 +13,7 @@ from gmclab import (
     total_masses,
 )
 from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, block_field,
-                          normal_block, replica_blocks)
+                          gather_blocks, normal_block)
 
 SEED = 2024
 N_BIG = 100000
@@ -139,15 +139,24 @@ def test_block_field_is_the_whole_block(model4, aligned):
     assert np.array_equal(block_field(model4, SEED, 1), values[:, BATCH:])
 
 
-def test_replica_blocks_cut_a_range_at_block_edges(model4, aligned):
+def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
     _, values = aligned
-    cuts = []
-    for key, positions, columns, block in replica_blocks(model4, SEED, 1000, 2 * BATCH):
-        assert np.array_equal(block[:, columns], values[:, 1000:][:, positions])
-        cuts.append((key, positions, columns))
-    assert cuts == [(0, slice(0, 24), slice(1000, 1024)),
-                    (1, slice(24, 1048), slice(0, 1024))]
-    assert list(replica_blocks(model4, SEED, 5, 5)) == []
+    keys = []
+
+    def block(key):
+        keys.append(key)
+        return block_field(model4, SEED, key)
+
+    def gather(indices):
+        return gather_blocks(block, indices, np.empty((model4.n, len(indices))))
+
+    assert np.array_equal(gather(range(1000, 2 * BATCH)), values[:, 1000:])
+    assert keys == [0, 1]
+    keys.clear()
+    assert gather(range(5, 5)).shape == (model4.n, 0)
+    assert keys == []
+    stepped = range(1, 2 * BATCH, 3)
+    assert np.array_equal(gather(stepped), gather(list(stepped)))
 
 
 def test_empty_index_list(model4):

@@ -30,7 +30,7 @@ from gmclab.bounds import (laplace_transform, local_energy_samples, small_ball_t
 from gmclab.errors import ResourceLimitError
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
 from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, draw_roots, mass_columns,
-                        rooted_kernel_sums)
+                        mean_se, rooted_kernel_sums)
 from gmclab.inequalities import fkg_check, kahane_check
 from gmclab.kernel import offdiagonal_green
 
@@ -87,7 +87,7 @@ def test_total_masses_start_offset(model8):
     # block [10, 20) equals the tail of [0, 20)
     a = total_masses(model8, 0.8, SEED, 20)
     b = total_masses(model8, 0.8, SEED, 10, start=10)
-    assert np.allclose(a[10:], b, rtol=1e-13)
+    assert np.array_equal(a[10:], b)
 
 
 # -------------------------------------------------------------- root draws
@@ -369,6 +369,17 @@ def test_streamed_samplers_match_materialized_path(request, model_name, start, n
     rhs = np.sum(mass_columns(model, values + gamma * rows, gamma), axis=0)
     assert np.array_equal(rooted_identity_errors(model, SEED, start + n, gamma, gamma),
                           np.abs(lhs - rhs) / rhs)
+    # verify_change_of_measure likewise starts at 0; the mass statistic at the
+    # same gamma, so its sums are base_mass.sum(axis=0) over the same replicas
+    stat = clipped_mass_statistic(model, gamma, 2.0)
+    report = verify_change_of_measure(model, gamma, stat, start + n, SEED)
+    total = base_mass.sum(axis=0)
+    weighted = stat(values) * total / model.measure.total_mass
+    rooted = stat(values + gamma * rows)
+    assert (report.mean_weighted, report.se_weighted) == mean_se(weighted)
+    assert (report.mean_rooted, report.se_rooted) == mean_se(rooted)
+    assert report.se_difference == mean_se(weighted - rooted)[1]
+    assert report.effective_sample_size == total.sum() ** 2 / np.sum(total ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -422,9 +433,11 @@ def test_empty_range_draws_nothing(model20, monkeypatch, start):
     assert made == []
 
 
-def test_rooted_kernel_sums_refuses_a_gapped_run(model8):
-    with pytest.raises(DomainError):
-        rooted_kernel_sums(model8, SEED, [0, 2], 0.8, _singular_weight(model8, 1.5))
+def test_rooted_kernel_sums_take_any_index_list(model20, wide20):
+    # shuffled, duplicated and gapped, across both blocks
+    idx = [1500, 3, 3, BATCH - 1, 0, BATCH, 1500, 2 * BATCH - 1, 17]
+    sums = rooted_kernel_sums(model20, SEED, idx, 0.8, _singular_weight(model20, 1.5))
+    assert np.array_equal(sums, wide20["rooted_kernel_sums"][idx])
 
 
 def test_change_of_measure_memory_flat_in_replicas(grid16_model):
