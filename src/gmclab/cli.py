@@ -11,13 +11,21 @@ text, parameters with their defaults and the parameters that take a number
 list. The parser, the config-file keys and the report's ``config`` echo all
 derive from it; a parameter ``a_b`` is the flag ``--a-b``. ``_admitted`` is
 the one map from a parameter to the values it admits.
+
+From Python, ``main(argv)`` returns the exit code instead of exiting; only
+argparse's own usage errors and ``--help`` raise ``SystemExit`` as usual. It
+builds the parser once per process (``build_parser`` is cached), so repeated
+calls pay for the subparsers only once; the parser is shared and must not be
+mutated. A report, CSV or measure file that cannot be written exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import copy
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -111,6 +119,9 @@ def _admitted(key: str):
         least = INTEGER_KEYS[key]
         return (f"an integer >= {least}",
                 lambda v: _is_number(v) and isinstance(v, int) and v >= least, int)
+    if key == "tolerance":
+        return ("a finite number >= 0",
+                lambda v: _is_number(v) and _is_finite(v) and v >= 0, float)
     if key == "c":
         return ("a finite complex number",
                 lambda v: (_is_number(v) or isinstance(v, complex)) and _is_finite(v),
@@ -138,6 +149,17 @@ def _check_values(cfg: dict, lists: tuple) -> None:
                 items = value
         if not items or not all(map(test, items)):
             raise ValidationError(f"{key} must be {kind}, got {value!r}")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """The one place an output file that cannot be written (missing
+    directory, no permission) becomes a usage error, exit 2, instead of a
+    traceback with the exit code of a failed verdict."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_seed(cfg: dict) -> None:
@@ -201,7 +223,8 @@ def _cmd_generate(cfg, args) -> tuple[dict, dict, int]:
         echoed = ("c", "pixels", "max_iter")
     cfg = {"kind": args.kind, **{k: cfg[k] for k in ("radius", *echoed)},
            "out": args.measure_out}
-    measure_mod.save_measure(atoms, args.measure_out)
+    with _writing(args.measure_out):
+        measure_mod.save_measure(atoms, args.measure_out)
     payload = {"atoms": atoms.n, "total_mass": atoms.total_mass,
                "support_radius": atoms.support_radius}
     return cfg, payload, 0
@@ -238,8 +261,9 @@ def _cmd_laplace(cfg, args) -> tuple[dict, dict, int]:
     report = bounds.laplace_transform(model, cfg["gamma"], cfg["t"],
                                       cfg["replicas"], cfg["seed"])
     if args.csv:
-        write_plot_csv(args.csv, report.t_values, report.estimates,
-                       report.standard_errors, report.bound_values)
+        with _writing(args.csv):
+            write_plot_csv(args.csv, report.t_values, report.estimates,
+                           report.standard_errors, report.bound_values)
     return cfg, {"laplace": report, **_model_keys(model)}, 0
 
 
@@ -250,8 +274,9 @@ def _cmd_verify_bound(cfg, args) -> tuple[dict, dict, int]:
                                  cfg["delta"], cfg["replicas"], cfg["seed"],
                                  l2=bool(cfg["l2"]))
     if args.csv:
-        write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
-                       report.laplace.standard_errors, report.laplace.bound_values)
+        with _writing(args.csv):
+            write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
+                           report.laplace.standard_errors, report.laplace.bound_values)
     payload = {"bound": report, **_model_keys(model)}
     if report.trivial_pass:
         payload["warning"] = ("laplace estimates underflowed to zero at every "
@@ -407,7 +432,11 @@ COMMANDS = {
 # ----------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process from
+    ``COMMANDS``. The returned parser is shared by all callers and must not
+    be mutated; parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="gmclab",
         description="Monte Carlo laboratory for multiplicative chaos measures "
@@ -446,16 +475,16 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = _resolve(args, args.defaults, args.lists)
         cfg, payload, code = args.handler(cfg, args)
+        text = render_report(args.command, cfg, payload,
+                             timestamp=not args.no_timestamp)
+        if args.out:
+            with _writing(args.out), open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except GmcLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = render_report(args.command, cfg, payload,
-                         timestamp=not args.no_timestamp)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

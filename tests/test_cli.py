@@ -248,6 +248,26 @@ def test_verify_identity_impossible_tolerance(files):
     assert report(proc)["pass"] is False
 
 
+@pytest.mark.parametrize("config", [None, {"tolerance": -1}], ids=["flag", "config"])
+def test_verify_identity_negative_tolerance_exits_2(files, tmp_path, capsys,
+                                                    monkeypatch, config):
+    # refused while the parameters resolve, before any model is built
+    monkeypatch.setattr(gmclab.cli, "build_covariance", None)
+    argv = ["verify-identity", "--measure", str(files["small"]), "--gamma", "0.8",
+            "--gamma-prime", "0.8", "--replicas", "16", "--seed", str(SEED),
+            "--no-timestamp"]
+    if config is None:
+        argv += ["--tolerance", "-1"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: tolerance must be a finite number >= 0, got -1")
+
+
 # -------------------------------------------------------- change of measure
 
 
@@ -363,6 +383,39 @@ def test_out_writes_file(files):
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert json.loads(out.read_text())["command"] == "energy"
+
+
+def assert_cannot_write(proc, path):
+    """Exit 2 with one error line naming the path, and no traceback."""
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_out_in_missing_directory_exits_2(files):
+    out = files["root"] / "missing" / "report.json"
+    proc = run_cli("laplace", "--measure", files["small"], "--gamma", 0.8,
+                   "--t", 1.0, "--replicas", 16, "--seed", SEED, "--out", out)
+    assert_cannot_write(proc, out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("laplace", "--gamma", "0.8", "--t", "1.0"),
+    ("verify-bound", "--gamma", "0.8", "--d", "2.0", "--l2"),
+], ids=["laplace", "verify_bound"])
+def test_csv_in_missing_directory_exits_2(files, argv):
+    csv = files["root"] / "missing" / "plot.csv"
+    proc = run_cli(*argv, "--measure", files["small"], "--replicas", 16,
+                   "--seed", SEED, "--csv", csv)
+    assert_cannot_write(proc, csv)
+
+
+def test_generate_out_in_missing_directory_exits_2(files):
+    out = files["root"] / "missing" / "grid.csv"
+    proc = run_cli("generate", "grid", "--n", 4, "--out", out)
+    assert_cannot_write(proc, out)
 
 
 # ------------------------------------------------------------- thread parity
@@ -627,6 +680,64 @@ def test_flag_surface_is_pinned():
                     tuple(a.choices) if a.choices else None)
                    for a in sub._actions}
         assert surface == FLAG_SURFACE[name], name
+
+
+# ------------------------------------------------------------- shared parser
+
+
+def test_main_builds_the_parser_once(files, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    gmclab.cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert gmclab.cli.main(["energy", "--measure", str(files["small"]),
+                                "--d", "1.0", "--no-timestamp"]) == 0
+        assert gmclab.cli.main(["split", "--measure", str(files["small"]),
+                                "--no-timestamp"]) == 0
+    capsys.readouterr()
+    # the root parser and one per subcommand, all from the first call
+    assert len(built) == 1 + len(gmclab.cli.COMMANDS)
+    assert gmclab.cli.build_parser() is gmclab.cli.build_parser()
+
+
+def run_in_process(argv, capsys):
+    """(exit code, stdout, stderr) of gmclab.cli.main in this process."""
+    try:
+        code = gmclab.cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_shared_parser_keeps_calls_independent(files, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"t": [1.0, 4.0], "epsilon": 0.05}))
+    laplace = ("laplace", "--measure", str(files["small"]), "--gamma", "0.8",
+               "--replicas", "40", "--seed", str(SEED), "--no-timestamp")
+    sequence = [
+        ("laplace", "--bogus", "1"),
+        (*laplace, "--config", str(config)),
+        # exits 2 on the missing t unless the config file's t leaked over
+        laplace,
+        ("generate", "grid", "--n", "4", "--out", str(tmp_path / "g.csv"),
+         "--no-timestamp"),
+        ("verify-ineq", "--which", "markov", "--measure", str(files["small"]),
+         "--no-timestamp"),
+        (*laplace, "--config", str(config)),
+    ]
+    in_process = [run_in_process(argv, capsys) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [2, 0, 2, 0, 0, 0]
+    assert in_process[-1] == in_process[1]
+    for argv, result in zip(sequence, in_process):
+        proc = run_cli(*argv)
+        assert result == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 @pytest.mark.parametrize("argv, config", [
