@@ -12,11 +12,14 @@ list. The parser, the config-file keys and the report's ``config`` echo all
 derive from it; a parameter ``a_b`` is the flag ``--a-b``. ``_admitted`` is
 the one map from a parameter to the values it admits.
 
-From Python, ``main(argv)`` returns the exit code instead of exiting; only
-argparse's own usage errors and ``--help`` raise ``SystemExit`` as usual. It
-builds the parser once per process (``build_parser`` is cached), so repeated
-calls pay for the subparsers only once; the parser is shared and must not be
-mutated. A report, CSV or measure file that cannot be written exits 2.
+From Python, ``main(argv)`` returns the exit code instead of exiting, 2 for
+argparse's own usage errors too (unknown flag, bad value, missing
+subcommand), after the same usage text on stderr; only ``--help`` raises
+``SystemExit`` as usual. It builds the parser once per process
+(``build_parser`` is cached), so repeated calls pay for the subparsers only
+once; the parser is shared and must not be mutated. An output path (report,
+CSV or measure file) whose directory is missing or not writable, or that
+names a directory, exits 2 before any work is done, and no file is created.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import argparse
 import cmath
 import contextlib
 import copy
+import errno
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -160,6 +165,23 @@ def _writing(path):
         yield
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path) -> None:
+    """Refuse an output path that open(path, "w") would refuse for a missing
+    directory, a directory as path or no write permission, with _writing's
+    message, creating and truncating nothing."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    with _writing(path):
+        raise OSError(code, os.strerror(code), path)
 
 
 def _resolve_seed(cfg: dict) -> None:
@@ -432,12 +454,28 @@ COMMANDS = {
 # ----------------------------------------------------------------- parser
 
 
+class _UsageError(Exception):
+    """An argparse usage error whose message is already on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with usage errors raised to main, which returns 2,
+    instead of exiting; subparsers are made of the same class."""
+
+    def error(self, message):
+        # argparse prints the usage and the message, then exits 2
+        try:
+            super().error(message)
+        except SystemExit:
+            raise _UsageError(message) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process from
     ``COMMANDS``. The returned parser is shared by all callers and must not
     be mutated; parsing only reads it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmclab",
         description="Monte Carlo laboratory for multiplicative chaos measures "
                     "over atomic base measures on the unit disk")
@@ -474,6 +512,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = _resolve(args, args.defaults, args.lists)
+        for path in (args.out, getattr(args, "csv", None),
+                     getattr(args, "measure_out", None)):
+            if path:
+                _check_writable(path)
         cfg, payload, code = args.handler(cfg, args)
         text = render_report(args.command, cfg, payload,
                              timestamp=not args.no_timestamp)
@@ -484,6 +526,8 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except GmcLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _UsageError:
         return 2
     return code
 

@@ -8,17 +8,26 @@ field, r being the factor rank, and a (BATCH,) uniform array for the root.
 Substream 0 is reserved for root selection, substream 1 for the Gaussian
 vector itself.
 
-All field values come from block_field: the lower trapezoidal n x r factor
-times the whole block of normals, in row strips of STRIP atoms so the zero
-upper triangle is skipped. gather_blocks is the one map from a replica index
-to its block and column: every sampler hands it a function from a block key
-to that whole block's per-replica values (field columns, normals, roots or
-reduced scalars) and gets back the columns of the replicas it asked for.
-Replica k's numbers, and every per-replica scalar reduced from them, thus
-depend only on (base_seed, k), never on index order or which other replicas
-are drawn with it. Regenerating a lone replica costs one BATCH x r draw,
-about 55 ms at r = n = 2304, plus the factor product over its block, about
-80 ms at n = 2304 on two cores.
+All field values come from field_strips, the one loop over the block
+product: the lower trapezoidal n x r factor times the block's normals, in
+row strips of STRIP atoms so the zero upper triangle is skipped. Its callers
+reduce in one of two ways. block_field keeps every strip and returns the
+whole (n, BATCH) field; the rooted samplers need it, since a replica's root
+picks its row. A total-mass reducer (gmc.total_masses) writes each strip
+into one reused (STRIP, BATCH) buffer and reduces it to per-replica sums
+before the next strip, so no n x BATCH array of field values is ever held.
+Both may draw the normals into a (BATCH, r) buffer the caller owns
+(block_normals) and reuse it for every block.
+
+gather_blocks is the one map from a replica index to its block and column:
+every sampler hands it a function from a block key to that whole block's
+per-replica values (field columns, normals, roots or reduced scalars) and
+gets back the columns of the replicas it asked for. Replica k's numbers, and
+every per-replica scalar reduced from them, thus depend only on (base_seed,
+k), never on index order or which other replicas are drawn with it.
+Regenerating a lone replica costs one BATCH x r draw, about 55 ms at
+r = n = 2304, plus the factor product over its block, about 80 ms at
+n = 2304 on two cores.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports;
 the README's Reproducibility section tells what each version changed.
@@ -59,32 +68,59 @@ def replica_generator(base_seed: int, block_index: int,
     return np.random.Generator(np.random.Philox(seq))
 
 
-def block_field(model, base_seed: int, key: int) -> np.ndarray:
-    """Field values of the whole stream block key, one column per replica.
+def block_normals(base_seed: int, key: int, out: np.ndarray) -> np.ndarray:
+    """Draw stream block key's (BATCH, r) standard normals into out and return
+    them as the column-major (r, BATCH) view the factor multiplies."""
+    replica_generator(base_seed, key).standard_normal(out=out)
+    return out.T
 
-    The normals are the column-major view of the block's one (BATCH, r) draw,
-    r being the factor rank, so nothing is copied. The (n, BATCH) product runs
-    in row strips of STRIP atoms and skips the zero upper triangle of the
-    lower trapezoidal factor.
+
+def field_strips(model, z: np.ndarray, out: np.ndarray):
+    """Yield (lo, hi, rows) for each row strip [lo, hi) of STRIP atoms, rows
+    holding the factor's rows lo:hi times the normals z, r x BATCH.
+
+    rows is out[lo:hi] when out has a row per atom; otherwise out holds one
+    strip, rows is out[:hi - lo], and each strip overwrites the last, so the
+    caller consumes rows before asking for the next strip.
     """
     n, rank = model.factor.shape
-    z = replica_generator(base_seed, key).standard_normal((BATCH, rank)).T
-    product = np.empty((n, BATCH))
+    whole = len(out) >= n
     # rows [lo, hi) need only the factor's first min(hi, rank) columns and
     # normals, which the slices below take
     for lo in range(0, n, STRIP):
         hi = min(lo + STRIP, n)
-        np.matmul(model.factor[lo:hi, :hi], z[:hi], out=product[lo:hi])
-    return product
+        rows = out[lo:hi] if whole else out[:hi - lo]
+        np.matmul(model.factor[lo:hi, :hi], z[:hi], out=rows)
+        yield lo, hi, rows
+
+
+def block_field(model, base_seed: int, key: int, normals: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Field values of the whole stream block key, one column per replica.
+
+    The normals are drawn into normals, a (BATCH, r) array, r being the
+    factor rank, and the (n, BATCH) product is written into out; a caller
+    that owns both reuses them for every block, and either is allocated
+    here when not given.
+    """
+    n, rank = model.factor.shape
+    if normals is None:
+        normals = np.empty((BATCH, rank))
+    if out is None:
+        out = np.empty((n, BATCH))
+    for _ in field_strips(model, block_normals(base_seed, key, normals), out):
+        pass
+    return out
 
 
 def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
     """Fill out[..., j] with column indices[j] % BATCH of block(indices[j] //
     BATCH); block(key) returns that stream block's whole array, replicas
     last. block is called once per block the indices touch, in block order,
-    and its array is dropped before the next is made. A step-1 range is
-    walked as slices cut at block edges; any other index list is grouped by
-    block."""
+    and the columns asked for are copied out of its array before the next
+    block is made, so that array may be a view into a buffer block reuses.
+    A step-1 range is walked as slices cut at block edges; any other index
+    list is grouped by block."""
     if isinstance(indices, range) and indices.step == 1:
         start, stop = indices.start, indices.stop
         keys = range(start // BATCH, (stop - 1) // BATCH + 1) if stop > start else ()

@@ -6,6 +6,21 @@ base measure's total mass exactly. The rooted sampler draws a root atom with
 probability proportional to weight and shifts the field by gamma' times the
 root's covariance row; the discrete change-of-measure identity then holds
 replica by replica up to rounding.
+
+Every sampler reduces each stream block to per-replica values in one of two
+ways:
+
+- Total masses (total_masses, behind laplace, tail, fkg, kahane and the
+  Laplace stage of verify_bound) are reduced strip by strip as
+  field.field_strips forms the field: each strip of STRIP atoms becomes
+  masses in place and is added to the running per-replica sums, in the atom
+  order numpy's axis-0 sum of the whole block would use. No (n, BATCH)
+  array is held.
+- Rooted samplers (rooted_identity_errors, verify_change_of_measure,
+  rooted_kernel_sums) index the root's covariance or weight row, so they
+  hold the block's whole (n, BATCH) field, drawn into buffers the call owns,
+  and do the root-row work ROOT_CHUNK replicas at a time. Their sums run
+  along each replica's whole atom axis, so the chunk width moves no bit.
 """
 
 from __future__ import annotations
@@ -17,7 +32,8 @@ import numpy as np
 
 from . import field as field_mod
 from .errors import DomainError, ResourceLimitError
-from .field import FieldSample, block_field, gather_blocks, replica_generator
+from .field import (BATCH, STRIP, FieldSample, block_field, block_normals, field_strips,
+                    gather_blocks, replica_generator)
 
 # Replica ceiling: the most cells a per-replica array may hold, checked before
 # any is allocated. The largest such arrays are a command's N-length vectors
@@ -26,6 +42,10 @@ from .field import FieldSample, block_field, gather_blocks, replica_generator
 # float64 cells are 1 GiB; the default counts (at most 20k replicas, 25 t
 # values) use 500k.
 MAX_REPLICA_CELLS = 2 ** 27
+# replicas per chunk of a rooted sampler's root-row work, so its chunk arrays
+# hold ROOT_CHUNK x n values; not part of the stream definition, since each
+# per-replica sum runs over that replica's whole atom axis whatever the width
+ROOT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -90,11 +110,19 @@ def check_replica_count(n_replicas: int, rows: int = 1) -> None:
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
     """Per-atom masses for one field vector or for a matrix of field columns
     (atoms along the first axis, moved last by the transpose to broadcast)."""
-    masses = np.multiply(values.T, gamma)
-    masses -= 0.5 * gamma * gamma * model.diag_variance
-    np.exp(masses, out=masses)
-    masses *= model.measure.weights
-    return masses.T
+    return _masses_in_place(model, np.multiply(values.T, gamma), gamma).T
+
+
+def _masses_in_place(model, scaled: np.ndarray, gamma: float,
+                     atoms: slice = slice(None)) -> np.ndarray:
+    """Turn scaled = gamma * h, atoms last (the atoms of the slice atoms),
+    into masses in place: subtract the variance shift, exponentiate, weight.
+    Every mass is formed here, in this order, so it is the same double in
+    every sampler whatever the array's layout."""
+    scaled -= 0.5 * gamma * gamma * model.diag_variance[atoms]
+    np.exp(scaled, out=scaled)
+    scaled *= model.measure.weights[atoms]
+    return scaled
 
 
 def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
@@ -104,12 +132,40 @@ def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
 
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
-    """Total chaos mass for replicas start .. start+n_replicas-1."""
+    """Total chaos mass for replicas start .. start+n_replicas-1.
+
+    Each strip of field rows becomes masses in place in rows 1.. of one
+    (STRIP + 1, BATCH) buffer whose row 0 carries the running sums. Summing
+    the buffer over axis 0 adds the strip's masses to them atom by atom, the
+    order in which numpy sums a whole (n, BATCH) array over axis 0, so the
+    totals are mass_columns(...).sum(axis=0) bit for bit while only the
+    normals and one strip are held.
+    """
     check_replica_count(n_replicas)
-    return gather_blocks(
-        lambda key: mass_columns(model, block_field(model, base_seed, key),
-                                 gamma).sum(axis=0),
-        range(start, start + n_replicas), np.empty(n_replicas))
+    normals = np.empty((BATCH, model.factor_rank))
+    strip = np.empty((STRIP + 1, BATCH))
+    totals = np.empty(BATCH)
+
+    def block(key):
+        totals.fill(0.0)
+        z = block_normals(base_seed, key, normals)
+        for lo, hi, rows in field_strips(model, z, strip[1:]):
+            rows *= gamma
+            _masses_in_place(model, rows.T, gamma, slice(lo, hi))
+            strip[0] = totals
+            np.sum(strip[:hi - lo + 1], axis=0, out=totals)
+        return totals
+
+    return gather_blocks(block, range(start, start + n_replicas), np.empty(n_replicas))
+
+
+def _field_blocks(model, base_seed: int):
+    """block_field over one (BATCH, r) normals buffer and one (n, BATCH) field
+    buffer that every block of a sampler call reuses; a block's field is
+    consumed before the next is drawn."""
+    normals = np.empty((BATCH, model.factor_rank))
+    values = np.empty((model.n, BATCH))
+    return lambda key: block_field(model, base_seed, key, normals, values)
 
 
 def block_roots(model, base_seed: int, key: int) -> np.ndarray:
@@ -156,21 +212,29 @@ def verify_rooted_identity(model, base_seed: int, replica_index: int,
 
 def rooted_identity_errors(model, base_seed: int, n_replicas: int,
                            gamma: float, gamma_prime: float) -> np.ndarray:
-    """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized)."""
+    """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized).
+
+    Both sides are formed as (chunk, n) arrays, ROOT_CHUNK replicas at a
+    time, and summed along each replica's atoms.
+    """
     check_replica_count(n_replicas)
+    field = _field_blocks(model, base_seed)
+    errors = np.empty(BATCH)
 
     def block(key):
-        values = block_field(model, base_seed, key)
-        rows = model.matrix[block_roots(model, base_seed, key)].T
-        # in place, so the products keep the column-major layout of rows and
-        # at most four n x BATCH arrays are alive
-        lhs = np.exp(gamma * gamma_prime * rows)
-        lhs *= mass_columns(model, values, gamma)
-        lhs = lhs.sum(axis=0)
-        rows *= gamma_prime
-        rows += values
-        rhs = mass_columns(model, rows, gamma).sum(axis=0)
-        return np.abs(lhs - rhs) / rhs
+        values = field(key)
+        roots = block_roots(model, base_seed, key)
+        for lo in range(0, BATCH, ROOT_CHUNK):
+            h = values[:, lo:lo + ROOT_CHUNK]
+            rows = model.matrix[roots[lo:lo + ROOT_CHUNK]]
+            lhs = np.exp(gamma * gamma_prime * rows)
+            lhs *= mass_columns(model, h, gamma).T
+            rows *= gamma_prime
+            rows += h.T
+            rows *= gamma
+            rhs = _masses_in_place(model, rows, gamma).sum(axis=1)
+            errors[lo:lo + ROOT_CHUNK] = np.abs(lhs.sum(axis=1) - rhs) / rhs
+        return errors
 
     return gather_blocks(block, range(n_replicas), np.empty(n_replicas))
 
@@ -207,14 +271,19 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     gamma' masses m that weight the first branch.
     """
     check_replica_count(n_replicas, rows=3)
+    field = _field_blocks(model, base_seed)
+    sums = np.empty((3, BATCH))
 
     def block(key):
-        values = block_field(model, base_seed, key)
-        masses = mass_columns(model, values, gamma_prime).sum(axis=0)
-        weighted = statistic(values) * masses / model.measure.total_mass
-        shifted = gamma_prime * model.matrix[block_roots(model, base_seed, key)].T
-        shifted += values  # in place, as in rooted_identity_errors
-        return np.stack((masses, weighted, statistic(shifted)))
+        values = field(key)
+        sums[0] = mass_columns(model, values, gamma_prime).sum(axis=0)
+        sums[1] = statistic(values) * sums[0] / model.measure.total_mass
+        roots = block_roots(model, base_seed, key)
+        for lo in range(0, BATCH, ROOT_CHUNK):
+            shifted = gamma_prime * model.matrix[roots[lo:lo + ROOT_CHUNK]]
+            shifted += values[:, lo:lo + ROOT_CHUNK].T
+            sums[2, lo:lo + ROOT_CHUNK] = statistic(shifted.T)
+        return sums
 
     masses, weighted, rooted = gather_blocks(block, range(n_replicas),
                                              np.empty((3, n_replicas)))
@@ -231,12 +300,22 @@ def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
     """sum_i weight[root, i] * mass_i per replica of an index list, with the
     gamma chaos mass and an n x n weight matrix over the atoms, streamed block
-    by block."""
+    by block. The masses are formed in place in the block's field, and the
+    weight rows of the roots are taken ROOT_CHUNK replicas at a time."""
     check_replica_count(len(replicas))
+    field = _field_blocks(model, base_seed)
+    sums = np.empty(BATCH)
 
     def block(key):
-        masses = mass_columns(model, block_field(model, base_seed, key), gamma)
-        return np.einsum("ki,ik->k", weight[block_roots(model, base_seed, key)], masses)
+        masses = field(key)
+        masses *= gamma
+        _masses_in_place(model, masses.T, gamma)
+        roots = block_roots(model, base_seed, key)
+        for lo in range(0, BATCH, ROOT_CHUNK):
+            sums[lo:lo + ROOT_CHUNK] = np.einsum(
+                "ki,ik->k", weight[roots[lo:lo + ROOT_CHUNK]],
+                masses[:, lo:lo + ROOT_CHUNK])
+        return sums
 
     return gather_blocks(block, replicas, np.empty(len(replicas)))
 

@@ -418,6 +418,69 @@ def test_generate_out_in_missing_directory_exits_2(files):
     assert_cannot_write(proc, out)
 
 
+def _refuse_call(*args, **kwargs):
+    raise AssertionError("called although an output path cannot be written")
+
+
+@pytest.mark.parametrize("case", ["out_missing_dir", "out_is_dir", "out_under_file",
+                                  "csv_missing_dir", "csv_is_dir", "generate_out"])
+def test_unwritable_output_fails_before_any_work(files, tmp_path, capsys, monkeypatch,
+                                                 case):
+    # refused before the handler runs: neither a model build nor a sampler nor
+    # a measure generator may be called, and no file is created or truncated
+    monkeypatch.setattr(gmclab.cli, "build_covariance", _refuse_call)
+    monkeypatch.setattr(gmclab.cli.bounds, "laplace_transform", _refuse_call)
+    monkeypatch.setattr(gmclab.cli.measure_mod, "generate_uniform_grid", _refuse_call)
+    report = tmp_path / "report.json"
+    report.write_text("kept")
+    (tmp_path / "file").write_text("kept")
+    bad, reason = {
+        "out_missing_dir": (tmp_path / "missing" / "r.json", "No such file or directory"),
+        "out_is_dir": (tmp_path, "Is a directory"),
+        "out_under_file": (tmp_path / "file" / "r.json", "Not a directory"),
+        "csv_missing_dir": (tmp_path / "missing" / "p.csv", "No such file or directory"),
+        "csv_is_dir": (tmp_path, "Is a directory"),
+        "generate_out": (tmp_path / "missing" / "g.csv", "No such file or directory"),
+    }[case]
+    if case == "generate_out":
+        argv = ["generate", "grid", "--n", "4", "--out", str(bad)]
+    else:
+        argv = ["laplace", "--measure", str(files["small"]), "--gamma", "0.8",
+                "--t", "1.0", "--replicas", "400000", "--seed", str(SEED),
+                "--no-timestamp"]
+        argv += (["--out", str(bad)] if case.startswith("out")
+                 else ["--out", str(report), "--csv", str(bad)])
+    before = sorted(tmp_path.rglob("*"))
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {bad}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert report.read_text() == "kept"
+
+
+@pytest.mark.parametrize("argv", [
+    ["laplace", "--bogus", "1"],
+    ["laplace", "--replicas", "x"],
+    ["nosuch"],
+    [],
+], ids=["unknown_flag", "bad_type", "unknown_command", "no_command"])
+def test_usage_errors_return_2(capsys, argv):
+    # returned, not raised as SystemExit, with argparse's usage text
+    assert gmclab.cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: gmclab")
+    assert err.endswith("\n") and ": error: " in err.splitlines()[-1]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        gmclab.cli.main(["laplace", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gmclab laplace")
+
+
 # ------------------------------------------------------------- thread parity
 
 

@@ -440,6 +440,69 @@ def test_rooted_kernel_sums_take_any_index_list(model20, wide20):
     assert np.array_equal(sums, wide20["rooted_kernel_sums"][idx])
 
 
+def _rooted_outputs(model):
+    # every rooted sampler over replicas 0 .. BATCH + 99, across a block edge
+    weight = _singular_weight(model, 1.5)
+    report = verify_change_of_measure(model, 0.6, clipped_mass_statistic(model, 0.7, 2.0),
+                                      BATCH + 100, SEED)
+    return {
+        "rooted_identity_errors": rooted_identity_errors(model, SEED, BATCH + 100, 0.8, 0.6),
+        "verify_change_of_measure": np.array(
+            [report.mean_weighted, report.se_weighted, report.mean_rooted,
+             report.se_rooted, report.se_difference, report.effective_sample_size]),
+        "rooted_kernel_sums": rooted_kernel_sums(model, SEED, range(BATCH - 50, BATCH + 50),
+                                                 0.8, weight),
+    }
+
+
+@pytest.fixture(scope="module")
+def rooted20(model20):
+    return _rooted_outputs(model20)
+
+
+@pytest.mark.parametrize("width", [1, 7, BATCH])
+def test_root_chunk_width_moves_no_bit(model20, rooted20, monkeypatch, width):
+    # each per-replica sum runs over one replica's whole atom axis, so the
+    # chunk width is not part of the stream definition
+    monkeypatch.setattr(gmclab.gmc, "ROOT_CHUNK", width)
+    for name, value in _rooted_outputs(model20).items():
+        assert np.array_equal(value, rooted20[name]), name
+
+
+def _peak_bytes(call):
+    # a first call outside the trace, so one-time imports (numpy.random) and
+    # caches do not count
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def model24():
+    model = build_covariance(generate_uniform_grid(24, 0.8))
+    assert model.factor_rank == model.n
+    return model
+
+
+def test_total_masses_never_holds_a_block_of_field_values(model24):
+    # the normals (BATCH, n) and one strip of STRIP rows: under 1.6 blocks
+    block = model24.n * BATCH * 8
+    peak = _peak_bytes(lambda: total_masses(model24, 0.8, SEED, 2 * BATCH + 10))
+    assert peak < 1.6 * block
+
+
+def test_rooted_identity_errors_holds_at_most_two_blocks(model24):
+    # the owned normals and field, plus (ROOT_CHUNK, n) chunk arrays
+    block = model24.n * BATCH * 8
+    peak = _peak_bytes(lambda: rooted_identity_errors(model24, SEED, 2 * BATCH + 10,
+                                                      0.8, 0.8))
+    assert peak < 2.5 * block
+
+
 def test_change_of_measure_memory_flat_in_replicas(grid16_model):
     stat = clipped_mass_statistic(grid16_model, 0.6, 10.0)
 
