@@ -9,13 +9,15 @@ HypothesisViolationError and are meant to be treated as skips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
 from .gmc import check_replica_count, mean_se, total_masses
-from .kernel import DiskKernel, build_covariance, default_epsilon, markov_difference_psd
+from .kernel import (DiskKernel, _tile_rows, build_covariance, default_epsilon,
+                     markov_difference_psd)
 from .measure import AtomicMeasure
 
 ENTRY_SIGN_TOL = 1e-12
@@ -44,8 +46,9 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
     """
     if s <= 0 or t <= 0:
         raise DomainError("s and t must be > 0")
-    scale = max(1.0, float(np.abs(model.matrix).max()))
     worst = float(model.matrix.min())
+    # max|C| without an n x n temporary: max(-min, max) is exact
+    scale = max(1.0, -worst, float(model.matrix.max()))
     if worst < -ENTRY_SIGN_TOL * scale:
         raise HypothesisViolationError(
             f"covariance entry {worst:.3e} is negative; positive association "
@@ -59,6 +62,20 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
     threshold = -3.0 * se
     return InequalityVerdict("fkg", statistic, threshold, statistic >= threshold,
                              n_replicas, base_seed)
+
+
+def _least_gap(big: np.ndarray, small: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """min(big - small) and the first (i, j) in row order that attains it,
+    from one row tile of the gap at a time: no n x n temporary is formed."""
+    n = len(big)
+    rows = _tile_rows(n)
+    least, where = math.inf, (0, 0)
+    for lo in range(0, n, rows):
+        gap = big[lo:lo + rows] - small[lo:lo + rows]
+        k = int(np.argmin(gap))
+        if gap.flat[k] < least:
+            least, where = float(gap.flat[k]), (lo + k // n, k % n)
+    return least, where
 
 
 def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
@@ -91,10 +108,9 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         epsilon = default_epsilon(measure)
     small = build_covariance(measure, epsilon, DiskKernel(r_inner))
     big = build_covariance(measure, epsilon, DiskKernel(1.0))
-    gap = big.matrix - small.matrix
-    tol = ORDER_TOL * max(1.0, float(np.abs(big.matrix).max()))
-    if float(gap.min()) < -tol:
-        i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    tol = ORDER_TOL * max(1.0, -float(big.matrix.min()), float(big.matrix.max()))
+    least, (i, j) = _least_gap(big.matrix, small.matrix)
+    if least < -tol:
         raise HypothesisViolationError(
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")

@@ -15,12 +15,20 @@ eigh and eigvalsh of one matrix disagree on how many are positive. The
 factor keeps only those r eigenvectors, so it is lower trapezoidal, n x r,
 and a replica needs r normals, not n.
 
-Every matrix over atom pairs is written into one preallocated n x n array a
-tile of rows at a time (about TILE_ENTRIES entries per tile), so the
-temporaries of the elementwise formulas stay in cache instead of spanning
-n x n. Each entry comes from the same expression as an untiled evaluation,
-so the pair matrices are bit-identical to it. The factor check runs
-over row strips of the lower triangle; a build therefore holds about two
+Every matrix over atom pairs is filled into one preallocated n x n array
+from its lower triangle, a tile of rows at a time: tile [lo, hi) evaluates
+columns [0, hi) only, its diagonal tile in full, and mirrors its part left
+of that tile into the upper triangle. A full-width tile has about
+TILE_ENTRIES entries, so the temporaries of the elementwise formulas stay in
+cache. Each entry comes from the same expression as an untiled evaluation,
+and every formula is symmetric bit for bit, so the pair matrices are
+bit-identical to an untiled evaluation of all n**2 entries at about half its
+work. The symmetric LAPACK calls (cholesky, eigh, eigvalsh) get the
+F-ordered view matrix.T: numpy copies its input into a column-major buffer
+either way, and for that view the copy is contiguous instead of transposing,
+with the same numbers, so their results are bit-identical too. The factor
+check multiplies DEFECT_STRIP-square blocks of the lower triangle, each over
+only the factor columns its rows reach; a build therefore holds about two
 n x n arrays at its peak, the kernel matrix and its factor.
 """
 
@@ -33,15 +41,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceLimitError, SingularityError
-from .measure import AtomicMeasure, _pair_distance_blocks
+from .measure import AtomicMeasure, _lower_distance_rows
 
 # relative Frobenius tolerance the factor must reproduce the repaired matrix to
 FACTOR_RTOL = 1e-8
 # most atoms a kernel matrix is built for: each n x n matrix is then 134 MB
 MAX_ATOMS = 4096
-# entries per row tile of a pair matrix: its few temporaries then fit in cache
+# entries per full-width row tile of a pair matrix: its temporaries then fit in cache
 TILE_ENTRIES = 2 ** 16
-# rows per strip of the factor check
+# rows and columns per block of the factor check
 DEFECT_STRIP = 256
 # names the pair-matrix arithmetic in reports that sample nothing (markov);
 # bumped whenever a change moves any entry of a pair matrix
@@ -53,10 +61,24 @@ def _tile_rows(n: int) -> int:
     return max(8, TILE_ENTRIES // n)
 
 
-def _row_tiles(n: int) -> list[slice]:
-    """Slices of _tile_rows(n) rows covering n rows."""
+def _pair_matrix(n: int, fill_rows) -> np.ndarray:
+    """An n x n matrix over atom pairs from its lower triangle, a row tile at a time.
+
+    fill_rows(lo, hi, out) writes rows [lo, hi) over columns [0, hi), its
+    diagonal tile in full, into out = matrix[lo:hi, :hi]; the tile's part
+    left of the diagonal tile is then mirrored into the upper triangle. Every
+    pair formula here is symmetric bit for bit, so the mirror writes the very
+    entries a full-row evaluation would. A matrix of one tile (n <= 256) is
+    filled in one call and needs no mirror.
+    """
+    out = np.empty((n, n))
     rows = _tile_rows(n)
-    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        fill_rows(lo, hi, out[lo:hi, :hi])
+        if lo:
+            out[:lo, lo:hi] = out[lo:hi, :lo].T
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,32 +109,27 @@ class DiskKernel:
             return 0.0
         return math.log(abs(r * r - x * y.conjugate()) / r)
 
-    def _smooth_rows(self, positions: np.ndarray, tile: slice, out=None) -> np.ndarray:
-        """The rows tile of smooth_matrix, in real arithmetic."""
+    def _smooth_rows(self, positions: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+        """Rows [lo, hi) of smooth_matrix over columns [0, hi), in real arithmetic."""
         r = self.radius
-        x, y = positions.real, positions.imag
-        xi, yi = x[tile, None], y[tile, None]
+        x, y = positions.real[:hi], positions.imag[:hi]
+        xi, yi = x[lo:hi, None], y[lo:hi, None]
         re = r * r - xi * x - yi * y
         im = yi * x - xi * y
         return np.log(np.sqrt(re * re + im * im) / r, out=out)
 
     def smooth_matrix(self, positions: np.ndarray) -> np.ndarray:
         """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
-        n = positions.size
-        out = np.empty((n, n))
-        for tile in _row_tiles(n):
-            self._smooth_rows(positions, tile, out=out[tile])
-        return out
+        return _pair_matrix(positions.size,
+                            lambda lo, hi, out: self._smooth_rows(positions, lo, hi, out=out))
 
     def entry_matrix(self, positions: np.ndarray, epsilon: float) -> np.ndarray:
         """Vectorized regularized entries for all atom pairs (diagonal included)."""
-        n = positions.size
-        out = np.empty((n, n))
-        for tile in _row_tiles(n):
-            self._smooth_rows(positions, tile, out=out[tile])
-            dist = np.abs(positions[tile, None] - positions)
-            out[tile] -= np.log(np.maximum(dist, epsilon, out=dist), out=dist)
-        return out
+        def fill_rows(lo, hi, out):
+            self._smooth_rows(positions, lo, hi, out=out)
+            dist = np.abs(positions[lo:hi, None] - positions[:hi])
+            out -= np.log(np.maximum(dist, epsilon, out=dist), out=dist)
+        return _pair_matrix(positions.size, fill_rows)
 
 
 UNIT_DISK = DiskKernel(1.0)
@@ -168,8 +185,12 @@ def _eigen_clip(matrix: np.ndarray):
     over the r eigenvalues above the cut, so that root @ root.T is repaired.
     Dropping the eigenvalues in (0, cut] moves the matrix by at most their
     sum; clip_magnitude still counts only the negative ones.
+
+    matrix must be symmetric: eigh gets its F-ordered view matrix.T, which
+    numpy copies into LAPACK's column-major buffer without transposing, and
+    reads that buffer's lower triangle, the upper triangle of matrix.
     """
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+    eigvals, eigvecs = np.linalg.eigh(matrix.T)
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
     cut = len(eigvals) * np.finfo(np.float64).eps * max(eig_max, 0.0)
     # eigh sorts ascending, so the eigenvalues above the cut are a tail
@@ -179,7 +200,8 @@ def _eigen_clip(matrix: np.ndarray):
 
 
 def clip_to_psd(matrix: np.ndarray):
-    """Eigenvalue clip at eigh's rounding level, n * eps * max(lam_max, 0).
+    """Eigenvalue clip of a symmetric matrix at eigh's rounding level,
+    n * eps * max(lam_max, 0).
 
     Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
     is the size of the most negative eigenvalue removed (0.0 if none); the
@@ -189,20 +211,24 @@ def clip_to_psd(matrix: np.ndarray):
 
 
 def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:
-    """||factor @ factor.T - matrix||_F from row strips of the lower triangle.
+    """||factor @ factor.T - matrix||_F from DEFECT_STRIP-square blocks of the
+    lower triangle.
 
-    factor is lower trapezoidal, so strip rows [lo, hi) need only its first hi
-    columns. Both products are symmetric, so each block left of the diagonal
-    counts twice: the strip twice, less its diagonal block once. No n x n
-    temporary is formed.
+    factor is lower trapezoidal, so its rows [jlo, jhi) vanish beyond column
+    jhi and the block at rows [lo, hi), columns [jlo, jhi) needs only the
+    first jhi columns of either operand. Both products are symmetric, so each
+    block left of the diagonal counts twice and each diagonal block once. No
+    n x n temporary is formed.
     """
+    n = len(matrix)
     total = 0.0
-    for lo in range(0, len(matrix), DEFECT_STRIP):
-        hi = min(lo + DEFECT_STRIP, len(matrix))
-        strip = factor[lo:hi, :hi] @ factor[:hi, :hi].T
-        strip -= matrix[lo:hi, :hi]
-        block = strip[:, lo:]
-        total += 2.0 * np.vdot(strip, strip) - np.vdot(block, block)
+    for lo in range(0, n, DEFECT_STRIP):
+        hi = min(lo + DEFECT_STRIP, n)
+        for jlo in range(0, lo + 1, DEFECT_STRIP):
+            jhi = min(jlo + DEFECT_STRIP, n)
+            block = factor[lo:hi, :jhi] @ factor[jlo:jhi, :jhi].T
+            block -= matrix[lo:hi, jlo:jhi]
+            total += (1.0 if jlo == lo else 2.0) * np.vdot(block, block)
     return math.sqrt(total)
 
 
@@ -237,9 +263,10 @@ class CovarianceModel:
     @cached_property
     def eig_range(self) -> tuple[float, float]:
         """(eig_min_raw, eig_max) of the raw matrix: from the clipped build's
-        eigh, else one eigvalsh of matrix, which then is the raw matrix."""
+        eigh, else one eigvalsh of matrix, which then is the raw matrix
+        (through its F-ordered view, as in build_covariance)."""
         if self.known_eig_range is None:
-            eigvals = np.linalg.eigvalsh(self.matrix)
+            eigvals = np.linalg.eigvalsh(self.matrix.T)
             return float(eigvals[0]), float(eigvals[-1])
         return self.known_eig_range
 
@@ -261,7 +288,10 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
             raise DomainError("atom outside the kernel domain")
     matrix = green.entry_matrix(measure.positions, epsilon)
     try:
-        factor = np.linalg.cholesky(matrix)
+        # matrix is symmetric bit for bit, so its F-ordered view matrix.T
+        # fills LAPACK's column-major buffer with the same numbers by a
+        # contiguous copy instead of a transposing one
+        factor = np.linalg.cholesky(matrix.T)
         clip_magnitude, eig_range = 0.0, None
     except np.linalg.LinAlgError:
         # root @ root.T == repaired, so the r x n root.T = Q R gives the
@@ -288,21 +318,19 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
 def pair_distances(positions: np.ndarray) -> np.ndarray:
     """|p_i - p_j| over all atom pairs with an infinite diagonal, so that
     dist**-beta and the ball test dist <= r leave each atom itself out."""
-    n = positions.size
-    dist = np.empty((n, n))
-    for start, block in _pair_distance_blocks(positions, rows=_tile_rows(n)):
-        dist[start:start + len(block)] = block
-    return dist
+    return _pair_matrix(positions.size,
+                        lambda lo, hi, out: _lower_distance_rows(positions, lo, hi, out=out))
 
 
 def offdiagonal_green(positions: np.ndarray):
     """(green, dist): the unit-disk Green matrix between distinct atoms, 0 on
     the diagonal, and pair_distances(positions)."""
     dist = pair_distances(positions)
-    green = np.empty_like(dist)
-    for tile in _row_tiles(positions.size):
-        UNIT_DISK._smooth_rows(positions, tile, out=green[tile])
-        green[tile] -= np.log(dist[tile])
+
+    def fill_rows(lo, hi, out):
+        UNIT_DISK._smooth_rows(positions, lo, hi, out=out)
+        out -= np.log(dist[lo:hi, :hi])
+    green = _pair_matrix(positions.size, fill_rows)
     np.fill_diagonal(green, 0.0)
     return green, dist
 
@@ -321,11 +349,13 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
         raise DomainError("every atom must satisfy |p| < r")
     _check_atom_count(measure)
     positions, subdisk = measure.positions, DiskKernel(r)
-    diff = np.empty((measure.n, measure.n))
-    for tile in _row_tiles(measure.n):
-        UNIT_DISK._smooth_rows(positions, tile, out=diff[tile])
-        diff[tile] -= subdisk._smooth_rows(positions, tile)
-    eigvals = np.linalg.eigvalsh(diff)
+
+    def fill_rows(lo, hi, out):
+        UNIT_DISK._smooth_rows(positions, lo, hi, out=out)
+        out -= subdisk._smooth_rows(positions, lo, hi)
+    diff = _pair_matrix(measure.n, fill_rows)
+    # diff is symmetric bit for bit: its F-ordered view is a contiguous copy
+    eigvals = np.linalg.eigvalsh(diff.T)
     min_eig, max_eig = float(eigvals[0]), float(eigvals[-1])
     psd = min_eig >= -1e-8 * max(max_eig, 0.0)
     return diff, min_eig, max_eig, psd

@@ -77,9 +77,19 @@ class AtomicMeasure:
 
     def min_pair_distance(self) -> float:
         """Smallest distance between two distinct atoms; inf for a single atom."""
-        # a min does not depend on the block shape; small blocks stay in cache
-        return min(float(dist.min())
-                   for _, dist in _pair_distance_blocks(self.positions, rows=256))
+        # a min does not depend on the block shape; small blocks stay in cache,
+        # and each pair is seen once, in the lower triangle
+        n, rows = self.n, 256
+        return min(float(_lower_distance_rows(self.positions, lo, min(lo + rows, n)).min())
+                   for lo in range(0, n, rows))
+
+
+def _lower_distance_rows(positions: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
+    """dist[i - lo, j] = |p_i - p_j| for rows i in [lo, hi) and columns j < hi,
+    inf at j = i."""
+    dist = np.abs(positions[lo:hi, None] - positions[:hi], out=out)
+    np.fill_diagonal(dist[:, lo:], math.inf)
+    return dist
 
 
 def _pair_distance_blocks(positions: np.ndarray, rows: int = 1024):

@@ -1,9 +1,11 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gmclab.inequalities
 from gmclab import (
     AtomicMeasure,
     DomainError,
@@ -118,6 +120,28 @@ def test_kahane_rejects(cantor3):
         kahane_check(cantor3, 0.6, 1.5, 5.0, 100, SEED)
     with pytest.raises(DomainError):
         kahane_check(cantor3, 0.6, 0.5, 0.0, 100, SEED)
+
+
+def test_kahane_ordering_error_names_first_least_gap(cantor3, monkeypatch):
+    # 600-atom matrices, gapped by row tiles: the least gap -2 is reached at
+    # (3, 500) and three more entries, and (3, 500) comes first in row order,
+    # as np.argmin over the whole gap reads it
+    rng = np.random.default_rng(SEED)
+    big = rng.random((600, 600))
+    big = big + big.T
+    small = big - 1.0
+    for i, j, gap in [(3, 500, 2.0), (100, 7, 2.0), (20, 400, 1.0)]:
+        small[i, j] = small[j, i] = big[i, j] + gap
+    gap = big - small
+    i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
+    assert (i, j) == (3, 500)
+    expected = (f"post-repair kernel ordering violated at entry ({i}, {j}): "
+                f"{small[i, j]:.12g} > {big[i, j]:.12g}")
+    models = {0.5: SimpleNamespace(matrix=small), 1.0: SimpleNamespace(matrix=big)}
+    monkeypatch.setattr(gmclab.inequalities, "build_covariance",
+                        lambda measure, epsilon, green: models[green.radius])
+    with pytest.raises(HypothesisViolationError, match=re.escape(expected) + "$"):
+        kahane_check(cantor3, 0.6, 0.5, 5.0, 100, SEED, epsilon=0.05)
 
 
 def test_kahane_reproducible(cantor3):

@@ -499,9 +499,83 @@ def test_tiled_green_and_distances_equal_untiled(tile_points):
     assert measure.min_pair_distance() == dist.min()
 
 
+def _record_calls(monkeypatch, name):
+    """(arguments, results) of the np.linalg.<name> calls made from here on;
+    a call that raises leaves its argument and no result."""
+    arguments, results, real = [], [], getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        arguments.append(a)
+        results.append(real(a, *args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return arguments, results
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.05], ids=["default_epsilon", "epsilon_0.05"])
+def test_lapack_input_view_is_bit_identical(tile_points, epsilon, monkeypatch):
+    # every symmetric LAPACK call gets the F-ordered view matrix.T; its
+    # results must equal those for the C-ordered matrix bit for bit
+    p = tile_points
+    measure = AtomicMeasure(p, np.ones(p.size))
+    raw = DiskKernel(1.0).entry_matrix(p, epsilon or default_epsilon(measure))
+    assert raw.flags.c_contiguous
+    calls = {name: _record_calls(monkeypatch, name) for name in ("cholesky", "eigh")}
+    model = build_covariance(measure, epsilon)
+    monkeypatch.undo()
+    for arguments, _ in calls.values():
+        assert all(a.flags.f_contiguous for a in arguments)
+    # the 257- and 2304-atom sets clip at epsilon 0.05, and no set clips at
+    # its default epsilon
+    clipped = epsilon is not None and p.size > 2
+    assert (model.clip_magnitude > 0.0) == clipped
+    assert len(calls["cholesky"][0]) == 1
+    if clipped:
+        assert not calls["cholesky"][1]
+        [(eigvals, eigvecs)] = calls["eigh"][1]
+        expected_vals, expected_vecs = np.linalg.eigh(raw)
+        assert np.array_equal(eigvals, expected_vals)
+        assert np.array_equal(eigvecs, expected_vecs)
+        assert (model.eig_min_raw, model.eig_max) == (eigvals[0], eigvals[-1])
+    else:
+        assert not calls["eigh"][0]
+        assert np.array_equal(model.factor, np.linalg.cholesky(raw))
+
+
+def test_markov_eigenvalues_from_view_are_bit_identical(tile_points, monkeypatch):
+    measure = AtomicMeasure(tile_points, np.ones(tile_points.size))
+    arguments, results = _record_calls(monkeypatch, "eigvalsh")
+    diff, min_eig, max_eig, _ = markov_difference_psd(measure, 0.5)
+    monkeypatch.undo()
+    assert diff.flags.c_contiguous
+    [given], [eigvals] = arguments, results
+    assert given.flags.f_contiguous
+    assert np.array_equal(eigvals, np.linalg.eigvalsh(diff))
+    assert (min_eig, max_eig) == (eigvals[0], eigvals[-1])
+
+
 def test_strip_defect_matches_full_norm():
     # 625 atoms: two full 256-row strips and a partial one
     matrix = build_covariance(generate_uniform_grid(25, 0.8)).matrix
+    rng = np.random.default_rng(SEED)
+    factor = np.linalg.cholesky(matrix) + 1e-3 * np.tril(rng.standard_normal(matrix.shape))
+    full = np.linalg.norm(factor @ factor.T - matrix)
+    assert gmclab.kernel._factor_defect(factor, matrix) == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, rank", [(625, 139), (257, 257), (1, 1)])
+def test_block_defect_matches_full_norm_on_trapezoidal_factors(n, rank):
+    # neither n nor rank a multiple of DEFECT_STRIP; blocks then end mid-strip
+    rng = np.random.default_rng(SEED + n)
+    factor = np.tril(rng.standard_normal((n, rank)))
+    matrix = factor @ factor.T
+    factor += 1e-3 * np.tril(rng.standard_normal((n, rank)))
+    full = np.linalg.norm(factor @ factor.T - matrix)
+    assert gmclab.kernel._factor_defect(factor, matrix) == pytest.approx(full, rel=1e-12)
+
+
+def test_block_defect_matches_full_norm_at_2304_atoms():
+    matrix = build_covariance(generate_uniform_grid(48, 0.8)).matrix
     rng = np.random.default_rng(SEED)
     factor = np.linalg.cholesky(matrix) + 1e-3 * np.tril(rng.standard_normal(matrix.shape))
     full = np.linalg.norm(factor @ factor.T - matrix)

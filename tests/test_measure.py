@@ -12,6 +12,7 @@ from gmclab import (
     ValidationError,
     build_covariance,
     d_energy,
+    default_epsilon,
     generate_cantor_dust,
     generate_julia_boundary,
     generate_uniform_grid,
@@ -67,6 +68,26 @@ def test_min_pair_distance(grid8, single_atom):
     xs = np.unique(grid8.positions.real)
     assert grid8.min_pair_distance() == pytest.approx(xs[1] - xs[0], rel=1e-14)
     assert math.isinf(single_atom.min_pair_distance())
+
+
+@pytest.mark.parametrize("pair", [(10, 300), (255, 256), (300, 400), (0, 599)],
+                         ids=["across_block_edge", "at_block_edge", "in_diagonal_block",
+                              "last_row"])
+def test_min_pair_distance_at_block_edges(pair):
+    # 600 atoms on a 25 x 24 grid of spacing 0.03, then atom j moved 0.001
+    # from atom i: (i, j) is the unique closest pair. The scan reads lower
+    # blocks of 256 rows, so i and j sit on both sides of a block edge, or
+    # both inside one diagonal block
+    i, j = pair
+    xs, ys = 0.03 * (np.arange(25) - 12), 0.03 * (np.arange(24) - 11.5)
+    p = (xs[:, None] + 1j * ys[None, :]).ravel()
+    p[j] = p[i] + 0.001 * np.exp(0.3j)
+    measure = AtomicMeasure(p, np.ones(p.size))
+    dist = np.abs(p[:, None] - p)
+    np.fill_diagonal(dist, math.inf)
+    assert np.argwhere(dist == dist.min()).tolist() == [[i, j], [j, i]]
+    assert measure.min_pair_distance() == dist.min()
+    assert default_epsilon(measure) == dist.min() / 2.0
 
 
 # -------------------------------------------------------------- generators
