@@ -30,7 +30,10 @@ r = n = 2304, plus the factor product over its block, about 80 ms at
 n = 2304 on two cores.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports;
-the README's Reproducibility section tells what each version changed.
+the README's Reproducibility section tells what each version changed. The
+current version, 8, keeps version 7's keying and strip product; it moved
+only the factor of a clipped model, whose eigenpairs now come from the
+kernel's range finder under a cut in a window of [1e-9, 1e-7] * lam_max.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it

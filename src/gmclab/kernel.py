@@ -7,13 +7,23 @@ scale epsilon gives a finite covariance matrix whose diagonal
     log(1/epsilon) + log((R**2 - |x|**2)/R)
 matches the variance of a circle average at radius epsilon. build_covariance
 factors it by Cholesky when it is positive definite, as a grid's is at the
-default epsilon; otherwise one eigendecomposition clips the eigenvalues and
-gives both the repaired matrix and its factor. The clip keeps the r
-eigenvalues above eigh's rounding level n * eps * lam_max (the tolerance
-np.linalg.matrix_rank uses), since the signs of those below it are noise:
+default epsilon; otherwise it clips the eigenvalues, and the kept eigenpairs
+give both the repaired matrix and its factor. The clip keeps the r
+eigenvalues above a cut in the widest ratio gap among the eigenvalues in
+[1e-9, 1e-7] * lam_max (CUT_WINDOW), since those far below lam_max are noise:
 eigh and eigvalsh of one matrix disagree on how many are positive. The
 factor keeps only those r eigenvectors, so it is lower trapezoidal, n x r,
 and a replica needs r normals, not n.
+
+When r is small, as on Cantor dust at a coarse epsilon, the eigenpairs come
+from a deterministic randomized range finder (_range_clip): a basis of the
+matrix's dominant eigenvectors grows in blocks until a fresh sketch shows no
+eigenvalue above RANGE_RTOL * ||C||_F left out, a row-strip check certifies
+that, and eigh of the small projected matrix gives Ritz pairs. The clipped
+matrix then lies within about 1e-10 * ||C||_F of the eigh clip. When the
+basis would pass n / 4 columns, when its residual shrinks too slowly to stay
+within that, or when it fails its check, one eigh of the whole matrix gives
+the eigenpairs instead.
 
 Every matrix over atom pairs is filled into one preallocated n x n array
 from its lower triangle, a tile of rows at a time: tile [lo, hi) evaluates
@@ -54,6 +64,17 @@ DEFECT_STRIP = 256
 # names the pair-matrix arithmetic in reports that sample nothing (markov);
 # bumped whenever a change moves any entry of a pair matrix
 KERNEL_VERSION = 1
+# columns per block of the range finder of a clipped build
+RANGE_BLOCK = 32
+# relative Frobenius residual at which the range finder stops and which its
+# basis must certify; it resolves no eigenvalue below about this * ||C||_F
+RANGE_RTOL = 1e-9
+# seed of the range finder's Gaussian test blocks, fixed so that a model is a
+# deterministic function of (measure, epsilon, kernel)
+SKETCH_SEED = 0
+# the clip cuts in the widest ratio gap among the eigenvalues in this window,
+# in units of lam_max
+CUT_WINDOW = (1e-9, 1e-7)
 
 
 def _tile_rows(n: int) -> int:
@@ -175,39 +196,148 @@ def default_epsilon(measure: AtomicMeasure) -> float:
     return gap / 2.0
 
 
-def _eigen_clip(matrix: np.ndarray):
-    """One eigh, eigenvalues at or below eigh's rounding level set to zero.
+def _clip_cut(eigvals: np.ndarray) -> float:
+    """The clip's cut for ascending eigenvalues: the geometric midpoint of the
+    widest ratio gap between neighbours among those inside CUT_WINDOW *
+    lam_max, the window's two ends counting as neighbours.
 
-    The cut is n * eps * max(lam_max, 0), the tolerance np.linalg.matrix_rank
-    uses: eigh's eigenvalues carry errors of about that size, so the signs of
-    those below it are arbitrary. Returns (repaired, clip_magnitude, eig_min,
-    eig_max, root) with the n x r root = V[:, lam > cut] sqrt(lam[lam > cut])
-    over the r eigenvalues above the cut, so that root @ root.T is repaired.
-    Dropping the eigenvalues in (0, cut] moves the matrix by at most their
-    sum; clip_magnitude still counts only the negative ones.
+    The same rule serves eigh's eigenvalues and the range finder's Ritz
+    values: the window starts above the range finder's resolution, so noise
+    Ritz values never reach it, and a cut in the widest gap keeps r where
+    another solver's small errors cannot move it. With no eigenvalue in the
+    window the cut is the window's geometric middle. A matrix with no
+    positive eigenvalue gets the cut 0 and keeps nothing.
+    """
+    eig_max = float(eigvals[-1])
+    if eig_max <= 0.0:
+        return 0.0
+    lo, hi = CUT_WINDOW[0] * eig_max, CUT_WINDOW[1] * eig_max
+    ends = np.concatenate(([lo], eigvals[(eigvals > lo) & (eigvals < hi)], [hi]))
+    widest = int(np.argmax(ends[1:] / ends[:-1]))
+    return math.sqrt(ends[widest] * ends[widest + 1])
+
+
+def _clipped_root(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """(root, clip_magnitude, eig_min, eig_max) from ascending eigenpairs:
+    root = V[:, lam > cut] sqrt(lam[lam > cut]) over the r eigenvalues above
+    _clip_cut, so that root @ root.T is the clipped matrix. clip_magnitude
+    counts only the negative eigenvalues; those in (0, cut] are dropped too.
+    """
+    eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
+    # the eigenvalues above the cut are a tail of the ascending eigvals
+    first = int(np.searchsorted(eigvals, _clip_cut(eigvals), side="right"))
+    root = eigvecs[:, first:] * np.sqrt(eigvals[first:])
+    return root, max(0.0, -eig_min), eig_min, eig_max
+
+
+def _eigen_clip(matrix: np.ndarray):
+    """_clipped_root of one eigh of the whole matrix.
 
     matrix must be symmetric: eigh gets its F-ordered view matrix.T, which
     numpy copies into LAPACK's column-major buffer without transposing, and
     reads that buffer's lower triangle, the upper triangle of matrix.
     """
-    eigvals, eigvecs = np.linalg.eigh(matrix.T)
-    eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
-    cut = len(eigvals) * np.finfo(np.float64).eps * max(eig_max, 0.0)
-    # eigh sorts ascending, so the eigenvalues above the cut are a tail
-    first = int(np.searchsorted(eigvals, cut, side="right"))
-    root = eigvecs[:, first:] * np.sqrt(eigvals[first:])
-    return root @ root.T, max(0.0, -eig_min), eig_min, eig_max, root
+    return _clipped_root(*np.linalg.eigh(matrix.T))
+
+
+def _orthonormal_block(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of block's part orthogonal to the orthonormal
+    columns of basis: block Gram-Schmidt and a QR, then Gram-Schmidt once
+    more. The QR leaves the columns orthogonal to basis only to about
+    machine epsilon times the share the first projection removed; the
+    second projection mends that, and moves the columns' inner products by
+    about the square of that loss."""
+    block -= basis @ (basis.T @ block)
+    block = np.linalg.qr(block)[0]
+    block -= basis @ (basis.T @ block)
+    return block
+
+
+def _range_defect(matrix: np.ndarray, basis: np.ndarray, product: np.ndarray) -> float:
+    """||matrix - basis @ product.T||_F, with product = matrix @ basis, from
+    DEFECT_STRIP-row strips: ||(I - Q Q^T) C||_F for symmetric C, with no
+    n x n temporary."""
+    n = len(matrix)
+    total = 0.0
+    for lo in range(0, n, DEFECT_STRIP):
+        hi = min(lo + DEFECT_STRIP, n)
+        strip = basis[lo:hi] @ product.T
+        strip -= matrix[lo:hi]
+        total += np.vdot(strip, strip)
+    return math.sqrt(total)
+
+
+def _range_clip(matrix: np.ndarray):
+    """_clipped_root from a randomized range finder and a Rayleigh-Ritz step,
+    or None when the build needs the full eigh.
+
+    The range finder (Halko, Martinsson and Tropp, SIAM Review 2011, in the
+    blocked adaptive form of Martinsson and Voronin, SISC 2016) grows an
+    orthonormal basis Q of the symmetric matrix C's dominant eigenvectors,
+    RANGE_BLOCK columns at a time. Each block starts from a fresh Gaussian
+    test block Omega drawn from SKETCH_SEED; once its residual
+    ||(I - Q Q^T) C Omega||_F is at most RANGE_RTOL * ||C||_F, Q holds every
+    eigenvalue that matters and the search stops. Otherwise one power step,
+    C times that residual, is made orthonormal against Q and appended. eigh
+    of the small Q^T C Q then gives the Ritz pairs.
+
+    The sketch only estimates the residual, so the basis is certified
+    deterministically: ||C - Q (C Q)^T||_F must be at most RANGE_RTOL *
+    ||C||_F too. None is returned when the basis fails that certificate or
+    would pass n / 4 columns, where eigh is about as fast. None is returned
+    early when the last block shrank the residual so little that, shrinking
+    at that rate, it would reach the tolerance only past n / 2 columns: a
+    slowly decaying spectrum then costs a few blocks on top of the eigh, not
+    n / 4 columns' worth.
+    """
+    n = len(matrix)
+    rng = np.random.default_rng(SKETCH_SEED)
+    tolerance = RANGE_RTOL * float(np.linalg.norm(matrix))
+    basis = np.empty((n, n // 4))
+    k, previous = 0, math.inf
+    while True:
+        residual = matrix @ rng.standard_normal((n, RANGE_BLOCK))
+        residual -= basis[:, :k] @ (basis[:, :k].T @ residual)
+        norm = float(np.linalg.norm(residual))
+        if k and norm <= tolerance:
+            break
+        if k + RANGE_BLOCK > basis.shape[1]:
+            return None
+        if k:
+            # the residual shrank by rate over the last block; at that rate it
+            # reaches the tolerance after blocks_left more
+            rate = previous / norm
+            blocks_left = math.log(norm / tolerance) / math.log(rate) if rate > 1.0 else math.inf
+            if k + RANGE_BLOCK * blocks_left > n / 2:
+                return None
+        basis[:, k:k + RANGE_BLOCK] = _orthonormal_block(matrix @ residual, basis[:, :k])
+        k, previous = k + RANGE_BLOCK, norm
+    basis = basis[:, :k]
+    product = matrix @ basis
+    if _range_defect(matrix, basis, product) > tolerance:
+        return None
+    small = basis.T @ product
+    # freed before basis @ ritz_vectors, an array of the same shape, can
+    # take its place: the process heap then peaks lower
+    del product
+    small = 0.5 * (small + small.T)
+    # small is symmetric bit for bit, so its F-ordered view holds its numbers
+    ritz_values, ritz_vectors = np.linalg.eigh(small.T)
+    return _clipped_root(ritz_values, basis @ ritz_vectors)
 
 
 def clip_to_psd(matrix: np.ndarray):
-    """Eigenvalue clip of a symmetric matrix at eigh's rounding level,
-    n * eps * max(lam_max, 0).
+    """Eigenvalue clip of a symmetric matrix by one eigh, at the cut of
+    _clip_cut: the widest ratio gap among the eigenvalues in CUT_WINDOW *
+    lam_max.
 
     Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
     is the size of the most negative eigenvalue removed (0.0 if none); the
-    nonnegative eigenvalues below the cut, rounding noise, are dropped too.
+    nonnegative eigenvalues below the cut are dropped too. This is the
+    reference the range finder of a clipped build is held to.
     """
-    return _eigen_clip(matrix)[:4]
+    root, clip_magnitude, eig_min, eig_max = _eigen_clip(matrix)
+    return root @ root.T, clip_magnitude, eig_min, eig_max
 
 
 def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:
@@ -239,8 +369,9 @@ class CovarianceModel:
     matrix is the regularized kernel matrix, eigen-clipped to PSD
     only when Cholesky fails on it; factor is a lower trapezoidal n x r square
     root, with r = n on the Cholesky path and otherwise r the number of
-    eigenvalues above the clip's cut n * eps * lam_max; diag_variance is the
-    per-atom variance the factor actually realizes (row sums of squares).
+    eigenvalues above the clip's cut (_clip_cut), from the range finder's
+    Ritz values or from eigh; diag_variance is the per-atom variance the
+    factor actually realizes (row sums of squares).
     """
 
     measure: AtomicMeasure
@@ -262,9 +393,10 @@ class CovarianceModel:
 
     @cached_property
     def eig_range(self) -> tuple[float, float]:
-        """(eig_min_raw, eig_max) of the raw matrix: from the clipped build's
-        eigh, else one eigvalsh of matrix, which then is the raw matrix
-        (through its F-ordered view, as in build_covariance)."""
+        """(eig_min_raw, eig_max) of the raw matrix: the extreme Ritz values
+        or eigh eigenvalues of the clipped build, else one eigvalsh of
+        matrix, which then is the raw matrix (through its F-ordered view, as
+        in build_covariance)."""
         if self.known_eig_range is None:
             eigvals = np.linalg.eigvalsh(self.matrix.T)
             return float(eigvals[0]), float(eigvals[-1])
@@ -276,8 +408,9 @@ class CovarianceModel:
 
 def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
                      green=UNIT_DISK) -> CovarianceModel:
-    """Assemble the regularized kernel matrix and factor it:
-    Cholesky first, one eigen-clip and a QR only when Cholesky fails."""
+    """Assemble the regularized kernel matrix and factor it: Cholesky first;
+    only when Cholesky fails, one eigen-clip (the range finder's, else a
+    full eigh's) and a QR of its root."""
     _check_atom_count(measure)
     if epsilon is None:
         epsilon = default_epsilon(measure)
@@ -296,8 +429,11 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     except np.linalg.LinAlgError:
         # root @ root.T == repaired, so the r x n root.T = Q R gives the
         # n x r lower trapezoidal factor L = R.T
-        matrix, clip_magnitude, eig_min, eig_max, root = _eigen_clip(matrix)
-        eig_range = (eig_min, eig_max)
+        clipped = _range_clip(matrix)
+        if clipped is None:
+            clipped = _eigen_clip(matrix)
+        root, clip_magnitude, eig_min, eig_max = clipped
+        matrix, eig_range = root @ root.T, (eig_min, eig_max)
         factor = np.linalg.qr(root.T, mode="r").T
         factor = factor * np.where(np.diag(factor) < 0.0, -1.0, 1.0)
     diag_variance = np.einsum("ij,ij->i", factor, factor)

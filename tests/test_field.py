@@ -233,7 +233,7 @@ def test_clipped_grid_field_law(grid16_clipped, cantor5_clipped):
     # the rank-sized factor samples the version-6 law, the full n-column clip
     # of the raw matrix: field second moments at a few atom pairs and the
     # mean total mass, each within 4 SE. On cantor5 the factor drops the
-    # eigenvalues below the rounding cut, so this shows they carried no variance
+    # eigenvalues below the clip's cut, so this shows they carried no variance
     n = 16 * BATCH
     pairs = {"grid16": ((0, 0), (0, 1), (0, 16), (17, 200), (128, 129), (255, 0)),
              "cantor5": ((0, 0), (0, 1), (0, 4), (100, 101), (511, 512), (1023, 0))}

@@ -288,23 +288,64 @@ def test_build_eigen_ranges_are_lazy_on_cholesky_path(grid8, monkeypatch):
 
 
 GRID16 = generate_uniform_grid(16, 0.8)
+CANTOR4, CANTOR5 = generate_cantor_dust(4, 0.4), generate_cantor_dust(5, 0.4)
+# the distance to clip_to_psd a clipped build may keep, relative to ||C||_F
+CLIP_DISTANCE = 1e-9
+
+
+def _window_cut(eigvals):
+    # the clip's cut, recomputed here from its statement: the geometric
+    # midpoint of the widest ratio gap among the positive eigenvalues in
+    # [1e-9, 1e-7] * lam_max, the window ends counting as neighbours
+    lam_max = float(eigvals.max())
+    lo, hi = 1e-9 * lam_max, 1e-7 * lam_max
+    points = [lo, *sorted(float(v) for v in eigvals if lo < v < hi), hi]
+    _, below, above = max((b / a, a, b) for a, b in zip(points, points[1:]))
+    return math.sqrt(below * above)
+
+
+def _eigh_shapes(monkeypatch):
+    # the shapes of the np.linalg.eigh arguments from here on
+    shapes, real = [], np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
 
 
 # frozen clip magnitudes (minus the raw matrix's least eigenvalue)
 @pytest.mark.parametrize("measure, epsilon, clip", [
     (GRID16, GRID16.min_pair_distance(), 0.6123086017530268),
-    (generate_cantor_dust(5, 0.4), 0.05, 2.7429608881189984),
+    (CANTOR5, 0.05, 2.7429608881189984),
 ], ids=["grid16_spacing", "cantor5"])
 def test_build_clipped_takes_one_eigh(measure, epsilon, clip, monkeypatch):
+    # 256 atoms need more than n / 4 basis columns, so the grid's range
+    # finder gives up within n / 4 columns and the one eigh is of the whole
+    # matrix; the dust's is of the range finder's k x k Rayleigh quotient.
+    # Each basis block takes one QR, and the factor one more.
     raw = _raw_matrix(measure, epsilon)
     repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
+    shapes = _eigh_shapes(monkeypatch)
     calls = _count_decompositions(monkeypatch)
     model = build_covariance(measure, epsilon)
-    assert calls == {"cholesky": 1, "eigh": 1, "qr": 1}
-    assert np.array_equal(model.matrix, repaired)
-    assert model.clip_magnitude == clip_magnitude
+    [(k, _)] = shapes
+    assert (k == measure.n) == (measure.n == 256)
+    if k == measure.n:
+        assert 1 < calls.pop("qr") <= measure.n // 4 // gmclab.kernel.RANGE_BLOCK + 1
+        # the full eigh is clip_to_psd's own, bit for bit
+        assert np.array_equal(model.matrix, repaired)
+        assert (model.clip_magnitude, model.eig_min_raw, model.eig_max) == (
+            clip_magnitude, eig_min, eig_max)
+    else:
+        assert calls.pop("qr") == k // gmclab.kernel.RANGE_BLOCK + 1
+    assert calls == {"cholesky": 1, "eigh": 1}
+    assert np.linalg.norm(model.matrix - repaired) <= CLIP_DISTANCE * np.linalg.norm(raw)
+    assert model.clip_magnitude == pytest.approx(clip_magnitude, rel=1e-12)
     assert model.clip_magnitude == pytest.approx(clip, rel=1e-9)
-    assert (model.eig_min_raw, model.eig_max) == (eig_min, eig_max)
+    assert model.eig_min_raw == pytest.approx(eig_min, rel=1e-12)
+    assert model.eig_max == pytest.approx(eig_max, rel=1e-12)
     assert np.all(np.tril(model.factor) == model.factor)
     assert np.all(np.diag(model.factor) >= 0.0)
     defect = np.linalg.norm(model.factor @ model.factor.T - model.matrix)
@@ -312,14 +353,13 @@ def test_build_clipped_takes_one_eigh(measure, epsilon, clip, monkeypatch):
     assert "eigvalsh" not in calls
 
 
-@pytest.mark.parametrize("measure", [generate_cantor_dust(5, 0.4), GRID16],
-                         ids=["cantor5", "grid16"])
+@pytest.mark.parametrize("measure", [CANTOR5, GRID16], ids=["cantor5", "grid16"])
 def test_build_clipped_factor_has_rank_columns(measure):
-    # epsilon 0.05 clips both; r is recounted here from the same decomposition
-    # of the raw matrix, above the rounding cut n * eps * lam_max
+    # epsilon 0.05 clips both; r is recounted here from eigh of the raw
+    # matrix, above the cut in the widest gap of [1e-9, 1e-7] * lam_max
     raw = _raw_matrix(measure, 0.05)
     eigvals, eigvecs = np.linalg.eigh(raw)
-    cut = measure.n * np.finfo(np.float64).eps * eigvals[-1]
+    cut = _window_cut(eigvals)
     rank = int(np.count_nonzero(eigvals > cut))
     repaired, clip_magnitude, _, _ = clip_to_psd(raw)
     model = build_covariance(measure, 0.05)
@@ -329,8 +369,13 @@ def test_build_clipped_factor_has_rank_columns(measure):
     assert np.all(np.diag(model.factor) >= 0.0)
     defect = np.linalg.norm(model.factor @ model.factor.T - model.matrix)
     assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
-    assert model.clip_magnitude == clip_magnitude
-    assert np.abs(model.matrix - repaired).max() <= 1e-14 * np.abs(repaired).max()
+    assert model.clip_magnitude == pytest.approx(clip_magnitude, rel=1e-12)
+    # the grid (256 atoms) falls back to eigh, which is clip_to_psd's own;
+    # the dust's range finder is held to it at the stated distance
+    if measure.n == 256:
+        assert model.clip_magnitude == clip_magnitude
+        assert np.abs(model.matrix - repaired).max() <= 1e-14 * np.abs(repaired).max()
+    assert np.linalg.norm(model.matrix - repaired) <= CLIP_DISTANCE * np.linalg.norm(raw)
     # the n-column root, clipped eigenvalues included, gives the same matrix
     # up to the eigenvalues in (0, cut] the factor drops: each entry of
     # V diag(d) V.T is at most sum(d), since V is orthogonal
@@ -339,18 +384,150 @@ def test_build_clipped_factor_has_rank_columns(measure):
     assert np.abs(model.matrix - full).max() <= dropped + 1e-14 * np.abs(full).max()
 
 
-@pytest.mark.parametrize("measure", [generate_cantor_dust(4, 0.4),
-                                     generate_cantor_dust(5, 0.4), GRID16],
+@pytest.mark.parametrize("measure", [CANTOR4, CANTOR5, GRID16],
                          ids=["cantor4", "cantor5", "grid16"])
 def test_clipped_rank_is_stable_across_eigen_solvers(measure):
     # the count of positive eigenvalues is noise (eigh 497, eigvalsh 515 on
-    # cantor5); the count above n * eps * lam_max is the same for both
+    # cantor5); the count above the cut in the window's widest gap is the
+    # same for both, and for the build
     raw = _raw_matrix(measure, 0.05)
-    eps = np.finfo(np.float64).eps
     counts = []
     for eigvals in (np.linalg.eigh(raw)[0], np.linalg.eigvalsh(raw)):
-        counts.append(int(np.count_nonzero(eigvals > measure.n * eps * eigvals[-1])))
+        counts.append(int(np.count_nonzero(eigvals > _window_cut(eigvals))))
     assert counts[0] == counts[1] == build_covariance(measure, 0.05).factor_rank
+
+
+# ------------------------------------------------- range-finder clip
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_range_clip_matches_eigh_clip(radius, monkeypatch):
+    raw = DiskKernel(radius).entry_matrix(CANTOR5.positions, 0.05)
+    eigvals = np.linalg.eigvalsh(raw)
+    repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
+    shapes = _eigh_shapes(monkeypatch)
+    model = build_covariance(CANTOR5, 0.05, DiskKernel(radius))
+    # the only eigh is of the small Rayleigh quotient
+    [(k, _)] = shapes
+    assert k < CANTOR5.n // 4
+    assert model.factor_rank == np.count_nonzero(eigvals > _window_cut(eigvals))
+    assert model.factor_rank == {1.0: 80, 0.5: 84}[radius]
+    assert np.linalg.norm(model.matrix - repaired) <= CLIP_DISTANCE * np.linalg.norm(raw)
+    assert model.clip_magnitude == pytest.approx(clip_magnitude, rel=1e-12)
+    assert model.eig_min_raw == pytest.approx(eig_min, rel=1e-12)
+    assert model.eig_max == pytest.approx(eig_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_range_clip_rank_is_seed_free(radius, monkeypatch):
+    kernel = DiskKernel(radius)
+    ranks = set()
+    for seed in (1, 2, 3):
+        monkeypatch.setattr(gmclab.kernel, "SKETCH_SEED", seed)
+        ranks.add(build_covariance(CANTOR5, 0.05, kernel).factor_rank)
+    monkeypatch.undo()
+    assert ranks == {build_covariance(CANTOR5, 0.05, kernel).factor_rank}
+
+
+@pytest.mark.parametrize("measure, radius", [(CANTOR4, 1.0), (CANTOR5, 1.0),
+                                             (CANTOR5, 0.5), (GRID16, 1.0)],
+                         ids=["cantor4", "cantor5", "cantor5_r0.5", "grid16"])
+def test_clip_cut_keeps_margin(measure, radius):
+    # the nearest eigenvalues lie at least 1.5x from the cut on either side,
+    # so an eigenvalue must move by far more than either solver's error to
+    # change r; the grid's window holds no eigenvalue, so r = 203 as before
+    eigvals = np.linalg.eigh(DiskKernel(radius).entry_matrix(measure.positions, 0.05))[0]
+    cut = gmclab.kernel._clip_cut(eigvals)
+    assert cut == pytest.approx(_window_cut(eigvals), rel=1e-12)
+    above, below = eigvals[eigvals > cut], eigvals[(eigvals > 0.0) & (eigvals <= cut)]
+    assert above.min() >= 1.5 * cut
+    if measure is GRID16:
+        # no positive eigenvalue lies below the window
+        assert above.size == 203 and below.size == 0
+    else:
+        assert below.max() <= cut / 1.5
+
+
+def test_range_clip_falls_back_past_a_quarter_of_the_atoms(monkeypatch):
+    # cantor4 keeps more than 64 = n / 4 eigenpairs of size, so its range
+    # finder gives up and the build is eigh's clip, bit for bit
+    raw = _raw_matrix(CANTOR4, 0.05)
+    repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
+    shapes = _eigh_shapes(monkeypatch)
+    model = build_covariance(CANTOR4, 0.05)
+    assert shapes == [(CANTOR4.n, CANTOR4.n)]
+    assert np.array_equal(model.matrix, repaired)
+    assert (model.clip_magnitude, model.eig_min_raw, model.eig_max) == (
+        clip_magnitude, eig_min, eig_max)
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.02])
+def test_range_clip_gives_up_early_on_a_slow_spectrum(epsilon, monkeypatch):
+    # at these scales cantor5 has over 900 eigenvalues above 1e-9 * lam_max;
+    # the residual then shrinks too slowly to reach the tolerance within
+    # n / 2 columns, and the build stops after a few blocks, not n / 4 columns
+    raw = _raw_matrix(CANTOR5, epsilon)
+    repaired = clip_to_psd(raw)[0]
+    shapes = _eigh_shapes(monkeypatch)
+    calls = _count_decompositions(monkeypatch)
+    model = build_covariance(CANTOR5, epsilon)
+    assert shapes == [(CANTOR5.n, CANTOR5.n)]
+    assert calls["qr"] - 1 <= 4
+    assert np.array_equal(model.matrix, repaired)
+
+
+def test_range_clip_falls_back_when_the_certificate_fails(monkeypatch):
+    raw = _raw_matrix(CANTOR5, 0.05)
+    repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
+    checked = []
+
+    def failing(matrix, basis, product):
+        checked.append(basis.shape)
+        return math.inf
+    monkeypatch.setattr(gmclab.kernel, "_range_defect", failing)
+    shapes = _eigh_shapes(monkeypatch)
+    model = build_covariance(CANTOR5, 0.05)
+    assert len(checked) == 1 and checked[0][1] < CANTOR5.n // 4
+    assert shapes == [(CANTOR5.n, CANTOR5.n)]
+    assert np.array_equal(model.matrix, repaired)
+    assert (model.clip_magnitude, model.eig_min_raw, model.eig_max) == (
+        clip_magnitude, eig_min, eig_max)
+
+
+def test_range_defect_matches_full_norm():
+    rng = np.random.default_rng(SEED)
+    n, k = 600, 40
+    a = rng.standard_normal((n, n))
+    matrix = a + a.T
+    basis = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    product = matrix @ basis
+    full = np.linalg.norm(matrix - basis @ product.T)
+    assert gmclab.kernel._range_defect(matrix, basis, product) == pytest.approx(full, rel=1e-12)
+
+
+def test_clipped_build_is_bit_identical_across_builds():
+    first, second = (build_covariance(CANTOR5, 0.05) for _ in range(2))
+    assert np.array_equal(first.matrix, second.matrix)
+    assert np.array_equal(first.factor, second.factor)
+    assert (first.clip_magnitude, first.eig_range) == (second.clip_magnitude, second.eig_range)
+
+
+def test_cantor6_clips_without_a_full_eigh(monkeypatch):
+    # 4096 atoms, r = 80: the range finder's basis stays far below n / 4, and
+    # neither it nor its certificate forms an n x n temporary
+    measure = generate_cantor_dust(6, 0.4)
+    shapes = _eigh_shapes(monkeypatch)
+    tracemalloc.start()
+    try:
+        model = build_covariance(measure, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(k < measure.n // 4 for k, _ in shapes) and len(shapes) == 1
+    assert 0 < model.factor_rank < 100
+    defect = gmclab.kernel._factor_defect(model.factor, model.matrix)
+    assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
+    assert peak <= 2.5 * measure.n ** 2 * 8
 
 
 def test_build_defect_error_reports_eigenvalue_range(grid8, monkeypatch):
