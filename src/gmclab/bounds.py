@@ -137,12 +137,18 @@ def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
 
 
 def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
-                base_seed: int, start: int = 0) -> float:
-    """Threshold estimate (2^4 * median of phi_beta)^(1/delta)."""
+                base_seed: int, start: int = 0,
+                dist: np.ndarray | None = None) -> float:
+    """Threshold estimate (2^4 * median of phi_beta)^(1/delta), from
+    local_energy_samples over pair_distances(positions), which the caller
+    may pass as dist."""
     if not delta > 0.0:
         raise DomainError("delta must satisfy delta > 0")
-    phi = local_energy_samples(model, gamma, beta, base_seed, n_replicas,
-                               start=start)
+    check_replica_count(n_replicas)
+    if dist is None:
+        dist = pair_distances(model.measure.positions)
+    phi = rooted_kernel_sums(model, base_seed, range(start, start + n_replicas),
+                             gamma, dist ** -beta)
     return float((T0_CONSTANT * np.median(phi)) ** (1.0 / delta))
 
 
@@ -175,6 +181,12 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     stages: with stride = ceil(N / BATCH) * BATCH, Laplace estimates use
     replicas [0, N), the threshold estimate [stride, stride + N), the event
     check [2 * stride, 2 * stride + N).
+
+    The pair distances are formed once, for the threshold and event stages.
+    When no two atoms lie within the event radius r = s0^-L of each other,
+    every ball mass is an empty sum, exactly 0.0, and the event stage draws
+    no field block; otherwise each is rooted_kernel_sums over the Green
+    weight exp(gamma^2 G) inside the ball.
     """
     report = exponents(gamma, d, beta, delta)
     steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
@@ -184,6 +196,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     if l2 is None:
         l2 = beta == d and delta == 1.0 and gamma * gamma < d
     energy_ratio = d_energy(model.measure, d) / sigma if gamma * gamma < d else None
+    dist = pair_distances(model.measure.positions)
     if l2:
         if not (beta == d and delta == 1.0 and gamma * gamma < d):
             raise DomainError(
@@ -191,7 +204,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         s0 = BOUND_CONSTANT * energy_ratio
     else:
         s0 = estimate_s0(model, gamma, beta, delta, n_replicas, base_seed,
-                         start=stride)
+                         start=stride, dist=dist)
     if not s0 > 0.0:
         raise DomainError("threshold s0 is zero; measure too degenerate to grade")
     inv_eta = (beta + gamma * gamma * delta) / (beta - gamma * gamma)
@@ -211,10 +224,14 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     # concentration event: the kernel-weighted mass inside the ball
     # B(root, r = s0^-L) stays below s0^delta * r^(beta - gamma^2)
     r = s0 ** -report.L
-    green, dist = offdiagonal_green(model.measure.positions)
-    weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
-    event_replicas = range(2 * stride, 2 * stride + n_replicas)
-    ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
+    if dist.min() > r:
+        # no ball holds a second atom: every ball mass is an empty sum
+        ball_mass = np.zeros(n_replicas)
+    else:
+        green, _ = offdiagonal_green(model.measure.positions, dist)
+        weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
+        event_replicas = range(2 * stride, 2 * stride + n_replicas)
+        ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
     freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma * gamma))
     event_pass = freq >= 0.5 - 3.0 * se
     verdict = bool(points_pass.all() and event_pass)

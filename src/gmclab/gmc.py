@@ -19,8 +19,11 @@ ways:
 - Rooted samplers (rooted_identity_errors, verify_change_of_measure,
   rooted_kernel_sums) index the root's covariance or weight row, so they
   hold the block's whole (n, BATCH) field, drawn into buffers the call owns,
-  and do the root-row work ROOT_CHUNK replicas at a time. Their sums run
-  along each replica's whole atom axis, so the chunk width moves no bit.
+  and do the root-row work ROOT_CHUNK replicas at a time. Each replica's sum
+  runs along its whole atom axis, so the chunk width moves no bit.
+  rooted_kernel_sums sums an atoms-first (n, chunk) array over axis 0, one
+  atom row after another as einsum("ki,ik->k") did; numpy would sum a lone
+  (n, 1) column pairwise, so its chunks are at least 2 replicas wide.
 """
 
 from __future__ import annotations
@@ -300,10 +303,20 @@ def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
     """sum_i weight[root, i] * mass_i per replica of an index list, with the
     gamma chaos mass and an n x n weight matrix over the atoms, streamed block
-    by block. The masses are formed in place in the block's field, and the
-    weight rows of the roots are taken ROOT_CHUNK replicas at a time."""
+    by block. The masses are formed in place in the block's field.
+
+    ROOT_CHUNK replicas at a time, the weight rows of their roots are laid
+    out atoms first, times the chunk's masses, in one C-ordered (n, chunk)
+    buffer, which numpy sums over axis 0 one atom row after another: the
+    order of einsum("ki,ik->k") over the same operands, so the sums are that
+    einsum's bit for bit. numpy sums a lone (n, 1) column pairwise instead,
+    so every chunk is at least 2 replicas wide; a trailing lone replica is
+    summed again with its neighbour.
+    """
     check_replica_count(len(replicas))
     field = _field_blocks(model, base_seed)
+    width = max(ROOT_CHUNK, 2)
+    products = np.empty(model.n * width)
     sums = np.empty(BATCH)
 
     def block(key):
@@ -311,10 +324,12 @@ def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
         masses *= gamma
         _masses_in_place(model, masses.T, gamma)
         roots = block_roots(model, base_seed, key)
-        for lo in range(0, BATCH, ROOT_CHUNK):
-            sums[lo:lo + ROOT_CHUNK] = np.einsum(
-                "ki,ik->k", weight[roots[lo:lo + ROOT_CHUNK]],
-                masses[:, lo:lo + ROOT_CHUNK])
+        for lo in range(0, BATCH, width):
+            lo = min(lo, BATCH - 2)
+            hi = min(lo + width, BATCH)
+            chunk = products[:model.n * (hi - lo)].reshape(model.n, hi - lo)
+            np.multiply(weight[roots[lo:hi]].T, masses[:, lo:hi], out=chunk)
+            np.sum(chunk, axis=0, out=sums[lo:hi])
         return sums
 
     return gather_blocks(block, replicas, np.empty(len(replicas)))

@@ -458,10 +458,12 @@ def pair_distances(positions: np.ndarray) -> np.ndarray:
                         lambda lo, hi, out: _lower_distance_rows(positions, lo, hi, out=out))
 
 
-def offdiagonal_green(positions: np.ndarray):
+def offdiagonal_green(positions: np.ndarray, dist: np.ndarray | None = None):
     """(green, dist): the unit-disk Green matrix between distinct atoms, 0 on
-    the diagonal, and pair_distances(positions)."""
-    dist = pair_distances(positions)
+    the diagonal, and pair_distances(positions), formed here unless the
+    caller passes it as dist."""
+    if dist is None:
+        dist = pair_distances(positions)
 
     def fill_rows(lo, hi, out):
         UNIT_DISK._smooth_rows(positions, lo, hi, out=out)

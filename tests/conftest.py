@@ -58,3 +58,10 @@ def cantor3():
 @pytest.fixture(scope="session")
 def grid16_model():
     return build_covariance(generate_uniform_grid(16, 0.8))
+
+
+@pytest.fixture(scope="session")
+def cantor5_clipped():
+    # level-5 Cantor dust at epsilon 0.05: Cholesky fails and the factor is
+    # the clipped matrix's, of rank far below n = 1024
+    return build_covariance(generate_cantor_dust(5, 0.4), 0.05)

@@ -19,6 +19,9 @@ from gmclab import (
     t0_l2,
     verify_bound,
 )
+from gmclab.field import BATCH
+from gmclab.gmc import mean_se, rooted_kernel_sums
+from gmclab.kernel import offdiagonal_green
 
 SEED = 31
 
@@ -274,9 +277,21 @@ def test_verify_bound_disjoint_replica_blocks(model8):
     assert np.array_equal(rep.laplace.estimates, direct.estimates)
 
 
-def test_verify_bound_draws_each_block_once(model8, monkeypatch):
-    # the threshold and event stages start at block-aligned offsets, so no
-    # stream block is drawn by two stages even when N is not a block multiple
+@pytest.fixture(scope="module")
+def light_model():
+    # atoms at +-0.5, weight 0.04 each: the benchmark's light measure
+    return two_atom_model()
+
+
+# general-branch (gamma, d, beta, delta). On grid8 r = s0^-L sits far below
+# the grid spacing, so the event ball holds no second atom; on the light
+# measure s0 ~ 0.59 and r ~ 10.6 exceeds the atoms' distance 1.0
+EMPTY_BALL = (0.8, 2.0, 1.8, 1.0)
+FULL_BALL = (0.6, 1.0, 0.8, 1.0)
+
+
+def _drawn_field_blocks(monkeypatch, model, args, n):
+    # the stream blocks whose field verify_bound draws, in draw order
     keys = []
     real = gmclab.field.replica_generator
 
@@ -286,9 +301,75 @@ def test_verify_bound_draws_each_block_once(model8, monkeypatch):
         return real(base_seed, block_index, substream)
 
     monkeypatch.setattr(gmclab.field, "replica_generator", recording)
-    verify_bound(model8, 0.8, 2.0, 1.8, 1.0, 1500, SEED)
+    report = verify_bound(model, *args, n, SEED)
+    monkeypatch.undo()
+    return keys, report
+
+
+def test_verify_bound_draws_each_block_once(model8, monkeypatch):
+    # the threshold and event stages start at block-aligned offsets, so no
+    # stream block is drawn by two stages even when N is not a block multiple;
+    # grid8's event ball is empty, so only the Laplace and threshold stages draw
+    keys, _ = _drawn_field_blocks(monkeypatch, model8, EMPTY_BALL, 1500)
+    assert len(keys) == 4
+    assert len(set(keys)) == len(keys)
+
+
+def test_verify_bound_full_ball_draws_each_block_once(light_model, monkeypatch):
+    # a ball that holds the other atom: all three stages draw, two blocks each
+    keys, _ = _drawn_field_blocks(monkeypatch, light_model, FULL_BALL, 1500)
     assert len(keys) == 6
     assert len(set(keys)) == len(keys)
+
+
+def _event_reference(model, args, n, report):
+    # the dense event stage: ball weights over every pair, summed per replica
+    gamma, _, beta, delta = args
+    s0, big_l = report.exponent.s0, report.exponent.L
+    r = s0 ** -big_l
+    green, dist = offdiagonal_green(model.measure.positions)
+    weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
+    stride = -(-n // BATCH) * BATCH
+    ball = rooted_kernel_sums(model, SEED, range(2 * stride, 2 * stride + n), gamma,
+                              weight)
+    return r, dist, weight, ball, mean_se(ball <= s0 ** delta * r ** (beta - gamma * gamma))
+
+
+@pytest.mark.parametrize("name, args", [
+    pytest.param("model8", EMPTY_BALL, id="grid8"),
+    pytest.param("cantor5_clipped", (1.2, 2.0, 1.8, 1.0), id="cantor5"),
+])
+def test_empty_event_ball_draws_no_field(request, monkeypatch, name, args):
+    model, n = request.getfixturevalue(name), 300
+    greens = []
+    monkeypatch.setattr(gmclab.bounds, "offdiagonal_green",
+                        lambda *a, **k: greens.append(a) or offdiagonal_green(*a, **k))
+    keys, report = _drawn_field_blocks(monkeypatch, model, args, n)
+    assert greens == []
+    # Laplace block 0 and threshold block 1; the event block 2 is never drawn
+    assert sorted(keys) == [0, 1]
+    r, dist, weight, _, (freq, se) = _event_reference(model, args, n, report)
+    assert dist.min() > r and not weight.any()
+    assert (report.event_frequency, report.event_se) == (freq, se)
+
+
+def test_event_ball_masses_are_kernel_sums_over_the_ball(light_model, monkeypatch):
+    args, n = FULL_BALL, 1500
+    sums = []
+
+    def recording(*a, **k):
+        sums.append(rooted_kernel_sums(*a, **k))
+        return sums[-1]
+
+    monkeypatch.setattr(gmclab.bounds, "rooted_kernel_sums", recording)
+    report = verify_bound(light_model, *args, n, SEED)
+    monkeypatch.undo()
+    r, dist, weight, ball, (freq, se) = _event_reference(light_model, args, n, report)
+    assert dist.min() <= r and weight.any()
+    # the threshold stage's local energies, then the event stage's ball masses
+    assert len(sums) == 2
+    assert np.array_equal(sums[1], ball)
+    assert (report.event_frequency, report.event_se) == (freq, se)
 
 
 # ----------------------------------------------------------------- small ball

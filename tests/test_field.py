@@ -6,7 +6,6 @@ from gmclab import (
     DiskKernel,
     build_covariance,
     field_matrix,
-    generate_cantor_dust,
     generate_uniform_grid,
     replica_generator,
     sample_field,
@@ -165,11 +164,6 @@ def test_empty_index_list(model4):
 
 
 # ------------------------------------------------------ strip-wise product
-
-
-@pytest.fixture(scope="module")
-def cantor5_clipped():
-    return build_covariance(generate_cantor_dust(5, 0.4), 0.05)
 
 
 def test_factor_upper_triangle_is_zero(model8, cantor5_clipped):

@@ -32,7 +32,7 @@ from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
 from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, draw_roots, mass_columns,
                         mean_se, rooted_kernel_sums)
 from gmclab.inequalities import fkg_check, kahane_check
-from gmclab.kernel import offdiagonal_green
+from gmclab.kernel import offdiagonal_green, pair_distances
 
 SEED = 7
 
@@ -467,6 +467,42 @@ def test_root_chunk_width_moves_no_bit(model20, rooted20, monkeypatch, width):
     monkeypatch.setattr(gmclab.gmc, "ROOT_CHUNK", width)
     for name, value in _rooted_outputs(model20).items():
         assert np.array_equal(value, rooted20[name]), name
+
+
+def _einsum_kernel_sums(model, indices, gamma, weight):
+    # reference: one einsum over each replica's root row and masses, which
+    # rooted_kernel_sums must match bit for bit
+    masses = mass_columns(model, field_matrix(model, SEED, indices), gamma)
+    return np.einsum("ki,ik->k", weight[draw_roots(model, SEED, indices)], masses)
+
+
+def _sparse_weight(model, beta):
+    # dist**-beta with every third row and every fifth column zeroed
+    weight = pair_distances(model.measure.positions) ** -beta
+    weight[::3] = 0.0
+    weight[:, 1::5] = 0.0
+    return weight
+
+
+@pytest.mark.parametrize("indices", [
+    pytest.param(np.arange(BATCH - 150, BATCH + 150), id="block-edge"),
+    pytest.param(np.array([2 * BATCH + 5, 17, 17, BATCH - 1, 0, BATCH, 901]),
+                 id="scattered"),
+])
+@pytest.mark.parametrize("make_weight", [
+    pytest.param(lambda model: pair_distances(model.measure.positions) ** -1.8,
+                 id="dist"),
+    pytest.param(lambda model: _sparse_weight(model, 1.8), id="zero-rows-cols"),
+])
+@pytest.mark.parametrize("model_name", ["cantor5_clipped", "grid16_model"])
+def test_rooted_kernel_sums_match_einsum(request, model_name, make_weight, indices):
+    model = request.getfixturevalue(model_name)
+    weight = make_weight(model)
+    sums = rooted_kernel_sums(model, SEED, indices, 1.2, weight)
+    assert np.array_equal(sums, _einsum_kernel_sums(model, indices, 1.2, weight))
+    # a root whose weight row is zero has an empty sum, exactly 0
+    zero_row = ~weight[draw_roots(model, SEED, indices)].any(axis=1)
+    assert np.all(sums[zero_row] == 0.0)
 
 
 def _peak_bytes(call):
