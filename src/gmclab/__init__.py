@@ -26,7 +26,6 @@ from .measure import (
     generate_julia_boundary,
     generate_uniform_grid,
     load_measure,
-    local_energy,
     save_measure,
     split_half_plane,
 )
@@ -34,28 +33,21 @@ from .kernel import (
     CovarianceModel,
     DiskKernel,
     build_covariance,
-    clip_to_psd,
     default_epsilon,
     green_disk,
-    green_subdisk,
     markov_difference_psd,
-    regularized_entry,
 )
 from .field import FieldSample, field_matrix, replica_generator, sample_field
 from .gmc import (
     GmcSample,
-    IdentityCheck,
-    RootedSample,
     Statistic,
     TwoSampleReport,
     atom_value_statistic,
     clipped_mass_statistic,
     gmc_mass,
     rooted_identity_errors,
-    sample_rooted,
     total_masses,
     verify_change_of_measure,
-    verify_rooted_identity,
 )
 from .bounds import (
     BoundReport,
@@ -68,7 +60,6 @@ from .bounds import (
     laplace_transform,
     small_ball_tail,
     t0_from_ratio,
-    t0_l2,
     verify_bound,
 )
 from .inequalities import (
@@ -83,18 +74,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure", "SplitResult", "d_energy", "generate_cantor_dust",
     "generate_julia_boundary", "generate_uniform_grid", "load_measure",
-    "local_energy", "save_measure", "split_half_plane",
-    "CovarianceModel", "DiskKernel", "build_covariance", "clip_to_psd",
-    "default_epsilon", "green_disk", "green_subdisk", "markov_difference_psd",
-    "regularized_entry",
+    "save_measure", "split_half_plane",
+    "CovarianceModel", "DiskKernel", "build_covariance", "default_epsilon",
+    "green_disk", "markov_difference_psd",
     "FieldSample", "field_matrix", "replica_generator", "sample_field",
-    "GmcSample", "IdentityCheck", "RootedSample", "Statistic",
-    "TwoSampleReport", "atom_value_statistic", "clipped_mass_statistic",
-    "gmc_mass", "rooted_identity_errors", "sample_rooted", "total_masses",
-    "verify_change_of_measure", "verify_rooted_identity",
+    "GmcSample", "Statistic", "TwoSampleReport", "atom_value_statistic",
+    "clipped_mass_statistic", "gmc_mass", "rooted_identity_errors", "total_masses",
+    "verify_change_of_measure",
     "BoundReport", "ExponentReport", "LaplaceReport", "TailReport",
     "estimate_s0", "exponents", "fit_loglog_slope", "laplace_transform",
-    "small_ball_tail", "t0_from_ratio", "t0_l2", "verify_bound",
+    "small_ball_tail", "t0_from_ratio", "verify_bound",
     "InequalityVerdict", "fkg_check", "kahane_check", "markov_psd_suite",
     "GmcLabError", "ValidationError", "DomainError", "SingularityError",
     "ResourceLimitError", "EmptyMeasureError", "SplitInfeasibleError",

@@ -22,7 +22,7 @@ from .field import BATCH
 from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
 from .gmc import check_replica_count, mean_se, rooted_kernel_sums, total_masses
 from .kernel import offdiagonal_green, pair_distances
-from .measure import AtomicMeasure, d_energy
+from .measure import _distance_energy
 
 BOUND_CONSTANT = 2.0 ** 5
 T0_CONSTANT = 2.0 ** 4
@@ -122,26 +122,13 @@ def t0_from_ratio(energy_ratio: float, gamma: float, d: float) -> float:
     return T0_CONSTANT * (BOUND_CONSTANT * energy_ratio) ** ((d + gamma2) / (d - gamma2))
 
 
-def t0_l2(measure: AtomicMeasure, gamma: float, d: float) -> float:
-    """Square-integrable threshold computed from the measure's d-energy."""
-    return t0_from_ratio(d_energy(measure, d) / measure.total_mass, gamma, d)
-
-
-def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
-                         n_replicas: int, start: int = 0) -> np.ndarray:
-    """Rooted local energies phi_beta(root, mass), root atom excluded."""
-    check_replica_count(n_replicas)
-    dist = pair_distances(model.measure.positions)
-    return rooted_kernel_sums(model, base_seed, range(start, start + n_replicas),
-                              gamma, dist ** -beta)
-
-
 def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
                 base_seed: int, start: int = 0,
                 dist: np.ndarray | None = None) -> float:
-    """Threshold estimate (2^4 * median of phi_beta)^(1/delta), from
-    local_energy_samples over pair_distances(positions), which the caller
-    may pass as dist."""
+    """Threshold estimate (2^4 * median of phi_beta)^(1/delta) over the rooted
+    local energies phi_beta(root, mass), root atom excluded, of replicas
+    start .. start+n_replicas-1, from pair_distances(positions), which the
+    caller may pass as dist."""
     if not delta > 0.0:
         raise DomainError("delta must satisfy delta > 0")
     check_replica_count(n_replicas)
@@ -153,14 +140,14 @@ def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
 
 
 def laplace_transform(model, gamma: float, t_values, n_replicas: int,
-                      base_seed: int, exponent: ExponentReport | None = None,
-                      start: int = 0) -> LaplaceReport:
+                      base_seed: int,
+                      exponent: ExponentReport | None = None) -> LaplaceReport:
     """Monte Carlo E[exp(-t * mass)] on a shared replica set for every t."""
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values < 0):
         raise DomainError("t values must be >= 0")
     check_replica_count(n_replicas, rows=t_values.size)
-    totals = total_masses(model, gamma, base_seed, n_replicas, start=start)
+    totals = total_masses(model, gamma, base_seed, n_replicas)
     damped = np.exp(-t_values[:, None] * totals[None, :])
     estimates, ses = mean_se(damped, axis=1)
     bound = None
@@ -182,7 +169,8 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     replicas [0, N), the threshold estimate [stride, stride + N), the event
     check [2 * stride, 2 * stride + N).
 
-    The pair distances are formed once, for the threshold and event stages.
+    The pair distances are formed once: for the d-energy when gamma^2 < d,
+    and for the threshold and event stages.
     When no two atoms lie within the event radius r = s0^-L of each other,
     every ball mass is an empty sum, exactly 0.0, and the event stage draws
     no field block; otherwise each is rooted_kernel_sums over the Green
@@ -195,8 +183,9 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     sigma = model.measure.total_mass
     if l2 is None:
         l2 = beta == d and delta == 1.0 and gamma * gamma < d
-    energy_ratio = d_energy(model.measure, d) / sigma if gamma * gamma < d else None
     dist = pair_distances(model.measure.positions)
+    energy_ratio = (_distance_energy(model.measure.weights, dist, d) / sigma
+                    if gamma * gamma < d else None)
     if l2:
         if not (beta == d and delta == 1.0 and gamma * gamma < d):
             raise DomainError(

@@ -11,13 +11,14 @@ vector itself.
 All field values come from field_strips, the one loop over the block
 product: the lower trapezoidal n x r factor times the block's normals, in
 row strips of STRIP atoms so the zero upper triangle is skipped. Its callers
-reduce in one of two ways. block_field keeps every strip and returns the
-whole (n, BATCH) field; the rooted samplers need it, since a replica's root
-picks its row. A total-mass reducer (gmc.total_masses) writes each strip
-into one reused (STRIP, BATCH) buffer and reduces it to per-replica sums
-before the next strip, so no n x BATCH array of field values is ever held.
-Both may draw the normals into a (BATCH, r) buffer the caller owns
-(block_normals) and reuse it for every block.
+reduce in one of two ways. block_fields keeps every strip and gives each
+block's whole (n, BATCH) field; field_matrix uses it, and so do the rooted
+samplers, since a replica's root picks its row. A total-mass reducer
+(gmc.total_masses) writes each strip into one reused (STRIP, BATCH) buffer
+and reduces it to per-replica sums before the next strip, so no n x BATCH
+array of field values is ever held. Both draw the normals into one
+(BATCH, r) buffer (block_normals) and reuse it, like every other buffer,
+for every block of a call.
 
 gather_blocks is the one map from a replica index to its block and column:
 every sampler hands it a function from a block key to that whole block's
@@ -97,23 +98,25 @@ def field_strips(model, z: np.ndarray, out: np.ndarray):
         yield lo, hi, rows
 
 
-def block_field(model, base_seed: int, key: int, normals: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Field values of the whole stream block key, one column per replica.
+def block_fields(model, base_seed: int):
+    """A function from a stream block key to that block's whole field, one
+    column per replica.
 
-    The normals are drawn into normals, a (BATCH, r) array, r being the
-    factor rank, and the (n, BATCH) product is written into out; a caller
-    that owns both reuses them for every block, and either is allocated
-    here when not given.
+    It draws the block's normals into one (BATCH, r) buffer, r being the
+    factor rank, and writes the (n, BATCH) product into one field buffer;
+    both are owned by the returned function and reused for every block, so a
+    block's field must be consumed, as gather_blocks does, before the next
+    block is asked for.
     """
-    n, rank = model.factor.shape
-    if normals is None:
-        normals = np.empty((BATCH, rank))
-    if out is None:
-        out = np.empty((n, BATCH))
-    for _ in field_strips(model, block_normals(base_seed, key, normals), out):
-        pass
-    return out
+    normals = np.empty((BATCH, model.factor_rank))
+    values = np.empty((model.n, BATCH))
+
+    def block(key):
+        for _ in field_strips(model, block_normals(base_seed, key, normals), values):
+            pass
+        return values
+
+    return block
 
 
 def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
@@ -142,7 +145,7 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
 
 def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
     """Standard normal matrix with one replica per column, column-major like
-    the normals block_field multiplies: replica k's column is row k % BATCH of
+    the normals block_fields multiplies: replica k's column is row k % BATCH of
     the (BATCH, n) draw of block k // BATCH."""
     return gather_blocks(
         lambda key: replica_generator(base_seed, key).standard_normal((BATCH, n)).T,
@@ -152,12 +155,12 @@ def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
 def field_matrix(model, base_seed: int, indices) -> np.ndarray:
     """Field values for arbitrary replica indices, one column per replica.
 
-    Each distinct block is computed whole by block_field and the requested
+    Each distinct block is computed whole by block_fields and the requested
     columns are taken from it, so a column never depends on what else was
     requested: the result is bit-identical for any index order or batch shape.
     """
-    return gather_blocks(lambda key: block_field(model, base_seed, key),
-                         indices, np.empty((model.n, len(indices))))
+    return gather_blocks(block_fields(model, base_seed), indices,
+                         np.empty((model.n, len(indices))))
 
 
 def sample_field(model, base_seed: int, replica_index: int) -> FieldSample:

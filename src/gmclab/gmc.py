@@ -18,25 +18,25 @@ ways:
   array is held.
 - Rooted samplers (rooted_identity_errors, verify_change_of_measure,
   rooted_kernel_sums) index the root's covariance or weight row, so they
-  hold the block's whole (n, BATCH) field, drawn into buffers the call owns,
-  and do the root-row work ROOT_CHUNK replicas at a time. Each replica's sum
-  runs along its whole atom axis, so the chunk width moves no bit.
-  rooted_kernel_sums sums an atoms-first (n, chunk) array over axis 0, one
-  atom row after another as einsum("ki,ik->k") did; numpy would sum a lone
-  (n, 1) column pairwise, so its chunks are at least 2 replicas wide.
+  hold the block's whole (n, BATCH) field from field.block_fields, whose
+  buffers each call reuses for all its blocks, and do the root-row work
+  ROOT_CHUNK replicas at a time. Each replica's sum runs along its whole
+  atom axis, so the chunk width moves no bit. rooted_kernel_sums sums an
+  atoms-first (n, chunk) array over axis 0, one atom row after another as
+  einsum("ki,ik->k") did; numpy would sum a lone (n, 1) column pairwise, so
+  its chunks are at least 2 replicas wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from . import field as field_mod
 from .errors import DomainError, ResourceLimitError
-from .field import (BATCH, STRIP, FieldSample, block_field, block_normals, field_strips,
-                    gather_blocks, replica_generator)
+from .field import (BATCH, ROOT_SUBSTREAM, STRIP, FieldSample, block_fields, block_normals,
+                    field_strips, gather_blocks, replica_generator)
 
 # Replica ceiling: the most cells a per-replica array may hold, checked before
 # any is allocated. The largest such arrays are a command's N-length vectors
@@ -58,21 +58,6 @@ class GmcSample:
     gamma: float
     field: FieldSample
     model: object
-
-
-@dataclass(frozen=True)
-class RootedSample:
-    root: complex
-    root_index: int
-    gamma_prime: float
-    shifted_field: np.ndarray
-    base_field: FieldSample
-
-
-class IdentityCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    rel_err: float
 
 
 @dataclass(frozen=True)
@@ -162,55 +147,13 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
     return gather_blocks(block, range(start, start + n_replicas), np.empty(n_replicas))
 
 
-def _field_blocks(model, base_seed: int):
-    """block_field over one (BATCH, r) normals buffer and one (n, BATCH) field
-    buffer that every block of a sampler call reuses; a block's field is
-    consumed before the next is drawn."""
-    normals = np.empty((BATCH, model.factor_rank))
-    values = np.empty((model.n, BATCH))
-    return lambda key: block_field(model, base_seed, key, normals, values)
-
-
 def block_roots(model, base_seed: int, key: int) -> np.ndarray:
     """Weight-proportional root atom index of every replica of stream block
     key, from one (BATCH,) uniform draw of the block's root substream."""
     cum = np.cumsum(model.measure.weights)
-    uniforms = replica_generator(base_seed, key, field_mod.ROOT_SUBSTREAM).random(
-        field_mod.BATCH)
+    uniforms = replica_generator(base_seed, key, ROOT_SUBSTREAM).random(BATCH)
     roots = np.searchsorted(cum, uniforms * cum[-1], side="right")
     return np.minimum(roots, model.n - 1)
-
-
-def draw_roots(model, base_seed: int, indices) -> np.ndarray:
-    """Root atom index per replica of an arbitrary index list: replica k's is
-    entry k % BATCH of block_roots of block k // BATCH."""
-    return gather_blocks(lambda key: block_roots(model, base_seed, key), indices,
-                         np.empty(len(indices), dtype=np.intp))
-
-
-def sample_rooted(model, base_seed: int, replica_index: int,
-                  gamma_prime: float) -> RootedSample:
-    """Root atom plus field shifted by gamma' times the root's covariance row."""
-    root_index = int(draw_roots(model, base_seed, [replica_index])[0])
-    base = field_mod.sample_field(model, base_seed, replica_index)
-    shifted = base.values + gamma_prime * model.matrix[root_index]
-    return RootedSample(complex(model.measure.positions[root_index]), root_index,
-                        gamma_prime, shifted, base)
-
-
-def verify_rooted_identity(model, base_seed: int, replica_index: int,
-                           gamma: float, gamma_prime: float) -> IdentityCheck:
-    """Check sum_i exp(g*g'*K(root,p_i)) mass_i == total mass of the shifted field.
-
-    Both sides use the repaired covariance row, so the identity is exact up to
-    floating point rounding.
-    """
-    rooted = sample_rooted(model, base_seed, replica_index, gamma_prime)
-    row = model.matrix[rooted.root_index]
-    base_mass = mass_columns(model, rooted.base_field.values, gamma)
-    lhs = float(np.sum(np.exp(gamma * gamma_prime * row) * base_mass))
-    rhs = float(np.sum(mass_columns(model, rooted.shifted_field, gamma)))
-    return IdentityCheck(lhs, rhs, abs(lhs - rhs) / rhs)
 
 
 def rooted_identity_errors(model, base_seed: int, n_replicas: int,
@@ -221,7 +164,7 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
     time, and summed along each replica's atoms.
     """
     check_replica_count(n_replicas)
-    field = _field_blocks(model, base_seed)
+    field = block_fields(model, base_seed)
     errors = np.empty(BATCH)
 
     def block(key):
@@ -274,7 +217,7 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     gamma' masses m that weight the first branch.
     """
     check_replica_count(n_replicas, rows=3)
-    field = _field_blocks(model, base_seed)
+    field = block_fields(model, base_seed)
     sums = np.empty((3, BATCH))
 
     def block(key):
@@ -314,7 +257,7 @@ def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
     summed again with its neighbour.
     """
     check_replica_count(len(replicas))
-    field = _field_blocks(model, base_seed)
+    field = block_fields(model, base_seed)
     width = max(ROOT_CHUNK, 2)
     products = np.empty(model.n * width)
     sums = np.empty(BATCH)

@@ -123,26 +123,16 @@ class DiskKernel:
             return 0.0
         return math.log(abs(r * r - x * y.conjugate()) / (r * abs(x - y)))
 
-    def smooth_part(self, x: complex, y: complex) -> float:
-        """Kernel plus log|x - y|, continuous through the diagonal."""
-        r = self.radius
-        if abs(x) >= r or abs(y) >= r:
-            return 0.0
-        return math.log(abs(r * r - x * y.conjugate()) / r)
-
     def _smooth_rows(self, positions: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
-        """Rows [lo, hi) of smooth_matrix over columns [0, hi), in real arithmetic."""
+        """Rows [lo, hi) over columns [0, hi) of the smooth part log|r**2 -
+        x*conj(y)| - log r (the kernel plus log|x - y|), in real arithmetic:
+        symmetric bit for bit."""
         r = self.radius
         x, y = positions.real[:hi], positions.imag[:hi]
         xi, yi = x[lo:hi, None], y[lo:hi, None]
         re = r * r - xi * x - yi * y
         im = yi * x - xi * y
         return np.log(np.sqrt(re * re + im * im) / r, out=out)
-
-    def smooth_matrix(self, positions: np.ndarray) -> np.ndarray:
-        """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
-        return _pair_matrix(positions.size,
-                            lambda lo, hi, out: self._smooth_rows(positions, lo, hi, out=out))
 
     def entry_matrix(self, positions: np.ndarray, epsilon: float) -> np.ndarray:
         """Vectorized regularized entries for all atom pairs (diagonal included)."""
@@ -159,27 +149,6 @@ UNIT_DISK = DiskKernel(1.0)
 def green_disk(x: complex, y: complex) -> float:
     """Zero-boundary kernel of the unit disk, log|(1 - x*conj(y))/(x - y)|."""
     return UNIT_DISK(x, y)
-
-
-def green_subdisk(x: complex, y: complex, r: float) -> float:
-    """Zero-boundary kernel of the centered disk of radius r."""
-    return DiskKernel(r)(x, y)
-
-
-def regularized_entry(x: complex, y: complex, epsilon: float, green=UNIT_DISK) -> float:
-    """Kernel entry with the distance truncated below at epsilon.
-
-    Equals green(x, y) when |x - y| >= epsilon; inside the truncation scale the
-    singular -log|x - y| part is frozen at -log(epsilon), which on the diagonal
-    gives log(1/epsilon) + log of the boundary-distance factor.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if not (green.inside(x) and green.inside(y)):
-        return 0.0
-    if abs(x - y) >= epsilon:
-        return green(x, y)
-    return green.smooth_part(x, y) - math.log(epsilon)
 
 
 def _check_atom_count(measure: AtomicMeasure) -> None:
@@ -324,20 +293,6 @@ def _range_clip(matrix: np.ndarray):
     # small is symmetric bit for bit, so its F-ordered view holds its numbers
     ritz_values, ritz_vectors = np.linalg.eigh(small.T)
     return _clipped_root(ritz_values, basis @ ritz_vectors)
-
-
-def clip_to_psd(matrix: np.ndarray):
-    """Eigenvalue clip of a symmetric matrix by one eigh, at the cut of
-    _clip_cut: the widest ratio gap among the eigenvalues in CUT_WINDOW *
-    lam_max.
-
-    Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
-    is the size of the most negative eigenvalue removed (0.0 if none); the
-    nonnegative eigenvalues below the cut are dropped too. This is the
-    reference the range finder of a clipped build is held to.
-    """
-    root, clip_magnitude, eig_min, eig_max = _eigen_clip(matrix)
-    return root @ root.T, clip_magnitude, eig_min, eig_max
 
 
 def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:

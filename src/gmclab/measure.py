@@ -28,6 +28,9 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Attempt cap for the split direction search; generic angles separate all atom
 # pairs, so this is never reached for valid inputs.
 MAX_SPLIT_ANGLES = 4096
+# distance rows per block of d_energy's sum; the blocks set its summation
+# order, so changing this moves its last bits
+ENERGY_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -84,23 +87,30 @@ class AtomicMeasure:
                    for lo in range(0, n, rows))
 
 
-def _lower_distance_rows(positions: np.ndarray, lo: int, hi: int, out=None) -> np.ndarray:
-    """dist[i - lo, j] = |p_i - p_j| for rows i in [lo, hi) and columns j < hi,
-    inf at j = i."""
-    dist = np.abs(positions[lo:hi, None] - positions[:hi], out=out)
+def _lower_distance_rows(positions: np.ndarray, lo: int, hi: int, stop: int | None = None,
+                         out=None) -> np.ndarray:
+    """dist[i - lo, j] = |p_i - p_j| for rows i in [lo, hi) and columns j < stop,
+    hi by default, inf at j = i."""
+    stop = hi if stop is None else stop
+    dist = np.abs(positions[lo:hi, None] - positions[:stop], out=out)
     np.fill_diagonal(dist[:, lo:], math.inf)
     return dist
 
 
-def _pair_distance_blocks(positions: np.ndarray, rows: int = 1024):
-    """Yield (start, dist) per rows atoms: dist[i - start, j] = |p_i - p_j|, inf at j = i.
+def _energy_sum(weights: np.ndarray, rows, d: float) -> float:
+    """sum_{i != j} w_i w_j / dist_ij**d from rows(lo, hi), the distance rows
+    [lo, hi) over all columns with an infinite diagonal, ENERGY_ROWS rows at
+    a time; that block size sets the order of the sum, and so its bits."""
+    n = weights.size
+    return sum(float(weights[lo:lo + ENERGY_ROWS]
+                     @ (rows(lo, min(lo + ENERGY_ROWS, n)) ** -d @ weights))
+               for lo in range(0, n, ENERGY_ROWS))
 
-    d_energy's sum order, and so its bits, depends on the default of 1024 rows.
-    """
-    for start in range(0, positions.size, rows):
-        dist = np.abs(positions[start:start + rows, None] - positions[None, :])
-        np.fill_diagonal(dist[:, start:start + rows], math.inf)
-        yield start, dist
+
+def _distance_energy(weights: np.ndarray, dist: np.ndarray, d: float) -> float:
+    """d_energy from the whole pair-distance matrix (kernel.pair_distances),
+    bit for bit."""
+    return _energy_sum(weights, lambda lo, hi: dist[lo:hi], d)
 
 
 @dataclass(frozen=True)
@@ -247,22 +257,9 @@ def d_energy(measure: AtomicMeasure, d: float) -> float:
     """Off-diagonal interaction energy sum_{i != j} w_i w_j / |p_i - p_j|**d."""
     if d <= 0:
         raise DomainError("d must be > 0")
-    w = measure.weights
-    return sum(float(w[start:start + 1024] @ (dist ** -d @ w))
-               for start, dist in _pair_distance_blocks(measure.positions))
-
-
-def local_energy(root: complex, gmc, beta: float) -> float:
-    """Energy of a chaos sample seen from a root point, the root atom excluded.
-
-    sum over atoms p_i != root of per_atom_mass[i] / |root - p_i|**beta.
-    """
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
-    positions = gmc.model.measure.positions
-    dist = np.abs(positions - root)
-    keep = positions != root
-    return float(np.sum(gmc.per_atom_mass[keep] * dist[keep] ** -beta))
+    positions, n = measure.positions, measure.n
+    return _energy_sum(measure.weights,
+                       lambda lo, hi: _lower_distance_rows(positions, lo, hi, n), d)
 
 
 def _check_radius(radius: float) -> None:
@@ -285,8 +282,9 @@ def _directional_split(positions: np.ndarray, weights: np.ndarray, angle: float)
     offset = 0.5 * (values[k] + values[k + 1])
     # largest closed-strip half-width still holding at most a quarter of the
     # mass; the returned margin is half of the first width that exceeds it
-    dist = np.sort(np.abs(proj - offset))
-    order = np.argsort(np.abs(proj - offset), kind="stable")
+    gaps = np.abs(proj - offset)
+    order = np.argsort(gaps, kind="stable")
+    dist = gaps[order]
     cum = np.cumsum(weights[order])
     first_over = int(np.searchsorted(cum, total / 4.0, side="right"))
     if first_over >= dist.size:

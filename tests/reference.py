@@ -1,0 +1,155 @@
+"""Reference implementations the test suites compare the library against.
+
+These are the scalar, per-replica and one-eigh forms of computations that
+gmclab does in bulk: a scalar kernel entry against the tiled pair matrices,
+one full eigh clip against the range finder, one replica's rooted sample
+against the block-streamed rooted samplers, and the rooted local energy of
+one chaos sample. No command, demo or benchmark calls them, so they live
+here, next to the tests, and not in the package.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from gmclab.bounds import t0_from_ratio
+from gmclab.errors import DomainError
+from gmclab.field import FieldSample, gather_blocks, sample_field
+from gmclab.gmc import block_roots, check_replica_count, mass_columns, rooted_kernel_sums
+from gmclab.kernel import UNIT_DISK, DiskKernel, _eigen_clip, _pair_matrix, pair_distances
+from gmclab.measure import AtomicMeasure, d_energy
+
+# ----------------------------------------------------------------- kernel
+
+
+def smooth_part(kernel: DiskKernel, x: complex, y: complex) -> float:
+    """Kernel plus log|x - y|, continuous through the diagonal."""
+    r = kernel.radius
+    if abs(x) >= r or abs(y) >= r:
+        return 0.0
+    return math.log(abs(r * r - x * y.conjugate()) / r)
+
+
+def smooth_matrix(kernel: DiskKernel, positions: np.ndarray) -> np.ndarray:
+    """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
+    return _pair_matrix(positions.size,
+                        lambda lo, hi, out: kernel._smooth_rows(positions, lo, hi, out=out))
+
+
+def green_subdisk(x: complex, y: complex, r: float) -> float:
+    """Zero-boundary kernel of the centered disk of radius r."""
+    return DiskKernel(r)(x, y)
+
+
+def regularized_entry(x: complex, y: complex, epsilon: float, green=UNIT_DISK) -> float:
+    """Kernel entry with the distance truncated below at epsilon.
+
+    Equals green(x, y) when |x - y| >= epsilon; inside the truncation scale the
+    singular -log|x - y| part is frozen at -log(epsilon), which on the diagonal
+    gives log(1/epsilon) + log of the boundary-distance factor.
+    """
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError("epsilon must lie in (0, 1)")
+    if not (green.inside(x) and green.inside(y)):
+        return 0.0
+    if abs(x - y) >= epsilon:
+        return green(x, y)
+    return smooth_part(green, x, y) - math.log(epsilon)
+
+
+def clip_to_psd(matrix: np.ndarray):
+    """Eigenvalue clip of a symmetric matrix by one eigh, at the cut of
+    _clip_cut: the widest ratio gap among the eigenvalues in CUT_WINDOW *
+    lam_max.
+
+    Returns (repaired, clip_magnitude, eig_min, eig_max) where clip_magnitude
+    is the size of the most negative eigenvalue removed (0.0 if none); the
+    nonnegative eigenvalues below the cut are dropped too. This is the
+    reference the range finder of a clipped build is held to.
+    """
+    root, clip_magnitude, eig_min, eig_max = _eigen_clip(matrix)
+    return root @ root.T, clip_magnitude, eig_min, eig_max
+
+
+# ------------------------------------------------------------------- gmc
+
+
+@dataclass(frozen=True)
+class RootedSample:
+    root: complex
+    root_index: int
+    gamma_prime: float
+    shifted_field: np.ndarray
+    base_field: FieldSample
+
+
+class IdentityCheck(NamedTuple):
+    lhs: float
+    rhs: float
+    rel_err: float
+
+
+def draw_roots(model, base_seed: int, indices) -> np.ndarray:
+    """Root atom index per replica of an arbitrary index list: replica k's is
+    entry k % BATCH of block_roots of block k // BATCH."""
+    return gather_blocks(lambda key: block_roots(model, base_seed, key), indices,
+                         np.empty(len(indices), dtype=np.intp))
+
+
+def sample_rooted(model, base_seed: int, replica_index: int,
+                  gamma_prime: float) -> RootedSample:
+    """Root atom plus field shifted by gamma' times the root's covariance row."""
+    root_index = int(draw_roots(model, base_seed, [replica_index])[0])
+    base = sample_field(model, base_seed, replica_index)
+    shifted = base.values + gamma_prime * model.matrix[root_index]
+    return RootedSample(complex(model.measure.positions[root_index]), root_index,
+                        gamma_prime, shifted, base)
+
+
+def verify_rooted_identity(model, base_seed: int, replica_index: int,
+                           gamma: float, gamma_prime: float) -> IdentityCheck:
+    """Check sum_i exp(g*g'*K(root,p_i)) mass_i == total mass of the shifted field.
+
+    Both sides use the repaired covariance row, so the identity is exact up to
+    floating point rounding.
+    """
+    rooted = sample_rooted(model, base_seed, replica_index, gamma_prime)
+    row = model.matrix[rooted.root_index]
+    base_mass = mass_columns(model, rooted.base_field.values, gamma)
+    lhs = float(np.sum(np.exp(gamma * gamma_prime * row) * base_mass))
+    rhs = float(np.sum(mass_columns(model, rooted.shifted_field, gamma)))
+    return IdentityCheck(lhs, rhs, abs(lhs - rhs) / rhs)
+
+
+# --------------------------------------------------------- energies, bounds
+
+
+def local_energy(root: complex, gmc, beta: float) -> float:
+    """Energy of a chaos sample seen from a root point, the root atom excluded.
+
+    sum over atoms p_i != root of per_atom_mass[i] / |root - p_i|**beta.
+    """
+    if beta <= 0:
+        raise DomainError("beta must be > 0")
+    positions = gmc.model.measure.positions
+    dist = np.abs(positions - root)
+    keep = positions != root
+    return float(np.sum(gmc.per_atom_mass[keep] * dist[keep] ** -beta))
+
+
+def t0_l2(measure: AtomicMeasure, gamma: float, d: float) -> float:
+    """Square-integrable threshold computed from the measure's d-energy."""
+    return t0_from_ratio(d_energy(measure, d) / measure.total_mass, gamma, d)
+
+
+def local_energy_samples(model, gamma: float, beta: float, base_seed: int,
+                         n_replicas: int, start: int = 0) -> np.ndarray:
+    """Rooted local energies phi_beta(root, mass), root atom excluded."""
+    check_replica_count(n_replicas)
+    dist = pair_distances(model.measure.positions)
+    return rooted_kernel_sums(model, base_seed, range(start, start + n_replicas),
+                              gamma, dist ** -beta)

@@ -5,6 +5,8 @@ import pytest
 
 import gmclab.bounds
 import gmclab.field
+import gmclab.kernel
+import gmclab.measure
 from gmclab import (
     AtomicMeasure,
     DomainError,
@@ -13,15 +15,16 @@ from gmclab import (
     estimate_s0,
     exponents,
     fit_loglog_slope,
+    generate_uniform_grid,
     laplace_transform,
     small_ball_tail,
     t0_from_ratio,
-    t0_l2,
     verify_bound,
 )
 from gmclab.field import BATCH
 from gmclab.gmc import mean_se, rooted_kernel_sums
 from gmclab.kernel import offdiagonal_green
+from reference import t0_l2
 
 SEED = 31
 
@@ -238,20 +241,32 @@ def test_verify_bound_l2_t0_field(model8):
     assert rep.exponent.t0 == pytest.approx(rep.exponent.l2_t0, rel=1e-12)
 
 
-def test_verify_bound_l2_computes_energy_once(model8, monkeypatch):
-    calls = []
+@pytest.fixture(scope="module")
+def grid40_model():
+    # n = 1600: two 1024-row blocks of the d-energy sum, 40 distance-row tiles
+    return build_covariance(generate_uniform_grid(40, 0.8))
 
-    def counted(*args):
-        calls.append(args)
-        return d_energy(*args)
 
-    monkeypatch.setattr(gmclab.bounds, "d_energy", counted)
-    rep = verify_bound(model8, 0.8, 2.0, 2.0, 1.0, 200, SEED, l2=True)
-    assert len(calls) == 1
-    monkeypatch.undo()
-    sigma = model8.measure.total_mass
-    assert rep.exponent.s0 == 2.0 ** 5 * d_energy(model8.measure, 2.0) / sigma
-    assert rep.exponent.l2_t0 == t0_l2(model8.measure, 0.8, 2.0)
+def test_verify_bound_l2_computes_energy_once(model8, grid40_model, monkeypatch):
+    # the d-energy is summed from the distances verify_bound forms for its
+    # other stages: one pair_distances worth of distance-row tiles in all
+    for model in (model8, grid40_model):
+        calls = []
+        real = gmclab.measure._lower_distance_rows
+
+        def counted(positions, lo, hi, *args, **kwargs):
+            calls.append((lo, hi))
+            return real(positions, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(gmclab.measure, "_lower_distance_rows", counted)
+        monkeypatch.setattr(gmclab.kernel, "_lower_distance_rows", counted)
+        rep = verify_bound(model, 0.8, 2.0, 2.0, 1.0, 200, SEED, l2=True)
+        monkeypatch.undo()
+        n, rows = model.n, gmclab.kernel._tile_rows(model.n)
+        assert calls == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+        sigma = model.measure.total_mass
+        assert rep.exponent.s0 == 2.0 ** 5 * d_energy(model.measure, 2.0) / sigma
+        assert rep.exponent.l2_t0 == t0_l2(model.measure, 0.8, 2.0)
 
 
 def test_verify_bound_l2_requires_matching_parameters(model8):

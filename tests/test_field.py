@@ -11,7 +11,7 @@ from gmclab import (
     sample_field,
     total_masses,
 )
-from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, block_field,
+from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, block_fields,
                           gather_blocks, normal_block)
 
 SEED = 2024
@@ -85,9 +85,6 @@ class _ScaledKernel:
     def __call__(self, x, y):
         return self.c2 * self.base(x, y)
 
-    def smooth_part(self, x, y):
-        return self.c2 * self.base.smooth_part(x, y)
-
     def entry_matrix(self, positions, epsilon):
         return self.c2 * self.base.entry_matrix(positions, epsilon)
 
@@ -135,7 +132,7 @@ def test_replica_is_its_row_of_the_block_draw(model4):
 
 def test_block_field_is_the_whole_block(model4, aligned):
     _, values = aligned
-    assert np.array_equal(block_field(model4, SEED, 1), values[:, BATCH:])
+    assert np.array_equal(block_fields(model4, SEED)(1), values[:, BATCH:])
 
 
 def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
@@ -144,7 +141,7 @@ def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
 
     def block(key):
         keys.append(key)
-        return block_field(model4, SEED, key)
+        return block_fields(model4, SEED)(key)
 
     def gather(indices):
         return gather_blocks(block, indices, np.empty((model4.n, len(indices))))

@@ -20,19 +20,17 @@ from gmclab import (
     green_disk,
     rooted_identity_errors,
     sample_field,
-    sample_rooted,
     total_masses,
     verify_change_of_measure,
-    verify_rooted_identity,
 )
-from gmclab.bounds import (laplace_transform, local_energy_samples, small_ball_tail,
-                           verify_bound)
+from gmclab.bounds import estimate_s0, laplace_transform, small_ball_tail, verify_bound
 from gmclab.errors import ResourceLimitError
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
-from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, draw_roots, mass_columns,
-                        mean_se, rooted_kernel_sums)
+from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, mass_columns, mean_se,
+                        rooted_kernel_sums)
 from gmclab.inequalities import fkg_check, kahane_check
 from gmclab.kernel import offdiagonal_green, pair_distances
+from reference import draw_roots, local_energy_samples, sample_rooted, verify_rooted_identity
 
 SEED = 7
 
@@ -581,7 +579,7 @@ def test_replica_ceiling_refuses_before_allocating(single_atom, single_model):
         lambda: total_masses(single_model, 0.8, SEED, huge),
         lambda: rooted_identity_errors(single_model, SEED, huge, 0.8, 0.8),
         lambda: verify_change_of_measure(single_model, 0.6, stat, huge, SEED),
-        lambda: local_energy_samples(single_model, 0.8, 1.0, SEED, huge),
+        lambda: estimate_s0(single_model, 0.8, 1.0, 1.0, huge, SEED),
         lambda: small_ball_tail(single_model, 0.8, [0.5], huge, SEED),
         lambda: verify_bound(single_model, 0.6, 1.0, 1.0, 1.0, huge, SEED),
         lambda: fkg_check(single_model, 0.8, 1.0, 2.0, huge, SEED),

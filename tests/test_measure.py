@@ -18,11 +18,11 @@ from gmclab import (
     generate_uniform_grid,
     gmc_mass,
     load_measure,
-    local_energy,
     sample_field,
     save_measure,
     split_half_plane,
 )
+from reference import local_energy
 
 SEED = 1234
 
