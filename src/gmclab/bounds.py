@@ -217,7 +217,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         # no ball holds a second atom: every ball mass is an empty sum
         ball_mass = np.zeros(n_replicas)
     else:
-        green, _ = offdiagonal_green(model.measure.positions, dist)
+        green = offdiagonal_green(model.measure.positions, dist)
         weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
         event_replicas = range(2 * stride, 2 * stride + n_replicas)
         ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)

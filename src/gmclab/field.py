@@ -11,14 +11,15 @@ vector itself.
 All field values come from field_strips, the one loop over the block
 product: the lower trapezoidal n x r factor times the block's normals, in
 row strips of STRIP atoms so the zero upper triangle is skipped. Its callers
-reduce in one of two ways. block_fields keeps every strip and gives each
-block's whole (n, BATCH) field; field_matrix uses it, and so do the rooted
-samplers, since a replica's root picks its row. A total-mass reducer
-(gmc.total_masses) writes each strip into one reused (STRIP, BATCH) buffer
-and reduces it to per-replica sums before the next strip, so no n x BATCH
-array of field values is ever held. Both draw the normals into one
-(BATCH, r) buffer (block_normals) and reuse it, like every other buffer,
-for every block of a call.
+use it in one of two ways. block_fields keeps every strip and gives each
+block's whole (n, BATCH) field; field_matrix uses it, and so do the samplers
+that shift the whole field by a root's covariance row
+(gmc.rooted_identity_errors, gmc.verify_change_of_measure). The mass-sum
+reducer behind gmc.total_masses and gmc.rooted_kernel_sums writes each strip
+into one reused (STRIP + 1, BATCH) buffer and reduces it to per-replica sums
+before the next strip, so no n x BATCH array of field values is ever held.
+Both draw the normals into one (BATCH, r) buffer (block_normals) and reuse
+it, like every other buffer, for every block of a call.
 
 gather_blocks is the one map from a replica index to its block and column:
 every sampler hands it a function from a block key to that whole block's
@@ -31,10 +32,10 @@ r = n = 2304, plus the factor product over its block, about 80 ms at
 n = 2304 on two cores.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports;
-the README's Reproducibility section tells what each version changed. The
-current version, 8, keeps version 7's keying and strip product; it moved
-only the factor of a clipped model, whose eigenpairs now come from the
-kernel's range finder under a cut in a window of [1e-9, 1e-7] * lam_max.
+CHANGES.md tells what each version changed. The current version, 8, keeps
+version 7's keying and strip product; it moved only the factor of a clipped
+model, whose eigenpairs now come from the kernel's range finder under a cut
+in a window of [1e-9, 1e-7] * lam_max.
 """
 
 from __future__ import annotations

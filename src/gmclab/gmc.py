@@ -10,21 +10,18 @@ replica by replica up to rounding.
 Every sampler reduces each stream block to per-replica values in one of two
 ways:
 
-- Total masses (total_masses, behind laplace, tail, fkg, kahane and the
-  Laplace stage of verify_bound) are reduced strip by strip as
-  field.field_strips forms the field: each strip of STRIP atoms becomes
-  masses in place and is added to the running per-replica sums, in the atom
-  order numpy's axis-0 sum of the whole block would use. No (n, BATCH)
-  array is held.
-- Rooted samplers (rooted_identity_errors, verify_change_of_measure,
-  rooted_kernel_sums) index the root's covariance or weight row, so they
-  hold the block's whole (n, BATCH) field from field.block_fields, whose
-  buffers each call reuses for all its blocks, and do the root-row work
-  ROOT_CHUNK replicas at a time. Each replica's sum runs along its whole
-  atom axis, so the chunk width moves no bit. rooted_kernel_sums sums an
-  atoms-first (n, chunk) array over axis 0, one atom row after another as
-  einsum("ki,ik->k") did; numpy would sum a lone (n, 1) column pairwise, so
-  its chunks are at least 2 replicas wide.
+- Mass sums (total_masses, behind laplace, tail, fkg, kahane and the Laplace
+  stage of verify_bound, and rooted_kernel_sums, behind its threshold and
+  event stages) are reduced strip by strip as field.field_strips forms the
+  field: each strip of STRIP atoms becomes masses in place, times each
+  replica's root row of a weight matrix for rooted_kernel_sums, and is added
+  to the running per-replica sums atom by atom. No (n, BATCH) array is held.
+- Shifted-field samplers (rooted_identity_errors, verify_change_of_measure)
+  add the root's covariance row to the whole field, so they hold the block's
+  (n, BATCH) field from field.block_fields, whose buffers each call reuses
+  for all its blocks, and do the root-row work ROOT_CHUNK replicas at a
+  time. Each replica's sum runs along its whole atom axis, so the chunk
+  width moves no bit.
 """
 
 from __future__ import annotations
@@ -45,9 +42,9 @@ from .field import (BATCH, ROOT_SUBSTREAM, STRIP, FieldSample, block_fields, blo
 # float64 cells are 1 GiB; the default counts (at most 20k replicas, 25 t
 # values) use 500k.
 MAX_REPLICA_CELLS = 2 ** 27
-# replicas per chunk of a rooted sampler's root-row work, so its chunk arrays
-# hold ROOT_CHUNK x n values; not part of the stream definition, since each
-# per-replica sum runs over that replica's whole atom axis whatever the width
+# replicas per chunk of a shifted-field sampler's root-row work, whose chunk
+# arrays hold ROOT_CHUNK x n values; not part of the stream definition, since
+# each replica's sum runs over its whole atom axis whatever the width
 ROOT_CHUNK = 64
 
 
@@ -120,31 +117,50 @@ def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
 
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
-    """Total chaos mass for replicas start .. start+n_replicas-1.
+    """Total chaos mass for replicas start .. start+n_replicas-1."""
+    return _strip_sums(model, base_seed, range(start, start + n_replicas), gamma)
+
+
+def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
+                       weight: np.ndarray) -> np.ndarray:
+    """sum_i weight[root, i] * mass_i per replica of an index list, with the
+    gamma chaos mass and an n x n weight matrix over the atoms."""
+    return _strip_sums(model, base_seed, replicas, gamma, weight)
+
+
+def _strip_sums(model, base_seed: int, replicas, gamma: float,
+                weight: np.ndarray | None = None) -> np.ndarray:
+    """sum_i mass_i per replica of an index list, each mass times
+    weight[root, i] when a weight is given, streamed block by block.
 
     Each strip of field rows becomes masses in place in rows 1.. of one
     (STRIP + 1, BATCH) buffer whose row 0 carries the running sums. Summing
-    the buffer over axis 0 adds the strip's masses to them atom by atom, the
+    the buffer over axis 0 adds the strip's terms to them atom by atom, the
     order in which numpy sums a whole (n, BATCH) array over axis 0, so the
-    totals are mass_columns(...).sum(axis=0) bit for bit while only the
-    normals and one strip are held.
+    sums are mass_columns(...).sum(axis=0), or einsum("ki,ik->k") over the
+    roots' weight rows and the masses, bit for bit while only the normals,
+    one strip and the roots' weights over its atoms are held.
     """
-    check_replica_count(n_replicas)
+    check_replica_count(len(replicas))
     normals = np.empty((BATCH, model.factor_rank))
     strip = np.empty((STRIP + 1, BATCH))
-    totals = np.empty(BATCH)
+    sums = np.empty(BATCH)
 
     def block(key):
-        totals.fill(0.0)
+        sums.fill(0.0)
         z = block_normals(base_seed, key, normals)
+        if weight is not None:
+            roots = block_roots(model, base_seed, key)
         for lo, hi, rows in field_strips(model, z, strip[1:]):
             rows *= gamma
             _masses_in_place(model, rows.T, gamma, slice(lo, hi))
-            strip[0] = totals
-            np.sum(strip[:hi - lo + 1], axis=0, out=totals)
-        return totals
+            if weight is not None:
+                rows *= weight[roots, lo:hi].T
+            strip[0] = sums
+            np.sum(strip[:hi - lo + 1], axis=0, out=sums)
+        return sums
 
-    return gather_blocks(block, range(start, start + n_replicas), np.empty(n_replicas))
+    return gather_blocks(block, replicas, np.empty(len(replicas)))
 
 
 def block_roots(model, base_seed: int, key: int) -> np.ndarray:
@@ -240,42 +256,6 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     overlap = bool(abs(mean_w - mean_r) <= 3.0 * se_d)
     return TwoSampleReport(statistic.name, gamma_prime, n_replicas, base_seed,
                            mean_w, se_w, mean_r, se_r, se_d, ess, overlap)
-
-
-def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
-                       weight: np.ndarray) -> np.ndarray:
-    """sum_i weight[root, i] * mass_i per replica of an index list, with the
-    gamma chaos mass and an n x n weight matrix over the atoms, streamed block
-    by block. The masses are formed in place in the block's field.
-
-    ROOT_CHUNK replicas at a time, the weight rows of their roots are laid
-    out atoms first, times the chunk's masses, in one C-ordered (n, chunk)
-    buffer, which numpy sums over axis 0 one atom row after another: the
-    order of einsum("ki,ik->k") over the same operands, so the sums are that
-    einsum's bit for bit. numpy sums a lone (n, 1) column pairwise instead,
-    so every chunk is at least 2 replicas wide; a trailing lone replica is
-    summed again with its neighbour.
-    """
-    check_replica_count(len(replicas))
-    field = block_fields(model, base_seed)
-    width = max(ROOT_CHUNK, 2)
-    products = np.empty(model.n * width)
-    sums = np.empty(BATCH)
-
-    def block(key):
-        masses = field(key)
-        masses *= gamma
-        _masses_in_place(model, masses.T, gamma)
-        roots = block_roots(model, base_seed, key)
-        for lo in range(0, BATCH, width):
-            lo = min(lo, BATCH - 2)
-            hi = min(lo + width, BATCH)
-            chunk = products[:model.n * (hi - lo)].reshape(model.n, hi - lo)
-            np.multiply(weight[roots[lo:hi]].T, masses[:, lo:hi], out=chunk)
-            np.sum(chunk, axis=0, out=sums[lo:hi])
-        return sums
-
-    return gather_blocks(block, replicas, np.empty(len(replicas)))
 
 
 def mean_se(samples, axis: int = -1):

@@ -23,7 +23,7 @@ from gmclab import (
 )
 from gmclab.field import BATCH
 from gmclab.gmc import mean_se, rooted_kernel_sums
-from gmclab.kernel import offdiagonal_green
+from gmclab.kernel import offdiagonal_green, pair_distances
 from reference import t0_l2
 
 SEED = 31
@@ -342,7 +342,8 @@ def _event_reference(model, args, n, report):
     gamma, _, beta, delta = args
     s0, big_l = report.exponent.s0, report.exponent.L
     r = s0 ** -big_l
-    green, dist = offdiagonal_green(model.measure.positions)
+    dist = pair_distances(model.measure.positions)
+    green = offdiagonal_green(model.measure.positions, dist)
     weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
     stride = -(-n // BATCH) * BATCH
     ball = rooted_kernel_sums(model, SEED, range(2 * stride, 2 * stride + n), gamma,

@@ -230,7 +230,8 @@ def test_clipped_mass_statistic_cap(model8):
 def _singular_weight(model, beta):
     # exp(beta * G) between distinct atoms, 0 on the diagonal: rooted_kernel_sums
     # with it gives the singular integral sum_{i != root} e^{beta G(root, p_i)} mass_i
-    green, _ = offdiagonal_green(model.measure.positions)
+    p = model.measure.positions
+    green = offdiagonal_green(p, pair_distances(p))
     weight = np.exp(beta * green)
     np.fill_diagonal(weight, 0.0)
     return weight
@@ -527,6 +528,17 @@ def test_total_masses_never_holds_a_block_of_field_values(model24):
     block = model24.n * BATCH * 8
     peak = _peak_bytes(lambda: total_masses(model24, 0.8, SEED, 2 * BATCH + 10))
     assert peak < 1.6 * block
+
+
+def test_rooted_kernel_sums_never_holds_a_block_of_field_values(cantor5_clipped):
+    # the normals (BATCH, r), one strip and its (BATCH, STRIP) gather of the
+    # roots' weights: about 0.6 blocks at r = 80 of n = 1024
+    model = cantor5_clipped
+    block = model.n * BATCH * 8
+    weight = pair_distances(model.measure.positions) ** -1.8
+    peak = _peak_bytes(lambda: rooted_kernel_sums(model, SEED, range(2 * BATCH + 10),
+                                                  0.8, weight))
+    assert peak < block
 
 
 def test_rooted_identity_errors_holds_at_most_two_blocks(model24):

@@ -20,7 +20,7 @@ from gmclab import (
     green_disk,
     markov_difference_psd,
 )
-from gmclab.kernel import offdiagonal_green
+from gmclab.kernel import offdiagonal_green, pair_distances
 from reference import (clip_to_psd, green_subdisk, regularized_entry, smooth_matrix,
                        smooth_part)
 
@@ -618,7 +618,8 @@ def test_pair_matrices_symmetric_bit_for_bit(pair_case):
     measure, epsilon = pair_case
     model = build_covariance(measure, epsilon)
     assert (model.clip_magnitude > 0.0) == (epsilon is not None)
-    green, dist = offdiagonal_green(measure.positions)
+    dist = pair_distances(measure.positions)
+    green = offdiagonal_green(measure.positions, dist)
     matrices = [model.matrix, green, dist, markov_difference_psd(measure, 0.5)[0]]
     matrices += [DiskKernel(r).entry_matrix(measure.positions, model.epsilon)
                  for r in (1.0, 0.5)]
@@ -667,10 +668,8 @@ def test_tiled_green_and_distances_equal_untiled(tile_points):
     dist = _untiled_dist(p)
     green = _untiled_smooth(1.0, p) - np.log(dist)
     np.fill_diagonal(green, 0.0)
-    got_green, got_dist = offdiagonal_green(p)
-    assert np.array_equal(got_green, green)
-    assert np.array_equal(got_dist, dist)
-    assert np.array_equal(gmclab.kernel.pair_distances(p), dist)
+    assert np.array_equal(offdiagonal_green(p, pair_distances(p)), green)
+    assert np.array_equal(pair_distances(p), dist)
     measure = AtomicMeasure(p, np.ones(p.size))
     assert measure.min_pair_distance() == dist.min()
 
