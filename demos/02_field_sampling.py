@@ -10,7 +10,7 @@ here, and through one eigenvalue clip to positive semidefinite otherwise; the
 clipped factor keeps only the r eigenvectors whose eigenvalue lies above a
 cut in the widest gap among the eigenvalues in [1e-9, 1e-7] * lam_max, so it
 is n x r and each replica draws r normals. The raw eigenvalue range below is computed on
-first access. Replicas are drawn from counter-based streams, one stream per
+first access. Replicas are drawn from seeded SFC64 streams, one stream per
 block of 1024 replicas, so replica k is the same numbers whichever batch of
 replicas produced it.
 """

@@ -94,11 +94,12 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
     and a replica of one model shares stream numbers with a neighbouring
     replica of the other. Replicas are independent within each model, and
     those shared numbers correlate a replica's damped mass with its
-    neighbour's in the other model only weakly and positively (0.035 to
-    0.044 over 8192 replicas at the command's defaults, seeds 3, 7 and 11,
-    against at most 0.018 for unrelated pairs). A positive cross correlation
-    makes the true variance of the mean difference smaller than the standard
-    error assumes, so the error errs large and false alarms only get rarer.
+    neighbour's in the other model only weakly and positively (0.030 to
+    0.060 over 8192 replicas at the command's defaults, seeds 3, 7 and 11,
+    against at most 0.026 in size for pairs that share no stream number;
+    stream version 9). A positive cross correlation makes the true variance
+    of the mean difference smaller than the standard error assumes, so the
+    error errs large and false alarms only get rarer.
     """
     if t <= 0:
         raise DomainError("t must be > 0")

@@ -11,8 +11,8 @@ from gmclab import (
     sample_field,
     total_masses,
 )
-from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STRIP, block_fields,
-                          gather_blocks, normal_block)
+from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STREAM_VERSION, STRIP,
+                          block_fields, gather_blocks, normal_block)
 
 SEED = 2024
 N_BIG = 100000
@@ -57,6 +57,24 @@ def test_field_matrix_matches_single_samples(model4):
     for col in (0, 7, 39, 40):
         single = sample_field(model4, SEED, int(indices[col])).values
         assert np.allclose(values[:, col], single, rtol=0, atol=1e-13)
+
+
+def test_stream_fingerprint(model8):
+    # pins stream version 9's numbers, so a change of bit generator, keying
+    # or draw shape fails here and must bump STREAM_VERSION with it. numpy
+    # gives a seeded Generator the same stream on every platform, so the
+    # normals and uniforms are pinned exactly; the mass goes through BLAS and
+    # exp, whose last bits may differ between builds
+    assert STREAM_VERSION == 9
+    normals = replica_generator(SEED, 0).standard_normal((2, 4))
+    assert normals.tolist() == [
+        [-0.772153918333846, 0.1479162186200444, -0.3772796981759266, -0.34788318964412007],
+        [1.290881434032721, -0.02513726490656964, -0.559844400707905, -1.851147602861379]]
+    uniforms = replica_generator(SEED, 3, ROOT_SUBSTREAM).random(4)
+    assert uniforms.tolist() == [
+        0.5826525547321685, 0.41009567768008226, 0.9119195715391142, 0.84531318710422]
+    mass = total_masses(model8, 1.0, SEED, 1, start=1030)
+    assert mass[0] == pytest.approx(1.9360918302939418, rel=1e-10)
 
 
 def test_stream_pairwise_correlation():
