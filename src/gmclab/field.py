@@ -33,11 +33,12 @@ r = n = 2304, plus the factor product over its block, about 80 ms at
 n = 2304 on two cores.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports;
-CHANGES.md tells what each version changed. The current version, 9, keeps
-version 8's keying, factor and strip product; it changed only the bit
-generator, from Philox to SFC64, whose normal draws cost about 30% less. The
-normals still come from numpy's ziggurat, so the stream is as independent of
-the host as version 8's.
+CHANGES.md tells what each version changed. The current version, 10, keeps
+version 9's SFC64 keying, draws and strip product; it changed only how a
+positive definite covariance of more than kernel.CHOL_GATE atoms is factored
+(kernel._cholesky, blocked instead of one LAPACK call), which moves those
+factors, and every field sampled from them, in their last bits. Models of at
+most CHOL_GATE atoms and clipped (QR) factors keep version 9's numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 9
+STREAM_VERSION = 10
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it

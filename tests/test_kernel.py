@@ -264,7 +264,7 @@ def _count_decompositions(monkeypatch):
 
 
 def _raw_matrix(measure, epsilon):
-    raw = DiskKernel(1.0).entry_matrix(measure.positions, epsilon)
+    raw = DiskKernel(1.0).entry_matrix(measure.positions, epsilon)[0]
     return (raw + raw.T) / 2.0
 
 
@@ -401,7 +401,7 @@ def test_clipped_rank_is_stable_across_eigen_solvers(measure):
 
 @pytest.mark.parametrize("radius", [1.0, 0.5])
 def test_range_clip_matches_eigh_clip(radius, monkeypatch):
-    raw = DiskKernel(radius).entry_matrix(CANTOR5.positions, 0.05)
+    raw = DiskKernel(radius).entry_matrix(CANTOR5.positions, 0.05)[0]
     eigvals = np.linalg.eigvalsh(raw)
     repaired, clip_magnitude, eig_min, eig_max = clip_to_psd(raw)
     shapes = _eigh_shapes(monkeypatch)
@@ -435,7 +435,7 @@ def test_clip_cut_keeps_margin(measure, radius):
     # the nearest eigenvalues lie at least 1.5x from the cut on either side,
     # so an eigenvalue must move by far more than either solver's error to
     # change r; the grid's window holds no eigenvalue, so r = 203 as before
-    eigvals = np.linalg.eigh(DiskKernel(radius).entry_matrix(measure.positions, 0.05))[0]
+    eigvals = np.linalg.eigh(DiskKernel(radius).entry_matrix(measure.positions, 0.05)[0])[0]
     cut = gmclab.kernel._clip_cut(eigvals)
     assert cut == pytest.approx(_window_cut(eigvals), rel=1e-12)
     above, below = eigvals[eigvals > cut], eigvals[(eigvals > 0.0) & (eigvals <= cut)]
@@ -621,7 +621,7 @@ def test_pair_matrices_symmetric_bit_for_bit(pair_case):
     dist = pair_distances(measure.positions)
     green = offdiagonal_green(measure.positions, dist)
     matrices = [model.matrix, green, dist, markov_difference_psd(measure, 0.5)[0]]
-    matrices += [DiskKernel(r).entry_matrix(measure.positions, model.epsilon)
+    matrices += [DiskKernel(r).entry_matrix(measure.positions, model.epsilon)[0]
                  for r in (1.0, 0.5)]
     for m in matrices:
         assert np.array_equal(m, m.T)
@@ -644,12 +644,16 @@ def _untiled_dist(p):
     return dist
 
 
+def _disk_points(n):
+    """n seeded random atoms in the disk of radius 0.45."""
+    rng = np.random.default_rng(SEED + n)
+    return 0.45 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+
+
 @pytest.fixture(scope="module", params=[1, 2, 257, 2304])
 def tile_points(request):
     """Random atoms in the disk of radius 0.45; no n is a multiple of a tile."""
-    rng = np.random.default_rng(SEED + request.param)
-    n = request.param
-    return 0.45 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    return _disk_points(request.param)
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5])
@@ -660,7 +664,21 @@ def test_tiled_kernel_matrices_equal_untiled(tile_points, r):
     assert np.array_equal(smooth_matrix(kernel, p), smooth)
     dist = np.abs(p[:, None] - p[None, :])
     entry = smooth - np.log(np.maximum(dist, epsilon, out=dist), out=dist)
-    assert np.array_equal(kernel.entry_matrix(p, epsilon), entry)
+    assert np.array_equal(kernel.entry_matrix(p, epsilon)[0], entry)
+
+
+@pytest.mark.parametrize("positions", [
+    generate_uniform_grid(8, 0.8).positions, generate_uniform_grid(48, 0.8).positions,
+    _disk_points(1), _disk_points(2304)], ids=["grid8", "grid48", "one_atom", "2304_atoms"])
+def test_default_epsilon_fill_is_bit_identical(positions):
+    # the fill finds default_epsilon in its own distances and writes the
+    # diagonal last: the untiled matrix at that epsilon, bit for bit
+    epsilon = default_epsilon(AtomicMeasure(positions, np.ones(positions.size)))
+    matrix, found = DiskKernel(1.0).entry_matrix(positions)
+    assert found == epsilon
+    dist = np.abs(positions[:, None] - positions[None, :])
+    entry = _untiled_smooth(1.0, positions) - np.log(np.maximum(dist, epsilon))
+    assert np.array_equal(matrix, entry)
 
 
 def test_tiled_green_and_distances_equal_untiled(tile_points):
@@ -693,7 +711,7 @@ def test_lapack_input_view_is_bit_identical(tile_points, epsilon, monkeypatch):
     # results must equal those for the C-ordered matrix bit for bit
     p = tile_points
     measure = AtomicMeasure(p, np.ones(p.size))
-    raw = DiskKernel(1.0).entry_matrix(p, epsilon or default_epsilon(measure))
+    raw = DiskKernel(1.0).entry_matrix(p, epsilon or default_epsilon(measure))[0]
     assert raw.flags.c_contiguous
     calls = {name: _record_calls(monkeypatch, name) for name in ("cholesky", "eigh")}
     model = build_covariance(measure, epsilon)
@@ -701,17 +719,29 @@ def test_lapack_input_view_is_bit_identical(tile_points, epsilon, monkeypatch):
     for arguments, _ in calls.values():
         assert all(a.flags.f_contiguous for a in arguments)
     # the 257- and 2304-atom sets clip at epsilon 0.05, and no set clips at
-    # its default epsilon
+    # its default epsilon; the 2304-atom factor is blocked, each block's S
+    # symmetric bit for bit, and its clipped build fails on the first block
     clipped = epsilon is not None and p.size > 2
     assert (model.clip_magnitude > 0.0) == clipped
-    assert len(calls["cholesky"][0]) == 1
+    blocked = p.size > gmclab.kernel.CHOL_GATE
+    blocks = range(0, p.size, gmclab.kernel.CHOL_BLOCK) if blocked and not clipped else [0]
+    arguments, results = calls["cholesky"]
+    assert len(arguments) == len(blocks)
+    for a, result in zip(arguments, results):
+        assert np.array_equal(a, a.T)
+        assert np.array_equal(result, np.linalg.cholesky(np.ascontiguousarray(a)))
     if clipped:
-        assert not calls["cholesky"][1]
+        assert not results
         [(eigvals, eigvecs)] = calls["eigh"][1]
         expected_vals, expected_vecs = np.linalg.eigh(raw)
         assert np.array_equal(eigvals, expected_vals)
         assert np.array_equal(eigvecs, expected_vecs)
         assert (model.eig_min_raw, model.eig_max) == (eigvals[0], eigvals[-1])
+    elif blocked:
+        assert not calls["eigh"][0]
+        for lo, result in zip(blocks, results):
+            hi = lo + len(result)
+            assert np.array_equal(model.factor[lo:hi, lo:hi], result)
     else:
         assert not calls["eigh"][0]
         assert np.array_equal(model.factor, np.linalg.cholesky(raw))
@@ -770,6 +800,77 @@ def test_build_rejects_factor_off_by_1e3(monkeypatch, entry):
     monkeypatch.setattr(np.linalg, "cholesky", off_by_one_entry)
     with pytest.raises(NumericalError, match="factorization defect"):
         build_covariance(generate_uniform_grid(20, 0.8))
+
+
+@pytest.mark.parametrize("entry", [(600, 10), (399, 390)],
+                         ids=["left_of_diagonal_block", "diagonal_block"])
+def test_build_rejects_blocked_factor_off_by_1e3(monkeypatch, entry):
+    # grid32 has 1024 atoms, above CHOL_GATE: its factor has 8 block columns
+    # and (399, 390) lies inside the diagonal block [384, 512)
+    real_cholesky = gmclab.kernel._cholesky
+
+    def off_by_one_entry(matrix):
+        factor = real_cholesky(matrix)
+        factor[entry] += 1e-3
+        return factor
+
+    monkeypatch.setattr(gmclab.kernel, "_cholesky", off_by_one_entry)
+    measure = generate_uniform_grid(32, 0.8)
+    assert measure.n > gmclab.kernel.CHOL_GATE
+    with pytest.raises(NumericalError, match="factorization defect"):
+        build_covariance(measure)
+
+
+# ------------------------------------------------------ blocked Cholesky
+
+
+def test_cholesky_at_the_gate_is_numpys():
+    matrix = _raw_matrix(generate_uniform_grid(24, 0.8), None)
+    assert len(matrix) == 576 <= gmclab.kernel.CHOL_GATE
+    assert np.array_equal(gmclab.kernel._cholesky(matrix), np.linalg.cholesky(matrix))
+
+
+def _conditioned_spd(n, cond):
+    # Q diag(lam) Q^T with eigenvalues spread log-evenly over [1 / cond, 1]
+    rng = np.random.default_rng(SEED + n)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    matrix = (q * np.logspace(0.0, -math.log10(cond), n)) @ q.T
+    return 0.5 * (matrix + matrix.T)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _raw_matrix(generate_uniform_grid(32, 0.8), None),
+    lambda: _raw_matrix(generate_uniform_grid(48, 0.8), None),
+    lambda: _conditioned_spd(1024, 1e12),
+    lambda: DiskKernel(1.0).entry_matrix(_disk_points(700))[0],
+], ids=["grid32", "grid48", "spd1024_cond1e12", "700_atoms"])
+def test_blocked_cholesky_reproduces_the_matrix(make):
+    # 700 atoms end in a partial block column (5 * 128 + 60)
+    matrix = make()
+    assert len(matrix) > gmclab.kernel.CHOL_GATE
+    factor = gmclab.kernel._cholesky(matrix)
+    assert factor.flags.c_contiguous
+    assert np.all(np.triu(factor, 1) == 0.0)
+    assert np.all(np.diag(factor) > 0.0)
+    defect = np.linalg.norm(factor @ factor.T - matrix)
+    assert defect <= 1e-14 * np.linalg.norm(matrix)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_blocked_cholesky_fails_on_the_first_block(radius, monkeypatch):
+    # the raw Cantor 5 matrix at epsilon 0.05 is indefinite within its first
+    # block column, so one CHOL_BLOCK-square attempt tells, not one of all 1024 rows
+    raw = DiskKernel(radius).entry_matrix(CANTOR5.positions, 0.05)[0]
+    arguments, results = _record_calls(monkeypatch, "cholesky")
+    assert gmclab.kernel._cholesky(raw) is None
+    assert [a.shape for a in arguments] == [(gmclab.kernel.CHOL_BLOCK,) * 2]
+    assert not results
+
+
+def test_build_rejects_atoms_outside_the_kernel_disk(grid8):
+    # the 8x8 grid reaches radius 0.8 > 0.5
+    with pytest.raises(DomainError, match="outside the kernel domain"):
+        build_covariance(grid8, 0.05, DiskKernel(0.5))
 
 
 def test_build_peak_memory_is_about_two_matrices():
