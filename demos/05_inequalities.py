@@ -39,9 +39,9 @@ model = build_covariance(generate_uniform_grid(12, 0.8))
 show(fkg_check(model, 0.8, 1.0, 2.0, 50000, SEED))
 
 print("\nconvex ordering on nested disks (cantor dust, gamma 0.6, r_inner 0.5)")
-dust = generate_cantor_dust(3, 0.4)
+dust_model = build_covariance(generate_cantor_dust(3, 0.4))
 for t in (1.0, 5.0, 25.0):
-    v = kahane_check(dust, 0.6, 0.5, t, 20000, SEED)
+    v = kahane_check(dust_model, 0.6, 0.5, t, 20000, SEED)
     show(v)
     print(f"    disk {v.details['estimate_disk']:.6f} vs "
           f"subdisk {v.details['estimate_subdisk']:.6f}")

@@ -33,7 +33,6 @@ from .kernel import (
     CovarianceModel,
     DiskKernel,
     build_covariance,
-    default_epsilon,
     green_disk,
     markov_difference_psd,
 )
@@ -75,8 +74,8 @@ __all__ = [
     "AtomicMeasure", "SplitResult", "d_energy", "generate_cantor_dust",
     "generate_julia_boundary", "generate_uniform_grid", "load_measure",
     "save_measure", "split_half_plane",
-    "CovarianceModel", "DiskKernel", "build_covariance", "default_epsilon",
-    "green_disk", "markov_difference_psd",
+    "CovarianceModel", "DiskKernel", "build_covariance", "green_disk",
+    "markov_difference_psd",
     "FieldSample", "field_matrix", "replica_generator", "sample_field",
     "GmcSample", "Statistic", "TwoSampleReport", "atom_value_statistic",
     "clipped_mass_statistic", "gmc_mass", "rooted_identity_errors", "total_masses",

@@ -140,9 +140,9 @@ def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
 
 
 def laplace_transform(model, gamma: float, t_values, n_replicas: int,
-                      base_seed: int,
-                      exponent: ExponentReport | None = None) -> LaplaceReport:
-    """Monte Carlo E[exp(-t * mass)] on a shared replica set for every t."""
+                      base_seed: int) -> LaplaceReport:
+    """Monte Carlo E[exp(-t * mass)] on a shared replica set for every t;
+    verify_bound attaches the bound values."""
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values < 0):
         raise DomainError("t values must be >= 0")
@@ -150,12 +150,7 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
     totals = total_masses(model, gamma, base_seed, n_replicas)
     damped = np.exp(-t_values[:, None] * totals[None, :])
     estimates, ses = mean_se(damped, axis=1)
-    bound = None
-    if exponent is not None:
-        sigma = model.measure.total_mass
-        with np.errstate(divide="ignore"):
-            bound = BOUND_CONSTANT / (sigma * t_values ** exponent.eta)
-    return LaplaceReport(t_values, estimates, ses, bound, gamma, n_replicas, base_seed)
+    return LaplaceReport(t_values, estimates, ses, None, gamma, n_replicas, base_seed)
 
 
 def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
@@ -206,8 +201,10 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     l2_t0 = None if energy_ratio is None else t0_from_ratio(energy_ratio, gamma, d)
     report = replace(report, s0=s0, t0=t0, l2_t0=l2_t0)
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)
-    laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed,
-                                exponent=report)
+    laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed)
+    with np.errstate(divide="ignore"):
+        bound = BOUND_CONSTANT / (sigma * t_grid ** report.eta)
+    laplace = replace(laplace, bound_values=bound)
     points_pass = laplace.estimates + 3.0 * laplace.standard_errors <= laplace.bound_values
     trivial = bool(np.all(laplace.estimates == 0.0))
     # concentration event: the kernel-weighted mass inside the ball

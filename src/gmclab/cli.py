@@ -41,7 +41,7 @@ import numpy as np
 from . import bounds, gmc, inequalities, measure as measure_mod
 from .errors import GmcLabError, HypothesisViolationError, ValidationError
 from .field import STREAM_VERSION
-from .kernel import KERNEL_VERSION, build_covariance, default_epsilon
+from .kernel import KERNEL_VERSION, build_covariance
 from .reports import render_report, write_plot_csv
 
 IDENTITY_TOLERANCE = 1e-10
@@ -205,18 +205,15 @@ def _model_keys(model) -> dict:
     return _sampled_keys(model.clip_magnitude, model.factor_rank)
 
 
-def _load_model(cfg: dict):
+def _seeded_model(cfg: dict):
+    """Fix the seed (drawn from entropy when absent) and build the unit-disk
+    model of the measure; the epsilon it used is echoed in the config."""
+    _resolve_seed(cfg)
     _require(cfg, "measure")
     atoms = measure_mod.load_measure(cfg["measure"])
-    model = build_covariance(atoms, cfg.get("epsilon"))
+    model = build_covariance(atoms, cfg["epsilon"])
     cfg["epsilon"] = model.epsilon
     return model
-
-
-def _seeded_model(cfg: dict):
-    """Fix the seed (drawn from entropy when absent) and build the model."""
-    _resolve_seed(cfg)
-    return _load_model(cfg)
 
 
 def _require_exponents(cfg: dict) -> None:
@@ -348,15 +345,10 @@ def _cmd_verify_ineq(cfg, args) -> tuple[dict, dict, int]:
                                                cfg["seed"])]
             diagnostics = _model_keys(model)
         elif cfg["which"] == "kahane":
-            _resolve_seed(cfg)
-            _require(cfg, "measure")
-            atoms = measure_mod.load_measure(cfg["measure"])
-            if cfg["epsilon"] is None:
-                cfg["epsilon"] = default_epsilon(atoms)
-            verdicts = [inequalities.kahane_check(atoms, cfg["gamma"],
+            model = _seeded_model(cfg)
+            verdicts = [inequalities.kahane_check(model, cfg["gamma"],
                                                   cfg["r_inner"], cfg["t"],
-                                                  cfg["replicas"], cfg["seed"],
-                                                  epsilon=cfg["epsilon"])]
+                                                  cfg["replicas"], cfg["seed"])]
             details = verdicts[0].details
             diagnostics = _sampled_keys(
                 max(details["clip_magnitude_subdisk"], details["clip_magnitude_disk"]),

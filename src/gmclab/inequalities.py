@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
 from .gmc import check_replica_count, mean_se, total_masses
-from .kernel import (DiskKernel, _tile_rows, build_covariance, default_epsilon,
-                     markov_difference_psd)
+from .kernel import DiskKernel, _tile_rows, build_covariance, markov_difference_psd
 from .measure import AtomicMeasure
 
 ENTRY_SIGN_TOL = 1e-12
@@ -78,10 +77,18 @@ def _least_gap(big: np.ndarray, small: np.ndarray) -> tuple[float, tuple[int, in
     return least, where
 
 
-def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
-                 n_replicas: int, base_seed: int,
-                 epsilon: float | None = None) -> InequalityVerdict:
+def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
+                 base_seed: int) -> InequalityVerdict:
     """Convex ordering under kernel domination on nested disks.
+
+    model is the dominating unit-disk model, build_covariance(measure,
+    epsilon), as every sampled command builds it; only the subdisk model is
+    built here, on the same measure at model.epsilon with DiskKernel(r_inner).
+    The ordering check guards domination: the raw subdisk kernel never
+    exceeds the disk kernel, but after a PSD repair, or for a model not built
+    on the unit disk, a subdisk entry can exceed the disk model's. When one
+    does by more than ORDER_TOL of its scale, the comparison does not apply
+    and HypothesisViolationError is raised.
 
     Both models share the regularization scale and the replica streams, and
     the statistic E[exp(-t*mass_disk)] - E[exp(-t*mass_subdisk)] is the mean
@@ -105,13 +112,11 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
         raise DomainError("t must be > 0")
     if not 0.0 < r_inner <= 1.0:
         raise DomainError("r_inner must lie in (0, 1]")
-    if measure.support_radius >= r_inner:
+    if model.measure.support_radius >= r_inner:
         raise DomainError("every atom must satisfy |p| < r_inner")
     check_replica_count(n_replicas)
-    if epsilon is None:
-        epsilon = default_epsilon(measure)
-    small = build_covariance(measure, epsilon, DiskKernel(r_inner))
-    big = build_covariance(measure, epsilon, DiskKernel(1.0))
+    big = model
+    small = build_covariance(model.measure, model.epsilon, DiskKernel(r_inner))
     tol = ORDER_TOL * max(1.0, -float(big.matrix.min()), float(big.matrix.max()))
     least, (i, j) = _least_gap(big.matrix, small.matrix)
     if least < -tol:
@@ -125,7 +130,7 @@ def kahane_check(measure: AtomicMeasure, gamma: float, r_inner: float, t: float,
     details = {
         "estimate_subdisk": float(damped_small.mean()),
         "estimate_disk": float(damped_big.mean()),
-        "epsilon": float(epsilon),
+        "epsilon": model.epsilon,
         "clip_magnitude_subdisk": small.clip_magnitude,
         "clip_magnitude_disk": big.clip_magnitude,
         "factor_rank_subdisk": small.factor_rank,

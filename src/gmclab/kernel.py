@@ -153,8 +153,8 @@ class DiskKernel:
     def entry_matrix(self, positions: np.ndarray,
                      epsilon: float | None = None) -> tuple[np.ndarray, float]:
         """Vectorized regularized entries for all atom pairs (diagonal
-        included), and the epsilon they use: default_epsilon's when epsilon
-        is None.
+        included), and the epsilon they use: the default (_half_gap of the
+        least pair distance) when epsilon is None.
 
         That default is found in the fill itself. Every pair distance is then
         at least 2 * epsilon, so max(dist, epsilon) keeps the distance off
@@ -200,16 +200,11 @@ def _check_atom_count(measure: AtomicMeasure) -> None:
 
 
 def _half_gap(gap: float, support_radius: float) -> float:
-    """default_epsilon from the least pair distance, inf for a single atom."""
+    """The default epsilon from the least pair distance gap: gap / 2, or
+    (1 - support_radius) / 2 for a single atom, whose gap is inf."""
     if math.isinf(gap):
         return (1.0 - support_radius) / 2.0
     return gap / 2.0
-
-
-def default_epsilon(measure: AtomicMeasure) -> float:
-    """Half the minimum pairwise atom distance; geometric fallback for one atom."""
-    _check_atom_count(measure)
-    return _half_gap(measure.min_pair_distance(), measure.support_radius)
 
 
 def _clip_cut(eigvals: np.ndarray) -> float:
@@ -456,8 +451,9 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     (_cholesky, blocked above CHOL_GATE atoms, so a matrix indefinite within
     its first block fails after one small call); only when it fails, one
     eigen-clip (the range finder's, else a full eigh's) and a QR of its
-    root. epsilon None means default_epsilon, which the matrix fill finds on
-    its own. Every factor must reproduce the matrix within FACTOR_RTOL, or
+    root. epsilon None means half the least pair distance (for one atom, half
+    its distance to the circle), which the matrix fill finds on its own.
+    Every factor must reproduce the matrix within FACTOR_RTOL, or
     NumericalError is raised."""
     _check_atom_count(measure)
     if epsilon is not None and not 0.0 < epsilon < 1.0:

@@ -22,6 +22,8 @@ from .errors import (
 )
 
 MAX_CANTOR_LEVEL = 8
+# 65 536 atoms, as many as the level-8 Cantor dust
+MAX_GRID_SIDE = 256
 MAX_JULIA_PIXELS = 2048
 ESCAPE_RADIUS = 2.0
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -39,8 +41,8 @@ class AtomicMeasure:
 
     Parameters
     ----------
-    positions : complex array, pairwise distinct, every |p| < 1
-    weights : nonnegative array, same length, positive total
+    positions : finite complex array, pairwise distinct, every |p| < 1
+    weights : finite nonnegative array, same length, positive finite total
     """
 
     positions: np.ndarray
@@ -58,12 +60,14 @@ class AtomicMeasure:
             raise ValidationError("atom positions must be pairwise distinct")
         if np.any(weights < 0):
             raise ValidationError("every weight must be >= 0")
+        # a NaN or inf weight makes the total NaN or inf, a NaN or inf
+        # coordinate makes the radius NaN or inf, and NaN fails both tests
         total = float(weights.sum())
-        if not total > 0:
-            raise ValidationError("total mass must be > 0")
+        if not 0 < total < math.inf:
+            raise ValidationError("total mass must be finite and > 0")
         radius = float(np.abs(positions).max())
-        if radius >= 1.0:
-            raise ValidationError("every atom must satisfy |p| < 1")
+        if not radius < 1.0:
+            raise ValidationError("every atom must be finite with |p| < 1")
         positions.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "positions", positions)
@@ -140,6 +144,8 @@ def generate_uniform_grid(n_per_side: int, radius: float) -> AtomicMeasure:
     radius/sqrt(2), clipped to the closed disk of that radius; total mass 1."""
     if n_per_side < 1:
         raise DomainError("n_per_side must be >= 1")
+    if n_per_side > MAX_GRID_SIDE:
+        raise ResourceLimitError(f"n_per_side must be <= {MAX_GRID_SIDE}")
     _check_radius(radius)
     half = radius / math.sqrt(2.0)
     u = _square_grid_coords(n_per_side)

@@ -56,6 +56,11 @@ def cantor3():
 
 
 @pytest.fixture(scope="session")
+def cantor3_model(cantor3):
+    return build_covariance(cantor3)
+
+
+@pytest.fixture(scope="session")
 def grid16_model():
     return build_covariance(generate_uniform_grid(16, 0.8))
 

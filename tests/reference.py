@@ -3,9 +3,10 @@
 These are the scalar, per-replica and one-eigh forms of computations that
 gmclab does in bulk: a scalar kernel entry against the tiled pair matrices,
 one full eigh clip against the range finder, one replica's rooted sample
-against the block-streamed rooted samplers, and the rooted local energy of
-one chaos sample. No command, demo or benchmark calls them, so they live
-here, next to the tests, and not in the package.
+against the block-streamed rooted samplers, the default epsilon from one
+distance pass against the one the kernel fill finds, and the rooted local
+energy of one chaos sample. No command, demo or benchmark calls them, so
+they live here, next to the tests, and not in the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from gmclab.bounds import t0_from_ratio
 from gmclab.errors import DomainError
 from gmclab.field import FieldSample, gather_blocks, sample_field
 from gmclab.gmc import block_roots, check_replica_count, mass_columns, rooted_kernel_sums
-from gmclab.kernel import UNIT_DISK, DiskKernel, _eigen_clip, _pair_matrix, pair_distances
+from gmclab.kernel import (UNIT_DISK, DiskKernel, _check_atom_count, _eigen_clip, _half_gap,
+                           _pair_matrix, pair_distances)
 from gmclab.measure import AtomicMeasure, d_energy
 
 # ----------------------------------------------------------------- kernel
@@ -38,6 +40,12 @@ def smooth_matrix(kernel: DiskKernel, positions: np.ndarray) -> np.ndarray:
     """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
     return _pair_matrix(positions.size,
                         lambda lo, hi, out: kernel._smooth_rows(positions, lo, hi, out=out))
+
+
+def default_epsilon(measure: AtomicMeasure) -> float:
+    """Half the minimum pairwise atom distance; geometric fallback for one atom."""
+    _check_atom_count(measure)
+    return _half_gap(measure.min_pair_distance(), measure.support_radius)
 
 
 def green_subdisk(x: complex, y: complex, r: float) -> float:

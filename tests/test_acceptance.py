@@ -111,10 +111,10 @@ def test_criterion_06_small_ball_property():
 
 
 def test_criterion_07_kahane_direction():
-    dust = generate_cantor_dust(3, 0.4)
+    dust_model = build_covariance(generate_cantor_dust(3, 0.4))
     ok = True
     for t in (1.0, 5.0, 25.0):
-        verdict = kahane_check(dust, 0.6, 0.5, t, 20000, SEED)
+        verdict = kahane_check(dust_model, 0.6, 0.5, t, 20000, SEED)
         ok = ok and verdict.passed
     _grade("07 kahane-direction", ok)
 

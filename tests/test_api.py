@@ -9,7 +9,7 @@ import gmclab.measure
 
 # test-only references, now in tests/reference.py, by the module that held them
 MOVED = {
-    gmclab.kernel: ("clip_to_psd", "regularized_entry", "green_subdisk"),
+    gmclab.kernel: ("clip_to_psd", "regularized_entry", "green_subdisk", "default_epsilon"),
     gmclab.gmc: ("draw_roots", "sample_rooted", "verify_rooted_identity", "RootedSample",
                  "IdentityCheck"),
     gmclab.measure: ("local_energy",),
@@ -23,11 +23,11 @@ DELETED = {
 }
 REMOVED_FROM_ALL = ("clip_to_psd", "regularized_entry", "green_subdisk", "sample_rooted",
                     "verify_rooted_identity", "RootedSample", "IdentityCheck", "local_energy",
-                    "t0_l2")
+                    "t0_l2", "default_epsilon")
 
 
 def test_public_surface_is_what_commands_readme_and_demos_use():
-    assert len(gmclab.__all__) == len(set(gmclab.__all__)) == 53
+    assert len(gmclab.__all__) == len(set(gmclab.__all__)) == 52
     for name in gmclab.__all__:
         assert hasattr(gmclab, name), name
     for name in REMOVED_FROM_ALL:
@@ -38,4 +38,8 @@ def test_public_surface_is_what_commands_readme_and_demos_use():
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
     for method in ("smooth_part", "smooth_matrix"):
         assert not hasattr(gmclab.kernel.DiskKernel, method), method
-    assert "start" not in inspect.signature(gmclab.laplace_transform).parameters
+    def params(function):
+        return set(inspect.signature(function).parameters)
+    assert not {"start", "exponent"} & params(gmclab.laplace_transform)
+    # kahane_check takes the unit-disk model every sampled command builds
+    assert not {"measure", "epsilon"} & params(gmclab.kahane_check)

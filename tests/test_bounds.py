@@ -187,14 +187,16 @@ def test_laplace_monotone_and_bounded(model8):
 
 
 def test_laplace_bound_values(model8):
-    t = np.array([2.0, 4.0])
-    exp_report = exponents(0.8, 2.0, 2.0, 1.0)
-    rep = laplace_transform(model8, 0.8, t, 100, SEED, exponent=exp_report)
+    # verify_bound attaches 2^5 / (sigma * t^eta) to the Laplace estimates on
+    # its grid; laplace_transform alone attaches none
+    rep = verify_bound(model8, 0.8, 2.0, 2.0, 1.0, 100, SEED)
+    t = rep.laplace.t_values
     sigma = model8.measure.total_mass
-    assert np.allclose(rep.bound_values, 32.0 / (sigma * t ** exp_report.eta),
+    assert np.allclose(rep.laplace.bound_values, 32.0 / (sigma * t ** rep.exponent.eta),
                        rtol=1e-12)
     plain = laplace_transform(model8, 0.8, t, 100, SEED)
     assert plain.bound_values is None
+    assert np.array_equal(plain.estimates, rep.laplace.estimates)
 
 
 def test_laplace_rejects_negative_t(model8):

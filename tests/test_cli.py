@@ -11,6 +11,7 @@ import pytest
 
 import gmclab.cli
 import gmclab.field
+import gmclab.inequalities
 import gmclab.kernel
 from gmclab import (AtomicMeasure, DiskKernel, build_covariance, d_energy,
                     generate_cantor_dust, load_measure, save_measure)
@@ -62,6 +63,15 @@ def test_generate_grid(files):
     assert len(lines) == 257
     atoms = load_measure(files["grid"])
     assert np.all(atoms.weights == 1.0 / 256.0)
+
+
+def test_generate_grid_over_side_limit_exits_2(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert gmclab.cli.main(["generate", "grid", "--n", "257", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_per_side must be <= 256\n"
+    assert not out.exists()
 
 
 def test_generate_cantor(files):
@@ -327,6 +337,32 @@ def test_verify_ineq_kahane(files):
     assert rep["config"]["epsilon"] > 0
 
 
+def test_kahane_default_epsilon_builds_one_model_path(files, capsys, monkeypatch):
+    # the disk model comes from the same build as every sampled command's, so
+    # the default epsilon is found in its fill: no separate distance pass,
+    # one build per kernel, and the epsilon laplace echoes on the measure
+    def no_distance_pass(self):
+        raise AssertionError("min_pair_distance called")
+    monkeypatch.setattr(AtomicMeasure, "min_pair_distance", no_distance_pass)
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_covariance(*args, **kwargs)
+    monkeypatch.setattr(gmclab.cli, "build_covariance", counted)
+    monkeypatch.setattr(gmclab.inequalities, "build_covariance", counted)
+    common = ["--measure", str(files["cantor"]), "--replicas", "200", "--seed", str(SEED),
+              "--no-timestamp"]
+    assert gmclab.cli.main(["verify-ineq", "--which", "kahane", "--r-inner", "0.5",
+                            *common]) == 0
+    kahane = json.loads(capsys.readouterr().out)
+    assert len(builds) == 2
+    assert gmclab.cli.main(["laplace", "--gamma", "0.6", "--t", "5.0", *common]) == 0
+    laplace = json.loads(capsys.readouterr().out)
+    assert kahane["config"]["epsilon"] == laplace["config"]["epsilon"]
+    assert kahane["verdicts"][0]["details"]["epsilon"] == kahane["config"]["epsilon"]
+
+
 # ---------------------------------------------------------------- split/tail
 
 
@@ -512,6 +548,23 @@ def test_too_many_atoms_exits_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("row", ["nan,0,0.5", "0.1,0.2,inf"], ids=["nan_x", "inf_weight"])
+@pytest.mark.parametrize("argv", [
+    ("energy", "--d", "1"),
+    ("laplace", "--gamma", "0.8", "--t", "1.0", "--replicas", "16", "--seed", "7"),
+    ("verify-ineq", "--which", "markov"),
+], ids=["energy", "laplace", "markov"])
+def test_non_finite_atoms_exit_2(tmp_path, capsys, row, argv):
+    # let through, a NaN coordinate or an inf weight gives null energies, a
+    # NaN eigenvalue or a Laplace estimate of 0.0, with exit 0 or 1
+    path = tmp_path / "m.csv"
+    path.write_text(f"x,y,weight\n-0.3,0.0,0.5\n{row}\n")
+    assert gmclab.cli.main([*argv, "--measure", str(path), "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
 
 
 SEEDED_ARGV = {

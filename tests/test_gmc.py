@@ -584,7 +584,7 @@ def test_replica_ceiling_counts_rows_per_replica():
     assert 100 * 25 * 20000 <= MAX_REPLICA_CELLS
 
 
-def test_replica_ceiling_refuses_before_allocating(single_atom, single_model):
+def test_replica_ceiling_refuses_before_allocating(single_model):
     huge = 10 ** 13     # 72.8 TiB for one vector of total masses
     stat = atom_value_statistic(0)
     calls = [
@@ -595,7 +595,7 @@ def test_replica_ceiling_refuses_before_allocating(single_atom, single_model):
         lambda: small_ball_tail(single_model, 0.8, [0.5], huge, SEED),
         lambda: verify_bound(single_model, 0.6, 1.0, 1.0, 1.0, huge, SEED),
         lambda: fkg_check(single_model, 0.8, 1.0, 2.0, huge, SEED),
-        lambda: kahane_check(single_atom, 0.8, 0.5, 2.0, huge, SEED),
+        lambda: kahane_check(single_model, 0.8, 0.5, 2.0, huge, SEED),
         # 25 t values: the len(t) x N matrix is what would not fit
         lambda: laplace_transform(single_model, 0.8, np.ones(25),
                                   MAX_REPLICA_CELLS // 25 + 1, SEED),

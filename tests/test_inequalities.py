@@ -11,12 +11,12 @@ from gmclab import (
     DomainError,
     HypothesisViolationError,
     build_covariance,
-    default_epsilon,
     fkg_check,
     generate_uniform_grid,
     kahane_check,
     markov_psd_suite,
 )
+from reference import default_epsilon
 
 SEED = 58
 
@@ -80,16 +80,16 @@ def test_fkg_reproducible(model8):
 # -------------------------------------------------------------------- kahane
 
 
-def test_kahane_identical_domains(cantor3):
-    verdict = kahane_check(cantor3, 0.6, 1.0, 2.0, 500, SEED)
+def test_kahane_identical_domains(cantor3_model):
+    verdict = kahane_check(cantor3_model, 0.6, 1.0, 2.0, 500, SEED)
     assert verdict.statistic == 0.0
     assert verdict.details["estimate_disk"] == verdict.details["estimate_subdisk"]
     assert verdict.passed
 
 
-def test_kahane_gamma_zero(cantor3):
-    verdict = kahane_check(cantor3, 0.0, 0.5, 2.0, 100, SEED)
-    sigma = cantor3.total_mass
+def test_kahane_gamma_zero(cantor3_model):
+    verdict = kahane_check(cantor3_model, 0.0, 0.5, 2.0, 100, SEED)
+    sigma = cantor3_model.measure.total_mass
     assert verdict.statistic == 0.0
     assert verdict.details["estimate_disk"] == pytest.approx(
         math.exp(-2.0 * sigma), rel=1e-12)
@@ -97,8 +97,8 @@ def test_kahane_gamma_zero(cantor3):
         math.exp(-2.0 * sigma), rel=1e-12)
 
 
-def test_kahane_cantor_ordering(cantor3):
-    verdict = kahane_check(cantor3, 0.6, 0.5, 5.0, 5000, SEED)
+def test_kahane_cantor_ordering(cantor3_model):
+    verdict = kahane_check(cantor3_model, 0.6, 0.5, 5.0, 5000, SEED)
     assert verdict.passed
     assert verdict.name == "kahane"
     # domination makes the disk mass stochastically larger in convex order
@@ -106,20 +106,21 @@ def test_kahane_cantor_ordering(cantor3):
         + verdict.threshold
 
 
-def test_kahane_default_epsilon_recorded(cantor3):
-    verdict = kahane_check(cantor3, 0.6, 0.5, 5.0, 200, SEED)
+def test_kahane_default_epsilon_recorded(cantor3, cantor3_model):
+    # the subdisk model is built at the epsilon of the model passed in
+    verdict = kahane_check(cantor3_model, 0.6, 0.5, 5.0, 200, SEED)
     assert verdict.details["epsilon"] == default_epsilon(cantor3)
-    override = kahane_check(cantor3, 0.6, 0.5, 5.0, 200, SEED, epsilon=0.01)
+    override = kahane_check(build_covariance(cantor3, 0.01), 0.6, 0.5, 5.0, 200, SEED)
     assert override.details["epsilon"] == 0.01
 
 
-def test_kahane_rejects(cantor3):
+def test_kahane_rejects(cantor3_model):
     with pytest.raises(DomainError):
-        kahane_check(cantor3, 0.6, 0.3, 5.0, 100, SEED)   # support 0.4 >= r_inner
+        kahane_check(cantor3_model, 0.6, 0.3, 5.0, 100, SEED)   # support 0.4 >= r_inner
     with pytest.raises(DomainError):
-        kahane_check(cantor3, 0.6, 1.5, 5.0, 100, SEED)
+        kahane_check(cantor3_model, 0.6, 1.5, 5.0, 100, SEED)
     with pytest.raises(DomainError):
-        kahane_check(cantor3, 0.6, 0.5, 0.0, 100, SEED)
+        kahane_check(cantor3_model, 0.6, 0.5, 0.0, 100, SEED)
 
 
 def test_kahane_ordering_error_names_first_least_gap(cantor3, monkeypatch):
@@ -137,16 +138,16 @@ def test_kahane_ordering_error_names_first_least_gap(cantor3, monkeypatch):
     assert (i, j) == (3, 500)
     expected = (f"post-repair kernel ordering violated at entry ({i}, {j}): "
                 f"{small[i, j]:.12g} > {big[i, j]:.12g}")
-    models = {0.5: SimpleNamespace(matrix=small), 1.0: SimpleNamespace(matrix=big)}
+    model = SimpleNamespace(matrix=big, measure=cantor3, epsilon=0.05)
     monkeypatch.setattr(gmclab.inequalities, "build_covariance",
-                        lambda measure, epsilon, green: models[green.radius])
+                        lambda measure, epsilon, green: SimpleNamespace(matrix=small))
     with pytest.raises(HypothesisViolationError, match=re.escape(expected) + "$"):
-        kahane_check(cantor3, 0.6, 0.5, 5.0, 100, SEED, epsilon=0.05)
+        kahane_check(model, 0.6, 0.5, 5.0, 100, SEED)
 
 
-def test_kahane_reproducible(cantor3):
-    a = kahane_check(cantor3, 0.6, 0.5, 5.0, 2000, SEED)
-    b = kahane_check(cantor3, 0.6, 0.5, 5.0, 2000, SEED)
+def test_kahane_reproducible(cantor3_model):
+    a = kahane_check(cantor3_model, 0.6, 0.5, 5.0, 2000, SEED)
+    b = kahane_check(cantor3_model, 0.6, 0.5, 5.0, 2000, SEED)
     assert a.statistic == b.statistic
 
 

@@ -14,15 +14,14 @@ from gmclab import (
     ResourceLimitError,
     SingularityError,
     build_covariance,
-    default_epsilon,
     generate_cantor_dust,
     generate_uniform_grid,
     green_disk,
     markov_difference_psd,
 )
 from gmclab.kernel import offdiagonal_green, pair_distances
-from reference import (clip_to_psd, green_subdisk, regularized_entry, smooth_matrix,
-                       smooth_part)
+from reference import (clip_to_psd, default_epsilon, green_subdisk, regularized_entry,
+                       smooth_matrix, smooth_part)
 
 SEED = 99
 # frozen spot values, recomputed from the kernel formula by hand

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gmclab import (
     ValidationError,
     build_covariance,
     d_energy,
-    default_epsilon,
     generate_cantor_dust,
     generate_julia_boundary,
     generate_uniform_grid,
@@ -22,7 +22,8 @@ from gmclab import (
     save_measure,
     split_half_plane,
 )
-from reference import local_energy
+from gmclab.measure import MAX_GRID_SIDE
+from reference import default_epsilon, local_energy
 
 SEED = 1234
 
@@ -53,6 +54,28 @@ def test_atomic_measure_rejects_bad_input():
         AtomicMeasure(p, np.array([0.0, 0.0]))
     with pytest.raises(ValidationError):
         AtomicMeasure(np.array([1.0 + 0j, 0.2 + 0j]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("positions, weights", [
+    ([math.nan + 0j, 0.2 + 0j], [0.5, 0.5]),
+    ([0.1 + 0j, complex(0.2, math.nan)], [0.5, 0.5]),
+    ([0.1 + 0j, 0.2 + 0j], [math.inf, 0.5]),
+    ([0.1 + 0j, 0.2 + 0j], [math.nan, 0.5]),
+    ([0.1 + 0j, 0.2 + 0j], [1e308, 1e308]),
+], ids=["nan_x", "nan_y", "inf_weight", "nan_weight", "total_overflows"])
+def test_atomic_measure_rejects_non_finite(positions, weights):
+    # NaN fails no test of the form |p| >= 1, and an inf weight passes
+    # total > 0; let through, either reaches every command as null or NaN
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+        AtomicMeasure(np.array(positions), np.array(weights))
+
+
+@pytest.mark.parametrize("row", ["nan,0,0.5", "0.1,0.2,inf"], ids=["nan_x", "inf_weight"])
+def test_load_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "m.csv"
+    path.write_text(f"x,y,weight\n-0.3,0.0,0.5\n{row}\n")
+    with pytest.raises(ValidationError, match="finite"):
+        load_measure(path)
 
 
 def test_atomic_measure_immutable():
@@ -118,6 +141,21 @@ def test_uniform_grid_rejects():
         generate_uniform_grid(0, 0.5)
     with pytest.raises(DomainError):
         generate_uniform_grid(4, 1.0)
+
+
+def test_uniform_grid_side_limit_refuses_before_allocating():
+    # side 100000 would ask for a 160 GB complex array; the cap refuses it
+    # before any coordinate is formed
+    assert generate_uniform_grid(MAX_GRID_SIDE, 0.8).n <= MAX_GRID_SIDE ** 2
+    tracemalloc.start()
+    try:
+        for side in (MAX_GRID_SIDE + 1, 100000):
+            with pytest.raises(ResourceLimitError):
+                generate_uniform_grid(side, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
 
 
 def test_cantor_dust_first_iterate():
