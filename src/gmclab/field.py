@@ -11,16 +11,13 @@ vector itself.
 
 All field values come from field_strips, the one loop over the block
 product: the lower trapezoidal n x r factor times the block's normals, in
-row strips of STRIP atoms so the zero upper triangle is skipped. Its callers
-use it in one of two ways. block_fields keeps every strip and gives each
-block's whole (n, BATCH) field; field_matrix uses it, and so do the samplers
-that shift the whole field by a root's covariance row
-(gmc.rooted_identity_errors, gmc.verify_change_of_measure). The mass-sum
-reducer behind gmc.total_masses and gmc.rooted_kernel_sums writes each strip
-into one reused (STRIP + 1, BATCH) buffer and reduces it to per-replica sums
-before the next strip, so no n x BATCH array of field values is ever held.
-Both draw the normals into one (BATCH, r) buffer (block_normals) and reuse
-it, like every other buffer, for every block of a call.
+row strips of STRIP atoms so the zero upper triangle is skipped. The strip
+engine behind every sampler (gmc._strip_sums) writes each strip into one
+reused buffer and reduces it to per-replica sums before the next strip, so
+no sampler holds an n x BATCH array of field values; only field_matrix, for
+callers that ask for field columns, keeps every strip of a block. Both draw
+the normals into one (BATCH, r) buffer (block_normals) and reuse it, like
+every other buffer, for every block of a call.
 
 gather_blocks is the one map from a replica index to its block and column:
 every sampler hands it a function from a block key to that whole block's
@@ -33,12 +30,12 @@ r = n = 2304, plus the factor product over its block, about 80 ms at
 n = 2304 on two cores.
 
 STREAM_VERSION names this keying and the factor product it feeds in reports;
-CHANGES.md tells what each version changed. The current version, 10, keeps
-version 9's SFC64 keying, draws and strip product; it changed only how a
-positive definite covariance of more than kernel.CHOL_GATE atoms is factored
-(kernel._cholesky, blocked instead of one LAPACK call), which moves those
-factors, and every field sampled from them, in their last bits. Models of at
-most CHOL_GATE atoms and clipped (QR) factors keep version 9's numbers.
+CHANGES.md tells what each version changed. The current version, 11, keeps
+version 10's SFC64 keying, draws, factors and strip product, so every field
+value keeps its bits; it changed only how verify-identity and the mass
+statistic of verify-change-of-measure sum over the atoms (one atom after
+another in the strip engine, where they summed each replica's atoms
+pairwise), which moves those sums in their last bits.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_VERSION = 10
+STREAM_VERSION = 11
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it
@@ -105,27 +102,6 @@ def field_strips(model, z: np.ndarray, out: np.ndarray):
         yield lo, hi, rows
 
 
-def block_fields(model, base_seed: int):
-    """A function from a stream block key to that block's whole field, one
-    column per replica.
-
-    It draws the block's normals into one (BATCH, r) buffer, r being the
-    factor rank, and writes the (n, BATCH) product into one field buffer;
-    both are owned by the returned function and reused for every block, so a
-    block's field must be consumed, as gather_blocks does, before the next
-    block is asked for.
-    """
-    normals = np.empty((BATCH, model.factor_rank))
-    values = np.empty((model.n, BATCH))
-
-    def block(key):
-        for _ in field_strips(model, block_normals(base_seed, key, normals), values):
-            pass
-        return values
-
-    return block
-
-
 def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
     """Fill out[..., j] with column indices[j] % BATCH of block(indices[j] //
     BATCH); block(key) returns that stream block's whole array, replicas
@@ -152,7 +128,7 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
 
 def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
     """Standard normal matrix with one replica per column, column-major like
-    the normals block_fields multiplies: replica k's column is row k % BATCH of
+    the normals field_matrix multiplies: replica k's column is row k % BATCH of
     the (BATCH, n) draw of block k // BATCH."""
     return gather_blocks(
         lambda key: replica_generator(base_seed, key).standard_normal((BATCH, n)).T,
@@ -162,12 +138,21 @@ def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
 def field_matrix(model, base_seed: int, indices) -> np.ndarray:
     """Field values for arbitrary replica indices, one column per replica.
 
-    Each distinct block is computed whole by block_fields and the requested
-    columns are taken from it, so a column never depends on what else was
-    requested: the result is bit-identical for any index order or batch shape.
+    Each distinct block is computed whole, its (BATCH, r) normals and (n,
+    BATCH) field written into two buffers reused for every block, and the
+    requested columns are taken from it, so a column never depends on what
+    else was requested: the result is bit-identical for any index order or
+    batch shape.
     """
-    return gather_blocks(block_fields(model, base_seed), indices,
-                         np.empty((model.n, len(indices))))
+    normals = np.empty((BATCH, model.factor_rank))
+    values = np.empty((model.n, BATCH))
+
+    def block(key):
+        for _ in field_strips(model, block_normals(base_seed, key, normals), values):
+            pass
+        return values
+
+    return gather_blocks(block, indices, np.empty((model.n, len(indices))))
 
 
 def sample_field(model, base_seed: int, replica_index: int) -> FieldSample:

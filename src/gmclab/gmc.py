@@ -7,21 +7,12 @@ probability proportional to weight and shifts the field by gamma' times the
 root's covariance row; the discrete change-of-measure identity then holds
 replica by replica up to rounding.
 
-Every sampler reduces each stream block to per-replica values in one of two
-ways:
-
-- Mass sums (total_masses, behind laplace, tail, fkg, kahane and the Laplace
-  stage of verify_bound, and rooted_kernel_sums, behind its threshold and
-  event stages) are reduced strip by strip as field.field_strips forms the
-  field: each strip of STRIP atoms becomes masses in place, times each
-  replica's root row of a weight matrix for rooted_kernel_sums, and is added
-  to the running per-replica sums atom by atom. No (n, BATCH) array is held.
-- Shifted-field samplers (rooted_identity_errors, verify_change_of_measure)
-  add the root's covariance row to the whole field, so they hold the block's
-  (n, BATCH) field from field.block_fields, whose buffers each call reuses
-  for all its blocks, and do the root-row work ROOT_CHUNK replicas at a
-  time. Each replica's sum runs along its whole atom axis, so the chunk
-  width moves no bit.
+Every sampler reduces each stream block in one strip engine, _strip_sums:
+each strip of STRIP atoms that field.field_strips forms becomes per-atom
+terms in place, one row per sum the sampler keeps (the masses; masses times
+a root row of a weight matrix; the identity's two sides; the gamma' masses
+and a statistic of the field and of the root-shifted field), added to the
+running per-replica sums atom by atom. No (n, BATCH) array is held.
 """
 
 from __future__ import annotations
@@ -31,21 +22,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .field import (BATCH, ROOT_SUBSTREAM, STRIP, FieldSample, block_fields, block_normals,
-                    field_strips, gather_blocks, replica_generator)
+from .errors import DomainError, NumericalError, ResourceLimitError
+from .field import (BATCH, ROOT_SUBSTREAM, STRIP, FieldSample, block_normals, field_strips,
+                    gather_blocks, replica_generator)
 
 # Replica ceiling: the most cells a per-replica array may hold, checked before
 # any is allocated. The largest such arrays are a command's N-length vectors
-# (total masses, roots, identity errors), the 3 x N sums of the change of
-# measure and the len(t) x N damped masses of the Laplace transform. 2**27
-# float64 cells are 1 GiB; the default counts (at most 20k replicas, 25 t
-# values) use 500k.
+# (total masses, roots, identity errors), the 2 x N sums of the identity, the
+# 3 x N sums of the change of measure and the len(t) x N damped masses of the
+# Laplace transform. 2**27 float64 cells are 1 GiB; the default counts (at
+# most 20k replicas, 25 t values) use 500k.
 MAX_REPLICA_CELLS = 2 ** 27
-# replicas per chunk of a shifted-field sampler's root-row work, whose chunk
-# arrays hold ROOT_CHUNK x n values; not part of the stream definition, since
-# each replica's sum runs over its whole atom axis whatever the width
-ROOT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -59,13 +46,19 @@ class GmcSample:
 
 @dataclass(frozen=True)
 class Statistic:
-    """Named functional of a field-value vector (vectorized over columns)."""
+    """Named additive functional of a field, F(h) = finish(sum_i terms_i(h)):
+    terms(values, atoms, out) writes the terms of field rows values (atoms
+    first, the slice atoms) into out, which may be values itself."""
 
     name: str
-    fn: Callable
+    terms: Callable
+    finish: Callable
 
     def __call__(self, values: np.ndarray):
-        return self.fn(values)
+        """F of a whole field vector, or of a matrix of field columns."""
+        out = np.empty(np.shape(values))
+        self.terms(values, slice(None), out)
+        return self.finish(out.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -94,20 +87,21 @@ def check_replica_count(n_replicas: int, rows: int = 1) -> None:
 
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
     """Per-atom masses for one field vector or for a matrix of field columns
-    (atoms along the first axis, moved last by the transpose to broadcast)."""
-    return _masses_in_place(model, np.multiply(values.T, gamma), gamma).T
+    (atoms along the first axis)."""
+    return _masses(model, values, gamma)
 
 
-def _masses_in_place(model, scaled: np.ndarray, gamma: float,
-                     atoms: slice = slice(None)) -> np.ndarray:
-    """Turn scaled = gamma * h, atoms last (the atoms of the slice atoms),
-    into masses in place: subtract the variance shift, exponentiate, weight.
-    Every mass is formed here, in this order, so it is the same double in
-    every sampler whatever the array's layout."""
+def _masses(model, values: np.ndarray, gamma: float, atoms: slice = slice(None),
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Masses of field rows values, atoms first (the slice atoms), written
+    into out, which may be values itself, or a new array. Every mass is
+    formed here, in this order, so it is the same double in every sampler
+    whatever the array's layout."""
+    scaled = np.multiply(values.T, gamma, out=None if out is None else out.T)
     scaled -= 0.5 * gamma * gamma * model.diag_variance[atoms]
     np.exp(scaled, out=scaled)
     scaled *= model.measure.weights[atoms]
-    return scaled
+    return scaled.T
 
 
 def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
@@ -118,49 +112,60 @@ def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
     """Total chaos mass for replicas start .. start+n_replicas-1."""
-    return _strip_sums(model, base_seed, range(start, start + n_replicas), gamma)
+
+    def terms(atoms, roots, out):
+        _masses(model, out[0], gamma, atoms, out[0])
+
+    return _strip_sums(model, base_seed, range(start, start + n_replicas), terms)[0]
 
 
 def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
     """sum_i weight[root, i] * mass_i per replica of an index list, with the
     gamma chaos mass and an n x n weight matrix over the atoms."""
-    return _strip_sums(model, base_seed, replicas, gamma, weight)
+
+    def terms(atoms, roots, out):
+        _masses(model, out[0], gamma, atoms, out[0])
+        out[0] *= weight[roots, atoms].T
+
+    return _strip_sums(model, base_seed, replicas, terms, rooted=True)[0]
 
 
-def _strip_sums(model, base_seed: int, replicas, gamma: float,
-                weight: np.ndarray | None = None) -> np.ndarray:
-    """sum_i mass_i per replica of an index list, each mass times
-    weight[root, i] when a weight is given, streamed block by block.
+def _strip_sums(model, base_seed: int, replicas, terms, rows: int = 1,
+                rooted: bool = False) -> np.ndarray:
+    """rows sums over the atoms per replica of an index list, streamed block
+    by block, as a (rows, len(replicas)) array.
 
-    Each strip of field rows becomes masses in place in rows 1.. of one
-    (STRIP + 1, BATCH) buffer whose row 0 carries the running sums. Summing
-    the buffer over axis 0 adds the strip's terms to them atom by atom, the
-    order in which numpy sums a whole (n, BATCH) array over axis 0, so the
-    sums are mass_columns(...).sum(axis=0), or einsum("ki,ik->k") over the
-    roots' weight rows and the masses, bit for bit while only the normals,
-    one strip and the roots' weights over its atoms are held.
+    Each strip of field rows goes into row 0 of one (rows, min(STRIP, n) + 1,
+    BATCH) buffer, after its carry column 0; terms(atoms, roots, out) turns
+    out[0] into terms in place and fills out[1:], roots being the block's
+    roots if rooted. Summing over axis 1 adds each strip's terms to the
+    carried sums atom by atom, the order in which numpy sums a C-ordered (n,
+    BATCH) array over axis 0, so each row is that sum, bit for bit.
     """
-    check_replica_count(len(replicas))
+    check_replica_count(len(replicas), rows)
     normals = np.empty((BATCH, model.factor_rank))
-    strip = np.empty((STRIP + 1, BATCH))
-    sums = np.empty(BATCH)
+    strip = np.empty((rows, min(STRIP, model.n) + 1, BATCH))
+    sums = np.empty((rows, BATCH))
 
     def block(key):
         sums.fill(0.0)
         z = block_normals(base_seed, key, normals)
-        if weight is not None:
-            roots = block_roots(model, base_seed, key)
-        for lo, hi, rows in field_strips(model, z, strip[1:]):
-            rows *= gamma
-            _masses_in_place(model, rows.T, gamma, slice(lo, hi))
-            if weight is not None:
-                rows *= weight[roots, lo:hi].T
-            strip[0] = sums
-            np.sum(strip[:hi - lo + 1], axis=0, out=sums)
+        roots = block_roots(model, base_seed, key) if rooted else None
+        for lo, hi, _ in field_strips(model, z, strip[0, 1:]):
+            terms(slice(lo, hi), roots, strip[:, 1:hi - lo + 1])
+            strip[:, 0] = sums
+            np.sum(strip[:, :hi - lo + 1], axis=1, out=sums)
         return sums
 
-    return gather_blocks(block, replicas, np.empty(len(replicas)))
+    return gather_blocks(block, replicas, np.empty((rows, len(replicas))))
+
+
+def _root_rows(model, roots: np.ndarray, atoms: slice) -> np.ndarray:
+    """C[roots, atoms].T in C order, like the strip it meets (numpy's loops
+    over two layouts are several times slower): the covariance is symmetric
+    bit for bit, so these are its rows atoms at the roots' columns."""
+    return np.take(model.matrix[atoms], roots, axis=1)
 
 
 def block_roots(model, base_seed: int, key: int) -> np.ndarray:
@@ -176,29 +181,30 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
                            gamma: float, gamma_prime: float) -> np.ndarray:
     """Relative identity errors for replicas 0 .. n_replicas-1 (vectorized).
 
-    Both sides are formed as (chunk, n) arrays, ROOT_CHUNK replicas at a
-    time, and summed along each replica's atoms.
+    At atom i the left side's term is mass_i(h) * exp(gamma * gamma' *
+    C[root, i]) and the right side's mass_i(h + gamma' * C[root]). Sums that
+    are not finite, or a right side not > 0, raise NumericalError.
     """
-    check_replica_count(n_replicas)
-    field = block_fields(model, base_seed)
-    errors = np.empty(BATCH)
 
-    def block(key):
-        values = field(key)
-        roots = block_roots(model, base_seed, key)
-        for lo in range(0, BATCH, ROOT_CHUNK):
-            h = values[:, lo:lo + ROOT_CHUNK]
-            rows = model.matrix[roots[lo:lo + ROOT_CHUNK]]
-            lhs = np.exp(gamma * gamma_prime * rows)
-            lhs *= mass_columns(model, h, gamma).T
-            rows *= gamma_prime
-            rows += h.T
-            rows *= gamma
-            rhs = _masses_in_place(model, rows, gamma).sum(axis=1)
-            errors[lo:lo + ROOT_CHUNK] = np.abs(lhs.sum(axis=1) - rhs) / rhs
-        return errors
+    def terms(atoms, roots, out):
+        h, rhs = out
+        row = _root_rows(model, roots, atoms)
+        np.multiply(row, gamma_prime, out=rhs)
+        rhs += h
+        _masses(model, rhs, gamma, atoms, rhs)
+        row *= gamma * gamma_prime
+        np.exp(row, out=row)
+        _masses(model, h, gamma, atoms, h)
+        h *= row
 
-    return gather_blocks(block, range(n_replicas), np.empty(n_replicas))
+    lhs, rhs = _strip_sums(model, base_seed, range(n_replicas), terms, rows=2,
+                           rooted=True)
+    bad = np.count_nonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & (rhs > 0)))
+    if bad:
+        raise NumericalError(
+            f"the identity's mass sums at gamma={gamma:g}, gamma_prime={gamma_prime:g} "
+            f"under- or overflow in {bad} of {n_replicas} replicas")
+    return np.abs(lhs - rhs) / rhs
 
 
 def clipped_mass_statistic(model, gamma: float, cap: float) -> Statistic:
@@ -206,19 +212,20 @@ def clipped_mass_statistic(model, gamma: float, cap: float) -> Statistic:
     if not cap > 0:
         raise DomainError("cap must be > 0")
 
-    def fn(values):
-        return np.minimum(mass_columns(model, values, gamma).sum(axis=0), cap)
-
-    return Statistic(f"total_mass_clipped(gamma={gamma:g}, cap={cap:g})", fn)
+    return Statistic(f"total_mass_clipped(gamma={gamma:g}, cap={cap:g})",
+                     lambda values, atoms, out: _masses(model, values, gamma, atoms, out),
+                     lambda total: np.minimum(total, cap))
 
 
 def atom_value_statistic(index: int) -> Statistic:
-    """Field value at a fixed atom index."""
+    """Field value at a fixed atom index, its one term that is not 0; the
+    index must name an atom, 0 <= index < n, as the command line checks."""
 
-    def fn(values):
-        return values[index]
+    def terms(values, atoms, out):
+        first = atoms.start or 0
+        np.multiply(values.T, np.arange(first, first + len(values)) == index, out=out.T)
 
-    return Statistic(f"atom_value({index})", fn)
+    return Statistic(f"atom_value({index})", terms, lambda total: total)
 
 
 def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
@@ -230,29 +237,31 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     sampler. Both branches are evaluated on the same replicas, so the two
     estimates must agree within 3 standard errors of the per-replica
     difference. effective_sample_size is (sum m)^2 / sum m^2 over the
-    gamma' masses m that weight the first branch.
+    gamma' masses m that weight the first branch; NumericalError when it is
+    not finite.
     """
-    check_replica_count(n_replicas, rows=3)
-    field = block_fields(model, base_seed)
-    sums = np.empty((3, BATCH))
 
-    def block(key):
-        values = field(key)
-        sums[0] = mass_columns(model, values, gamma_prime).sum(axis=0)
-        sums[1] = statistic(values) * sums[0] / model.measure.total_mass
-        roots = block_roots(model, base_seed, key)
-        for lo in range(0, BATCH, ROOT_CHUNK):
-            shifted = gamma_prime * model.matrix[roots[lo:lo + ROOT_CHUNK]]
-            shifted += values[:, lo:lo + ROOT_CHUNK].T
-            sums[2, lo:lo + ROOT_CHUNK] = statistic(shifted.T)
-        return sums
+    def terms(atoms, roots, out):
+        h, plain, shifted = out
+        np.multiply(_root_rows(model, roots, atoms), gamma_prime, out=shifted)
+        shifted += h
+        statistic.terms(shifted, atoms, shifted)
+        statistic.terms(h, atoms, plain)
+        _masses(model, h, gamma_prime, atoms, h)
 
-    masses, weighted, rooted = gather_blocks(block, range(n_replicas),
-                                             np.empty((3, n_replicas)))
+    masses, plain, shifted = _strip_sums(model, base_seed, range(n_replicas), terms,
+                                         rows=3, rooted=True)
+    ess = masses.sum() ** 2 / np.sum(masses ** 2)
+    if not np.isfinite(ess):
+        raise NumericalError(
+            f"the gamma_prime={gamma_prime:g} mass sums m of {n_replicas} replicas "
+            f"under- or overflow: (sum m)^2 / sum m^2 is {ess:g}, and the largest m "
+            f"is {np.max(masses, initial=0.0):.3g}")
+    weighted = statistic.finish(plain) * masses / model.measure.total_mass
+    rooted = statistic.finish(shifted)
     mean_w, se_w = mean_se(weighted)
     mean_r, se_r = mean_se(rooted)
     se_d = mean_se(weighted - rooted)[1]
-    ess = masses.sum() ** 2 / np.sum(masses ** 2)
     overlap = bool(abs(mean_w - mean_r) <= 3.0 * se_d)
     return TwoSampleReport(statistic.name, gamma_prime, n_replicas, base_seed,
                            mean_w, se_w, mean_r, se_r, se_d, ess, overlap)

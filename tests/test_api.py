@@ -17,8 +17,8 @@ MOVED = {
 }
 # duplicate paths deleted outright
 DELETED = {
-    gmclab.field: ("block_field",),
-    gmclab.gmc: ("_field_blocks",),
+    gmclab.field: ("block_field", "block_fields"),
+    gmclab.gmc: ("_field_blocks", "ROOT_CHUNK"),
     gmclab.measure: ("_pair_distance_blocks",),
 }
 REMOVED_FROM_ALL = ("clip_to_psd", "regularized_entry", "green_subdisk", "sample_rooted",

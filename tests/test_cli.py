@@ -301,6 +301,27 @@ def test_verify_change_of_measure_mass_default(files):
     assert rep["config"]["cap"] == 10.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify-identity", "--gamma", "40", "--gamma-prime", "0.8"),
+     "gamma=40, gamma_prime=0.8 under- or overflow in 50 of 50 replicas"),
+    (("verify-change-of-measure", "--gamma-prime", "30"),
+     "the gamma_prime=30 mass sums m of 50 replicas under- or overflow"),
+], ids=["identity", "change-of-measure"])
+def test_underflowing_rooted_sums_exit_2(tmp_path, capsys, argv, message):
+    # on the 8x8 grid of radius 0.8 every identity right side underflows to 0
+    # at gamma 40, and the squares of the gamma' 30 mass sums do too: a null
+    # max_rel_err or effective_sample_size with exit 1 when let through
+    path = tmp_path / "grid8.csv"
+    assert gmclab.cli.main(["generate", "grid", "--n", "8", "--radius", "0.8",
+                            "--out", str(path), "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert gmclab.cli.main([*argv, "--measure", str(path), "--replicas", "50",
+                            "--seed", "1", "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 # --------------------------------------------------------------- verify-ineq
 
 
@@ -644,7 +665,7 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 10
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 11
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov

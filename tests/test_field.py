@@ -12,7 +12,7 @@ from gmclab import (
     total_masses,
 )
 from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STREAM_VERSION, STRIP,
-                          block_fields, gather_blocks, normal_block)
+                          gather_blocks, normal_block)
 
 SEED = 2024
 N_BIG = 100000
@@ -60,13 +60,14 @@ def test_field_matrix_matches_single_samples(model4):
 
 
 def test_stream_fingerprint(model8):
-    # pins the draws of stream versions 9 and 10 (10 moved only factors of
-    # more than kernel.CHOL_GATE atoms), so a change of bit generator, keying
-    # or draw shape fails here and must bump STREAM_VERSION with it. numpy
-    # gives a seeded Generator the same stream on every platform, so the
-    # normals and uniforms are pinned exactly; the mass goes through BLAS and
-    # exp, whose last bits may differ between builds
-    assert STREAM_VERSION == 10
+    # pins the draws of stream versions 9 to 11 (10 moved only factors of
+    # more than kernel.CHOL_GATE atoms, 11 only the rooted samplers' atom
+    # sums), so a change of bit generator, keying or draw shape fails here
+    # and must bump STREAM_VERSION with it. numpy gives a seeded Generator the
+    # same stream on every platform, so the normals and uniforms are pinned
+    # exactly; the mass goes through BLAS and exp, whose last bits may differ
+    # between builds
+    assert STREAM_VERSION == 11
     normals = replica_generator(SEED, 0).standard_normal((2, 4))
     assert normals.tolist() == [
         [-0.772153918333846, 0.1479162186200444, -0.3772796981759266, -0.34788318964412007],
@@ -151,8 +152,11 @@ def test_replica_is_its_row_of_the_block_draw(model4):
 
 
 def test_block_field_is_the_whole_block(model4, aligned):
+    # n = 16 atoms make one strip: the block's field is the factor times the
+    # block's normals, one column per replica
     _, values = aligned
-    assert np.array_equal(block_fields(model4, SEED)(1), values[:, BATCH:])
+    normals = replica_generator(SEED, 1).standard_normal((BATCH, model4.factor_rank))
+    assert np.array_equal(model4.factor @ normals.T, values[:, BATCH:])
 
 
 def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
@@ -161,7 +165,7 @@ def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
 
     def block(key):
         keys.append(key)
-        return block_fields(model4, SEED)(key)
+        return field_matrix(model4, SEED, range(key * BATCH, (key + 1) * BATCH))
 
     def gather(indices):
         return gather_blocks(block, indices, np.empty((model4.n, len(indices))))

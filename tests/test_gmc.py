@@ -24,7 +24,7 @@ from gmclab import (
     verify_change_of_measure,
 )
 from gmclab.bounds import estimate_s0, laplace_transform, small_ball_tail, verify_bound
-from gmclab.errors import ResourceLimitError
+from gmclab.errors import NumericalError, ResourceLimitError
 from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
 from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, mass_columns, mean_se,
                         rooted_kernel_sums)
@@ -158,6 +158,21 @@ def test_identity_vectorized_matches_scalar(model8):
         assert errors[k] == pytest.approx(check.rel_err, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, BATCH - 1, BATCH + 1])
+def test_identity_errors_prefix_matches_shorter_call(model20, k):
+    # each replica's sums run over its own atoms only, so a call's first k
+    # errors are those of a k-replica call, on either side of a block edge
+    wide = rooted_identity_errors(model20, SEED, BATCH + 100, 0.8, 0.6)
+    assert np.array_equal(rooted_identity_errors(model20, SEED, k, 0.8, 0.6), wide[:k])
+
+
+def test_identity_underflow_raises(model8):
+    # at gamma 40 on the 8x8 grid every right side underflows to 0, so each
+    # relative error would be 0/0
+    with pytest.raises(NumericalError, match=r"gamma=40, .* 50 of 50 replicas"):
+        rooted_identity_errors(model8, 1, 50, 40.0, 0.8)
+
+
 def test_identity_rhs_monotone_in_gamma_prime(model8):
     # valid because the repaired matrix is entrywise nonnegative here
     assert model8.matrix.min() >= 0.0
@@ -170,7 +185,8 @@ def test_identity_rhs_monotone_in_gamma_prime(model8):
 
 
 def test_change_of_measure_constant_statistic(model8):
-    one = Statistic("one", lambda values: np.ones(values.shape[1]))
+    one = Statistic("one", lambda values, atoms, out: out.fill(0.0),
+                    lambda total: total + 1.0)
     report = verify_change_of_measure(model8, 0.8, one, 20000, SEED)
     assert report.mean_rooted == 1.0
     assert abs(report.mean_weighted - 1.0) <= 3.0 * report.se_weighted
@@ -214,6 +230,24 @@ def test_change_of_measure_paired_standard_error(model8):
     assert 1.0 <= report.effective_sample_size < n
     assert report.overlap == (abs(report.mean_weighted - report.mean_rooted)
                               <= 3.0 * report.se_difference)
+
+
+def test_change_of_measure_mass_underflow_raises(model8):
+    # the gamma' 30 mass sums are below 1e-250, so their squares, and the
+    # effective sample size's numerator and denominator, underflow to 0
+    stat = clipped_mass_statistic(model8, 30.0, 10.0)
+    with pytest.raises(NumericalError, match=r"gamma_prime=30 mass sums m of 50"):
+        verify_change_of_measure(model8, 30.0, stat, 50, 1)
+
+
+def test_statistics_are_their_summed_terms(model8):
+    # F(h) = finish(sum_i terms_i(h)); the atom-value terms are 0 but at the atom
+    values = field_matrix(model8, SEED, np.arange(40))
+    assert np.array_equal(atom_value_statistic(5)(values), values[5])
+    assert np.array_equal(atom_value_statistic(5)(values[:, 3]), values[5, 3])
+    stat = clipped_mass_statistic(model8, 0.8, 1.5)
+    assert np.array_equal(stat(values),
+                          np.minimum(mass_columns(model8, values, 0.8).sum(axis=0), 1.5))
 
 
 def test_clipped_mass_statistic_cap(model8):
@@ -337,6 +371,9 @@ def model20():
     pytest.param("model8", 1023, 1026, id="1023-1026"),
     pytest.param("model20", 1000, 1100, id="n400-1000-1100"),
     pytest.param("model20", 1023, 1026, id="n400-1023-1026"),
+    # a clipped covariance: the rooted samplers read its rows as columns,
+    # which holds because every repaired matrix is symmetric bit for bit
+    pytest.param("cantor5_clipped", 1023, 1026, id="clipped-1023-1026"),
 ])
 def test_streamed_samplers_match_materialized_path(request, model_name, start, n):
     model = request.getfixturevalue(model_name)
@@ -359,11 +396,13 @@ def test_streamed_samplers_match_materialized_path(request, model_name, start, n
         np.einsum("ki,ik->k", (dist ** -beta)[roots], masses))
     assert np.array_equal(rooted_kernel_sums(model, SEED, indices, gamma, singular),
                           np.einsum("ki,ik->k", singular[roots], masses))
-    # rooted_identity_errors always starts at replica 0
+    # rooted_identity_errors always starts at replica 0; its sums, like every
+    # strip-engine sum, are sequential axis-0 sums over C-ordered (n, N) terms
     whole = np.arange(start + n)
     values = field_matrix(model, SEED, whole)
-    rows = model.matrix[draw_roots(model, SEED, whole)].T
+    rows = np.ascontiguousarray(model.matrix[draw_roots(model, SEED, whole)].T)
     base_mass = mass_columns(model, values, gamma)
+    assert base_mass.flags.c_contiguous
     lhs = np.sum(np.exp(gamma * gamma * rows) * base_mass, axis=0)
     rhs = np.sum(mass_columns(model, values + gamma * rows, gamma), axis=0)
     assert np.array_equal(rooted_identity_errors(model, SEED, start + n, gamma, gamma),
@@ -437,35 +476,6 @@ def test_rooted_kernel_sums_take_any_index_list(model20, wide20):
     idx = [1500, 3, 3, BATCH - 1, 0, BATCH, 1500, 2 * BATCH - 1, 17]
     sums = rooted_kernel_sums(model20, SEED, idx, 0.8, _singular_weight(model20, 1.5))
     assert np.array_equal(sums, wide20["rooted_kernel_sums"][idx])
-
-
-def _rooted_outputs(model):
-    # every rooted sampler over replicas 0 .. BATCH + 99, across a block edge
-    weight = _singular_weight(model, 1.5)
-    report = verify_change_of_measure(model, 0.6, clipped_mass_statistic(model, 0.7, 2.0),
-                                      BATCH + 100, SEED)
-    return {
-        "rooted_identity_errors": rooted_identity_errors(model, SEED, BATCH + 100, 0.8, 0.6),
-        "verify_change_of_measure": np.array(
-            [report.mean_weighted, report.se_weighted, report.mean_rooted,
-             report.se_rooted, report.se_difference, report.effective_sample_size]),
-        "rooted_kernel_sums": rooted_kernel_sums(model, SEED, range(BATCH - 50, BATCH + 50),
-                                                 0.8, weight),
-    }
-
-
-@pytest.fixture(scope="module")
-def rooted20(model20):
-    return _rooted_outputs(model20)
-
-
-@pytest.mark.parametrize("width", [1, 7, BATCH])
-def test_root_chunk_width_moves_no_bit(model20, rooted20, monkeypatch, width):
-    # each per-replica sum runs over one replica's whole atom axis, so the
-    # chunk width is not part of the stream definition
-    monkeypatch.setattr(gmclab.gmc, "ROOT_CHUNK", width)
-    for name, value in _rooted_outputs(model20).items():
-        assert np.array_equal(value, rooted20[name]), name
 
 
 def _einsum_kernel_sums(model, indices, gamma, weight):
@@ -542,10 +552,23 @@ def test_rooted_kernel_sums_never_holds_a_block_of_field_values(cantor5_clipped)
 
 
 def test_rooted_identity_errors_holds_at_most_two_blocks(model24):
-    # the owned normals and field, plus (ROOT_CHUNK, n) chunk arrays
+    # the normals, two strips and the roots' (BATCH, STRIP) covariance rows
     block = model24.n * BATCH * 8
     peak = _peak_bytes(lambda: rooted_identity_errors(model24, SEED, 2 * BATCH + 10,
                                                       0.8, 0.8))
+    assert peak < 2.5 * block
+
+
+def test_rooted_samplers_never_hold_a_block_of_field_values():
+    # n = 1024: the normals are one block, and the strip engine adds a strip
+    # of STRIP atoms per sum plus the roots' covariance rows over its atoms,
+    # where a held (n, BATCH) field and its shifted copies made 2.25 and 3
+    model = build_covariance(generate_uniform_grid(32, 0.8))
+    block = model.n * BATCH * 8
+    stat = clipped_mass_statistic(model, 0.6, 10.0)
+    peak = _peak_bytes(lambda: rooted_identity_errors(model, SEED, BATCH + 10, 0.8, 0.8))
+    assert peak < 2.0 * block
+    peak = _peak_bytes(lambda: verify_change_of_measure(model, 0.6, stat, BATCH + 10, SEED))
     assert peak < 2.5 * block
 
 
