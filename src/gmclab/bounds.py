@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .field import BATCH
+from .field import BATCH, check_replica_count
 from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
-from .gmc import check_replica_count, mean_se, rooted_kernel_sums, total_masses
+from .gmc import mean_se, rooted_kernel_sums, total_masses
 from .kernel import offdiagonal_green, pair_distances
 from .measure import _distance_energy
 

@@ -1,4 +1,4 @@
-"""Seeded Gaussian field vectors over a covariance model's atoms.
+"""Seeded replica streams: every step that sets a replica's numbers.
 
 Replica indices are grouped into fixed blocks of BATCH consecutive indices.
 Each block owns one SFC64 stream per substream, keyed by
@@ -6,18 +6,18 @@ SeedSequence(base_seed, spawn_key=(k // BATCH, substream)); the distinct
 spawn keys are what keep the blocks' streams independent. Replica k is row
 k % BATCH of its block's bulk draw: a (BATCH, r) standard normal array for the
 field, r being the factor rank, and a (BATCH,) uniform array for the root.
-Substream 0 is reserved for root selection, substream 1 for the Gaussian
-vector itself.
+Substream 0 is reserved for root selection (block_roots), substream 1 for the
+Gaussian vector itself.
 
 All field values come from field_strips, the one loop over the block
 product: the lower trapezoidal n x r factor times the block's normals, in
-row strips of STRIP atoms so the zero upper triangle is skipped. The strip
-engine behind every sampler (gmc._strip_sums) writes each strip into one
-reused buffer and reduces it to per-replica sums before the next strip, so
-no sampler holds an n x BATCH array of field values; only field_matrix, for
-callers that ask for field columns, keeps every strip of a block. Both draw
-the normals into one (BATCH, r) buffer (block_normals) and reuse it, like
-every other buffer, for every block of a call.
+row strips of STRIP atoms so the zero upper triangle is skipped. _strip_sums,
+the engine behind every sampler, has each strip turned into per-atom terms in
+one reused buffer and adds them to the running per-replica sums atom by atom,
+so no sampler holds an n x BATCH array of field values; only field_matrix,
+for callers that ask for field columns, keeps every strip of a block. Both
+draw the normals into one (BATCH, r) buffer (block_normals) and reuse it,
+like every other buffer, for every block of a call.
 
 gather_blocks is the one map from a replica index to its block and column:
 every sampler hands it a function from a block key to that whole block's
@@ -28,14 +28,6 @@ k), never on index order or which other replicas are drawn with it.
 Regenerating a lone replica costs one BATCH x r draw, about 30 ms at
 r = n = 2304, plus the factor product over its block, about 80 ms at
 n = 2304 on two cores.
-
-STREAM_VERSION names this keying and the factor product it feeds in reports;
-CHANGES.md tells what each version changed. The current version, 11, keeps
-version 10's SFC64 keying, draws, factors and strip product, so every field
-value keeps its bits; it changed only how verify-identity and the mass
-statistic of verify-change-of-measure sum over the atoms (one atom after
-another in the strip engine, where they summed each replica's atoms
-pairwise), which moves those sums in their last bits.
 """
 
 from __future__ import annotations
@@ -44,6 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
+# names this keying, the root draw, the factor product and the carry-sum
+# order in reports; CHANGES.md tells what each version changed. Version 11
+# changed only the carry-sum order of verify-identity and of the change of
+# measure's mass statistic (atom after atom, where each replica's atoms were
+# summed pairwise), moving those sums in their last bits.
 STREAM_VERSION = 11
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
@@ -53,6 +52,14 @@ BATCH = 1024
 # rows of the factor per strip of the block product; part of the stream
 # definition too, since the strip cuts set the summation order of each value
 STRIP = 256
+
+# Replica ceiling: the most cells a per-replica array may hold, checked before
+# any is allocated. The largest such arrays are a command's N-length vectors
+# (total masses, roots, identity errors), the 2 x N sums of the identity, the
+# 3 x N sums of the change of measure and the len(t) x N damped masses of the
+# Laplace transform. 2**27 float64 cells are 1 GiB; the default counts (at
+# most 20k replicas, 25 t values) use 500k.
+MAX_REPLICA_CELLS = 2 ** 27
 
 
 @dataclass(frozen=True)
@@ -76,11 +83,29 @@ def replica_generator(base_seed: int, block_index: int,
     return np.random.Generator(np.random.SFC64(seq))
 
 
+def check_replica_count(n_replicas: int, rows: int = 1) -> None:
+    """Refuse n_replicas replicas whose largest per-replica array holds rows
+    values per replica when it would exceed MAX_REPLICA_CELLS."""
+    if int(n_replicas) * max(int(rows), 1) > MAX_REPLICA_CELLS:
+        raise ResourceLimitError(
+            f"{n_replicas} replicas x {rows} values per replica exceed the limit "
+            f"of {MAX_REPLICA_CELLS} cells")
+
+
 def block_normals(base_seed: int, key: int, out: np.ndarray) -> np.ndarray:
     """Draw stream block key's (BATCH, r) standard normals into out and return
     them as the column-major (r, BATCH) view the factor multiplies."""
     replica_generator(base_seed, key).standard_normal(out=out)
     return out.T
+
+
+def block_roots(model, base_seed: int, key: int) -> np.ndarray:
+    """Weight-proportional root atom index of every replica of stream block
+    key, from one (BATCH,) uniform draw of the block's root substream."""
+    cum = np.cumsum(model.measure.weights)
+    uniforms = replica_generator(base_seed, key, ROOT_SUBSTREAM).random(BATCH)
+    roots = np.searchsorted(cum, uniforms * cum[-1], side="right")
+    return np.minimum(roots, model.n - 1)
 
 
 def field_strips(model, z: np.ndarray, out: np.ndarray):
@@ -100,6 +125,36 @@ def field_strips(model, z: np.ndarray, out: np.ndarray):
         rows = out[lo:hi] if whole else out[:hi - lo]
         np.matmul(model.factor[lo:hi, :hi], z[:hi], out=rows)
         yield lo, hi, rows
+
+
+def _strip_sums(model, base_seed: int, replicas, terms, rows: int = 1,
+                rooted: bool = False) -> np.ndarray:
+    """rows sums over the atoms per replica of an index list, streamed block
+    by block, as a (rows, len(replicas)) array.
+
+    Each strip of field rows goes into row 0 of one (rows, min(STRIP, n) + 1,
+    BATCH) buffer, after its carry column 0; terms(atoms, roots, out) turns
+    out[0] into terms in place and fills out[1:], roots being the block's
+    roots if rooted. Summing over axis 1 adds each strip's terms to the
+    carried sums atom by atom, the order in which numpy sums a C-ordered (n,
+    BATCH) array over axis 0, so each row is that sum, bit for bit.
+    """
+    check_replica_count(len(replicas), rows)
+    normals = np.empty((BATCH, model.factor_rank))
+    strip = np.empty((rows, min(STRIP, model.n) + 1, BATCH))
+    sums = np.empty((rows, BATCH))
+
+    def block(key):
+        sums.fill(0.0)
+        z = block_normals(base_seed, key, normals)
+        roots = block_roots(model, base_seed, key) if rooted else None
+        for lo, hi, _ in field_strips(model, z, strip[0, 1:]):
+            terms(slice(lo, hi), roots, strip[:, 1:hi - lo + 1])
+            strip[:, 0] = sums
+            np.sum(strip[:, :hi - lo + 1], axis=1, out=sums)
+        return sums
+
+    return gather_blocks(block, replicas, np.empty((rows, len(replicas))))
 
 
 def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:

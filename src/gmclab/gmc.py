@@ -7,12 +7,10 @@ probability proportional to weight and shifts the field by gamma' times the
 root's covariance row; the discrete change-of-measure identity then holds
 replica by replica up to rounding.
 
-Every sampler reduces each stream block in one strip engine, _strip_sums:
-each strip of STRIP atoms that field.field_strips forms becomes per-atom
-terms in place, one row per sum the sampler keeps (the masses; masses times
-a root row of a weight matrix; the identity's two sides; the gamma' masses
-and a statistic of the field and of the root-shifted field), added to the
-running per-replica sums atom by atom. No (n, BATCH) array is held.
+Each sampler here supplies only its per-atom terms to the strip engine,
+field._strip_sums: one row of terms per sum it keeps (the masses; masses
+times a root row of a weight matrix; the identity's two sides; the gamma'
+masses and a statistic of the field and of the root-shifted field).
 """
 
 from __future__ import annotations
@@ -22,17 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ResourceLimitError
-from .field import (BATCH, ROOT_SUBSTREAM, STRIP, FieldSample, block_normals, field_strips,
-                    gather_blocks, replica_generator)
-
-# Replica ceiling: the most cells a per-replica array may hold, checked before
-# any is allocated. The largest such arrays are a command's N-length vectors
-# (total masses, roots, identity errors), the 2 x N sums of the identity, the
-# 3 x N sums of the change of measure and the len(t) x N damped masses of the
-# Laplace transform. 2**27 float64 cells are 1 GiB; the default counts (at
-# most 20k replicas, 25 t values) use 500k.
-MAX_REPLICA_CELLS = 2 ** 27
+from . import field
+from .errors import DomainError, NumericalError
+from .field import FieldSample
 
 
 @dataclass(frozen=True)
@@ -76,15 +66,6 @@ class TwoSampleReport:
     overlap: bool
 
 
-def check_replica_count(n_replicas: int, rows: int = 1) -> None:
-    """Refuse n_replicas replicas whose largest per-replica array holds rows
-    values per replica when it would exceed MAX_REPLICA_CELLS."""
-    if int(n_replicas) * max(int(rows), 1) > MAX_REPLICA_CELLS:
-        raise ResourceLimitError(
-            f"{n_replicas} replicas x {rows} values per replica exceed the limit "
-            f"of {MAX_REPLICA_CELLS} cells")
-
-
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
     """Per-atom masses for one field vector or for a matrix of field columns
     (atoms along the first axis)."""
@@ -116,7 +97,7 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
     def terms(atoms, roots, out):
         _masses(model, out[0], gamma, atoms, out[0])
 
-    return _strip_sums(model, base_seed, range(start, start + n_replicas), terms)[0]
+    return field._strip_sums(model, base_seed, range(start, start + n_replicas), terms)[0]
 
 
 def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
@@ -128,37 +109,7 @@ def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
         _masses(model, out[0], gamma, atoms, out[0])
         out[0] *= weight[roots, atoms].T
 
-    return _strip_sums(model, base_seed, replicas, terms, rooted=True)[0]
-
-
-def _strip_sums(model, base_seed: int, replicas, terms, rows: int = 1,
-                rooted: bool = False) -> np.ndarray:
-    """rows sums over the atoms per replica of an index list, streamed block
-    by block, as a (rows, len(replicas)) array.
-
-    Each strip of field rows goes into row 0 of one (rows, min(STRIP, n) + 1,
-    BATCH) buffer, after its carry column 0; terms(atoms, roots, out) turns
-    out[0] into terms in place and fills out[1:], roots being the block's
-    roots if rooted. Summing over axis 1 adds each strip's terms to the
-    carried sums atom by atom, the order in which numpy sums a C-ordered (n,
-    BATCH) array over axis 0, so each row is that sum, bit for bit.
-    """
-    check_replica_count(len(replicas), rows)
-    normals = np.empty((BATCH, model.factor_rank))
-    strip = np.empty((rows, min(STRIP, model.n) + 1, BATCH))
-    sums = np.empty((rows, BATCH))
-
-    def block(key):
-        sums.fill(0.0)
-        z = block_normals(base_seed, key, normals)
-        roots = block_roots(model, base_seed, key) if rooted else None
-        for lo, hi, _ in field_strips(model, z, strip[0, 1:]):
-            terms(slice(lo, hi), roots, strip[:, 1:hi - lo + 1])
-            strip[:, 0] = sums
-            np.sum(strip[:, :hi - lo + 1], axis=1, out=sums)
-        return sums
-
-    return gather_blocks(block, replicas, np.empty((rows, len(replicas))))
+    return field._strip_sums(model, base_seed, replicas, terms, rooted=True)[0]
 
 
 def _root_rows(model, roots: np.ndarray, atoms: slice) -> np.ndarray:
@@ -166,15 +117,6 @@ def _root_rows(model, roots: np.ndarray, atoms: slice) -> np.ndarray:
     over two layouts are several times slower): the covariance is symmetric
     bit for bit, so these are its rows atoms at the roots' columns."""
     return np.take(model.matrix[atoms], roots, axis=1)
-
-
-def block_roots(model, base_seed: int, key: int) -> np.ndarray:
-    """Weight-proportional root atom index of every replica of stream block
-    key, from one (BATCH,) uniform draw of the block's root substream."""
-    cum = np.cumsum(model.measure.weights)
-    uniforms = replica_generator(base_seed, key, ROOT_SUBSTREAM).random(BATCH)
-    roots = np.searchsorted(cum, uniforms * cum[-1], side="right")
-    return np.minimum(roots, model.n - 1)
 
 
 def rooted_identity_errors(model, base_seed: int, n_replicas: int,
@@ -197,8 +139,8 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
         _masses(model, h, gamma, atoms, h)
         h *= row
 
-    lhs, rhs = _strip_sums(model, base_seed, range(n_replicas), terms, rows=2,
-                           rooted=True)
+    lhs, rhs = field._strip_sums(model, base_seed, range(n_replicas), terms, rows=2,
+                                 rooted=True)
     bad = np.count_nonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & (rhs > 0)))
     if bad:
         raise NumericalError(
@@ -249,8 +191,8 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
         statistic.terms(h, atoms, plain)
         _masses(model, h, gamma_prime, atoms, h)
 
-    masses, plain, shifted = _strip_sums(model, base_seed, range(n_replicas), terms,
-                                         rows=3, rooted=True)
+    masses, plain, shifted = field._strip_sums(model, base_seed, range(n_replicas),
+                                               terms, rows=3, rooted=True)
     ess = masses.sum() ** 2 / np.sum(masses ** 2)
     if not np.isfinite(ess):
         raise NumericalError(

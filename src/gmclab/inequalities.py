@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolationError
-from .gmc import check_replica_count, mean_se, total_masses
-from .kernel import DiskKernel, _tile_rows, build_covariance, markov_difference_psd
+from .errors import DomainError, HypothesisViolationError, NumericalError
+from .field import check_replica_count
+from .gmc import mean_se, total_masses
+from .kernel import PSD_TOL, DiskKernel, _tile_rows, build_covariance, markov_difference_psd
 from .measure import AtomicMeasure
 
 ENTRY_SIGN_TOL = 1e-12
 ORDER_TOL = 1e-10
-PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,17 @@ class InequalityVerdict:
     n_replicas: int | None = None
     base_seed: int | None = None
     details: dict | None = None
+
+
+def _graded_masses(totals: np.ndarray, gamma: float) -> np.ndarray:
+    """totals, unless every one is 0 or not finite: a true mass is positive,
+    so such a sample under- or overflowed and would grade a constant. Where
+    only some underflow, their damped values are still exact."""
+    if not np.any(np.isfinite(totals) & (totals > 0)):
+        raise NumericalError(
+            f"the total masses at gamma={gamma:g} under- or overflow: all {totals.size} "
+            "replicas are 0 or not finite")
+    return totals
 
 
 def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
@@ -52,7 +63,7 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
         raise HypothesisViolationError(
             f"covariance entry {worst:.3e} is negative; positive association "
             "does not apply")
-    totals = total_masses(model, gamma, base_seed, n_replicas)
+    totals = _graded_masses(total_masses(model, gamma, base_seed, n_replicas), gamma)
     x = np.exp(-s * totals)
     y = np.exp(-t * totals)
     products = (x - x.mean()) * (y - y.mean())
@@ -123,8 +134,9 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
         raise HypothesisViolationError(
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")
-    damped_small, damped_big = (np.exp(-t * total_masses(m, gamma, base_seed, n_replicas))
-                                for m in (small, big))
+    damped_small, damped_big = (
+        np.exp(-t * _graded_masses(total_masses(m, gamma, base_seed, n_replicas), gamma))
+        for m in (small, big))
     statistic, se = map(float, mean_se(damped_big - damped_small))
     threshold = -3.0 * se
     details = {

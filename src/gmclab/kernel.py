@@ -79,6 +79,8 @@ CHOL_BLOCK = 128
 # names the pair-matrix arithmetic in reports that sample nothing (markov);
 # bumped whenever a change moves any entry of a pair matrix
 KERNEL_VERSION = 1
+# markov_difference_psd's pass: the least eigenvalue >= -PSD_TOL * the largest
+PSD_TOL = 1e-8
 # columns per block of the range finder of a clipped build
 RANGE_BLOCK = 32
 # relative Frobenius residual at which the range finder stops and which its
@@ -513,7 +515,7 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
     The off-diagonal log-distance parts cancel, so entries close over the
     diagonal: D = log|1 - x*conj(y)| - log|r**2 - x*conj(y)| + log r, with
     diagonal log(1 - |p|**2) - log((r**2 - |p|**2)/r). Returns
-    (matrix, min_eig, max_eig, psd) with psd true when min_eig >= -1e-8 * max_eig.
+    (matrix, min_eig, max_eig, psd) with psd true when min_eig >= -PSD_TOL * max_eig.
     """
     if not 0.0 < r <= 1.0:
         raise DomainError("r must lie in (0, 1]")
@@ -529,5 +531,5 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
     # diff is symmetric bit for bit: its F-ordered view is a contiguous copy
     eigvals = np.linalg.eigvalsh(diff.T)
     min_eig, max_eig = float(eigvals[0]), float(eigvals[-1])
-    psd = min_eig >= -1e-8 * max(max_eig, 0.0)
+    psd = min_eig >= -PSD_TOL * max(max_eig, 0.0)
     return diff, min_eig, max_eig, psd

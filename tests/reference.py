@@ -19,8 +19,8 @@ import numpy as np
 
 from gmclab.bounds import t0_from_ratio
 from gmclab.errors import DomainError
-from gmclab.field import FieldSample, gather_blocks, sample_field
-from gmclab.gmc import block_roots, check_replica_count, mass_columns, rooted_kernel_sums
+from gmclab.field import FieldSample, block_roots, check_replica_count, gather_blocks, sample_field
+from gmclab.gmc import mass_columns, rooted_kernel_sums
 from gmclab.kernel import (UNIT_DISK, DiskKernel, _check_atom_count, _eigen_clip, _half_gap,
                            _pair_matrix, pair_distances)
 from gmclab.measure import AtomicMeasure, d_energy

@@ -21,6 +21,10 @@ DELETED = {
     gmclab.gmc: ("_field_blocks", "ROOT_CHUNK"),
     gmclab.measure: ("_pair_distance_blocks",),
 }
+# the stream contract: every step that sets a replica's numbers lives in field
+STREAM_NAMES = ("_strip_sums", "block_roots", "check_replica_count", "MAX_REPLICA_CELLS",
+                "replica_generator", "block_normals", "field_strips", "gather_blocks",
+                "BATCH", "STRIP", "ROOT_SUBSTREAM")
 REMOVED_FROM_ALL = ("clip_to_psd", "regularized_entry", "green_subdisk", "sample_rooted",
                     "verify_rooted_identity", "RootedSample", "IdentityCheck", "local_energy",
                     "t0_l2", "default_epsilon")
@@ -36,6 +40,9 @@ def test_public_surface_is_what_commands_readme_and_demos_use():
         for module, names in table.items():
             for name in names:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name in STREAM_NAMES:
+        assert hasattr(gmclab.field, name), name
+        assert not hasattr(gmclab.gmc, name), f"gmclab.gmc.{name}"
     for method in ("smooth_part", "smooth_matrix"):
         assert not hasattr(gmclab.kernel.DiskKernel, method), method
     def params(function):

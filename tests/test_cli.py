@@ -306,11 +306,17 @@ def test_verify_change_of_measure_mass_default(files):
      "gamma=40, gamma_prime=0.8 under- or overflow in 50 of 50 replicas"),
     (("verify-change-of-measure", "--gamma-prime", "30"),
      "the gamma_prime=30 mass sums m of 50 replicas under- or overflow"),
-], ids=["identity", "change-of-measure"])
+    (("verify-ineq", "--which", "fkg", "--gamma", "60"),
+     "the total masses at gamma=60 under- or overflow: all 50 replicas"),
+    (("verify-ineq", "--which", "kahane", "--gamma", "60", "--r-inner", "0.9"),
+     "the total masses at gamma=60 under- or overflow: all 50 replicas"),
+], ids=["identity", "change-of-measure", "fkg", "kahane"])
 def test_underflowing_rooted_sums_exit_2(tmp_path, capsys, argv, message):
     # on the 8x8 grid of radius 0.8 every identity right side underflows to 0
     # at gamma 40, and the squares of the gamma' 30 mass sums do too: a null
-    # max_rel_err or effective_sample_size with exit 1 when let through
+    # max_rel_err or effective_sample_size with exit 1 when let through; at
+    # gamma 60 every total mass does, which fkg and kahane would grade as a
+    # pass on a statistic and threshold of 0
     path = tmp_path / "grid8.csv"
     assert gmclab.cli.main(["generate", "grid", "--n", "8", "--radius", "0.8",
                             "--out", str(path), "--no-timestamp"]) == 0
@@ -344,6 +350,15 @@ def test_verify_ineq_fkg(files):
                    "--seed", SEED, "--no-timestamp")
     assert proc.returncode == 0
     assert report(proc)["verdicts"][0]["pass"] is True
+
+
+def test_verify_ineq_fkg_gamma_zero(files):
+    # at gamma 0 every mass is the base measure's total: a constant sample,
+    # which the rule that refuses all-underflowed masses must still grade
+    proc = run_cli("verify-ineq", "--which", "fkg", "--measure", files["small"],
+                   "--gamma", 0.0, "--replicas", 200, "--seed", SEED, "--no-timestamp")
+    assert proc.returncode == 0
+    assert report(proc)["verdicts"][0]["name"] == "fkg"
 
 
 def test_verify_ineq_kahane(files):

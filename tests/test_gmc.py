@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import gmclab.field
-import gmclab.gmc
 from gmclab import (
     AtomicMeasure,
     DomainError,
@@ -25,9 +24,9 @@ from gmclab import (
 )
 from gmclab.bounds import estimate_s0, laplace_transform, small_ball_tail, verify_bound
 from gmclab.errors import NumericalError, ResourceLimitError
-from gmclab.field import BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM
-from gmclab.gmc import (MAX_REPLICA_CELLS, check_replica_count, mass_columns, mean_se,
-                        rooted_kernel_sums)
+from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTREAM,
+                          check_replica_count)
+from gmclab.gmc import mass_columns, mean_se, rooted_kernel_sums
 from gmclab.inequalities import fkg_check, kahane_check
 from gmclab.kernel import offdiagonal_green, pair_distances
 from reference import draw_roots, local_energy_samples, sample_rooted, verify_rooted_identity
@@ -171,6 +170,15 @@ def test_identity_underflow_raises(model8):
     # relative error would be 0/0
     with pytest.raises(NumericalError, match=r"gamma=40, .* 50 of 50 replicas"):
         rooted_identity_errors(model8, 1, 50, 40.0, 0.8)
+
+
+def test_inequality_mass_underflow_raises(model8):
+    # at gamma 60 on the 8x8 grid every total mass underflows to 0, so fkg's
+    # covariance and kahane's difference would be graded as exactly 0
+    with pytest.raises(NumericalError, match=r"gamma=60 .* all 50 replicas"):
+        fkg_check(model8, 60.0, 1.0, 2.0, 50, 1)
+    with pytest.raises(NumericalError, match=r"gamma=60 .* all 50 replicas"):
+        kahane_check(model8, 60.0, 0.9, 2.0, 50, 1)
 
 
 def test_identity_rhs_monotone_in_gamma_prime(model8):
@@ -346,7 +354,6 @@ def test_one_generator_per_block_and_substream(model4, monkeypatch):
         return real(base_seed, block_index, substream)
 
     monkeypatch.setattr(gmclab.field, "replica_generator", counting)
-    monkeypatch.setattr(gmclab.gmc, "replica_generator", counting)
     indices = np.arange(3 * BATCH + 5)
     field_matrix(model4, SEED, indices)
     draw_roots(model4, SEED, indices)
@@ -460,7 +467,6 @@ def test_empty_range_draws_nothing(model20, monkeypatch, start):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gmclab.field, "replica_generator", counting)
-    monkeypatch.setattr(gmclab.gmc, "replica_generator", counting)
     weight = _singular_weight(model20, 1.5)
     results = (total_masses(model20, 0.8, SEED, 0, start=start),
                local_energy_samples(model20, 0.8, 1.5, SEED, 0, start=start),
