@@ -48,7 +48,7 @@ from gmclab import AtomicMeasure
 
 single = build_covariance(AtomicMeasure(np.array([0.3 + 0j]), np.array([1.0])))
 gamma_prime = 0.7
-rep = verify_change_of_measure(single, gamma_prime, atom_value_statistic(0),
+rep = verify_change_of_measure(single, gamma_prime, atom_value_statistic(single, 0),
                                100000, SEED)
 target = gamma_prime * single.diag_variance[0]
 print(f"\nbiased field mean, single atom (target gamma'*v = {target:.5f})")

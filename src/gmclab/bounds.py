@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .field import BATCH, check_replica_count
 from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
-from .gmc import mean_se, rooted_kernel_sums, total_masses
+from .gmc import graded_total_masses, mean_se, rooted_kernel_sums
 from .kernel import offdiagonal_green, pair_distances
 from .measure import _distance_energy
 
@@ -147,7 +147,7 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
     if np.any(t_values < 0):
         raise DomainError("t values must be >= 0")
     check_replica_count(n_replicas, rows=t_values.size)
-    totals = total_masses(model, gamma, base_seed, n_replicas)
+    totals = graded_total_masses(model, gamma, base_seed, n_replicas)
     damped = np.exp(-t_values[:, None] * totals[None, :])
     estimates, ses = mean_se(damped, axis=1)
     return LaplaceReport(t_values, estimates, ses, None, gamma, n_replicas, base_seed)
@@ -232,7 +232,7 @@ def small_ball_tail(model, gamma: float, thresholds, n_replicas: int,
     if np.any(thresholds <= 0):
         raise DomainError("thresholds must be > 0")
     check_replica_count(n_replicas, rows=thresholds.size)
-    totals = total_masses(model, gamma, base_seed, n_replicas)
+    totals = graded_total_masses(model, gamma, base_seed, n_replicas)
     freqs, ses = mean_se(totals[None, :] < thresholds[:, None], axis=1)
     return TailReport(thresholds, freqs, ses, gamma, n_replicas, base_seed)
 

@@ -326,9 +326,7 @@ def _cmd_verify_com(cfg, args) -> tuple[dict, dict, int]:
             cfg["cap"] = 10.0 * model.measure.total_mass
         stat = gmc.clipped_mass_statistic(model, cfg["gamma"], cfg["cap"])
     else:
-        if cfg["atom_index"] >= model.n:
-            raise ValidationError("atom_index out of range")
-        stat = gmc.atom_value_statistic(cfg["atom_index"])
+        stat = gmc.atom_value_statistic(model, cfg["atom_index"])
     report = gmc.verify_change_of_measure(model, cfg["gamma_prime"], stat,
                                           cfg["replicas"], cfg["seed"])
     return (cfg, {"change_of_measure": report, **_model_keys(model)},

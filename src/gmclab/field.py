@@ -12,12 +12,25 @@ Gaussian vector itself.
 All field values come from field_strips, the one loop over the block
 product: the lower trapezoidal n x r factor times the block's normals, in
 row strips of STRIP atoms so the zero upper triangle is skipped. _strip_sums,
-the engine behind every sampler, has each strip turned into per-atom terms in
-one reused buffer and adds them to the running per-replica sums atom by atom,
-so no sampler holds an n x BATCH array of field values; only field_matrix,
-for callers that ask for field columns, keeps every strip of a block. Both
-draw the normals into one (BATCH, r) buffer (block_normals) and reuse it,
-like every other buffer, for every block of a call.
+the engine behind every sampler, has each strip turned into rows of per-atom
+terms in one reused buffer and reduces each row with one BLAS product, its
+atom weights (the measure's weights w for a mass sum) times the strip's terms,
+adding the product to the running per-replica sums strip after strip; so no
+sampler holds an n x BATCH array of field values, and no sampler forms the
+masses w_i * e_i themselves. Only field_matrix, for callers that ask for
+field columns, keeps every strip of a block. Both draw the normals into one
+(BATCH, r) buffer (block_normals) and reuse it, like every other buffer, for
+every block of a call.
+
+The products, the factor's and the reductions', go through the BLAS that
+numpy is built with, so the bits of a sampled number depend on that build and
+on its thread count. With OPENBLAS_NUM_THREADS=1 against the default 2 on a
+2-core host (stream versions 11 and 12), the factors and the total masses of
+the 48x48 grid and of the level-5 Cantor dust at epsilon 0.05 differ in their
+bits, those of the 8x8 grid do not. On the grid the masses move by at most
+1.1e-14 relative. The dust's clipped factor comes out as another square root
+of the same matrix (F F^T agrees within 1.1e-14), so its masses are other
+draws of the same law and move by up to 0.7%.
 
 gather_blocks is the one map from a replica index to its block and column:
 every sampler hands it a function from a block key to that whole block's
@@ -38,12 +51,12 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# names this keying, the root draw, the factor product and the carry-sum
-# order in reports; CHANGES.md tells what each version changed. Version 11
-# changed only the carry-sum order of verify-identity and of the change of
-# measure's mass statistic (atom after atom, where each replica's atoms were
-# summed pairwise), moving those sums in their last bits.
-STREAM_VERSION = 11
+# names this keying, the root draw, the factor product and the weighted strip
+# reduction in reports; CHANGES.md tells what each version changed. Version
+# 12 changed only the rounding order of the sums: each strip's terms are
+# reduced by one BLAS product with the atom weights, where the masses were
+# formed and added atom after atom, moving every sum in its last bits.
+STREAM_VERSION = 12
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it
@@ -127,34 +140,39 @@ def field_strips(model, z: np.ndarray, out: np.ndarray):
         yield lo, hi, rows
 
 
-def _strip_sums(model, base_seed: int, replicas, terms, rows: int = 1,
+def _strip_sums(model, base_seed: int, replicas, terms, weights,
                 rooted: bool = False) -> np.ndarray:
-    """rows sums over the atoms per replica of an index list, streamed block
-    by block, as a (rows, len(replicas)) array.
+    """Weighted sums over the atoms per replica of an index list, streamed
+    block by block, as a (len(weights), len(replicas)) array: row k sums
+    weights[k][i] times term k of atom i.
 
-    Each strip of field rows goes into row 0 of one (rows, min(STRIP, n) + 1,
-    BATCH) buffer, after its carry column 0; terms(atoms, roots, out) turns
-    out[0] into terms in place and fills out[1:], roots being the block's
-    roots if rooted. Summing over axis 1 adds each strip's terms to the
-    carried sums atom by atom, the order in which numpy sums a C-ordered (n,
-    BATCH) array over axis 0, so each row is that sum, bit for bit.
+    Each strip of field rows goes into row 0 of one (len(weights),
+    min(STRIP, n), BATCH) buffer; terms(atoms, roots, out) turns out[0] into
+    terms in place and fills out[1:], roots being the block's roots if
+    rooted. Row k of a strip [lo, hi) is then reduced by one BLAS product,
+    weights[k][lo:hi] @ out[k], and added to the block's sums strip after
+    strip, so each sum's rounding order is set by the strip cuts and the BLAS
+    build.
     """
-    check_replica_count(len(replicas), rows)
+    check_replica_count(len(replicas), len(weights))
     normals = np.empty((BATCH, model.factor_rank))
-    strip = np.empty((rows, min(STRIP, model.n) + 1, BATCH))
-    sums = np.empty((rows, BATCH))
+    strip = np.empty((len(weights), min(STRIP, model.n), BATCH))
+    sums = np.empty((len(weights), BATCH))
+    part = np.empty(BATCH)
 
     def block(key):
         sums.fill(0.0)
         z = block_normals(base_seed, key, normals)
         roots = block_roots(model, base_seed, key) if rooted else None
-        for lo, hi, _ in field_strips(model, z, strip[0, 1:]):
-            terms(slice(lo, hi), roots, strip[:, 1:hi - lo + 1])
-            strip[:, 0] = sums
-            np.sum(strip[:, :hi - lo + 1], axis=1, out=sums)
+        for lo, hi, _ in field_strips(model, z, strip[0]):
+            out = strip[:, :hi - lo]
+            terms(slice(lo, hi), roots, out)
+            for weight, row, total in zip(weights, out, sums):
+                np.matmul(weight[lo:hi], row, out=part)
+                total += part
         return sums
 
-    return gather_blocks(block, replicas, np.empty((rows, len(replicas))))
+    return gather_blocks(block, replicas, np.empty((len(weights), len(replicas))))
 
 
 def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:

@@ -7,10 +7,13 @@ probability proportional to weight and shifts the field by gamma' times the
 root's covariance row; the discrete change-of-measure identity then holds
 replica by replica up to rounding.
 
-Each sampler here supplies only its per-atom terms to the strip engine,
-field._strip_sums: one row of terms per sum it keeps (the masses; masses
+Each sampler here supplies only its per-atom terms and the atom weights that
+reduce them to the strip engine, field._strip_sums: one row of terms per sum
+it keeps (the exponentials e_i = exp(gamma*h_i - gamma^2/2 * var_i); e_i
 times a root row of a weight matrix; the identity's two sides; the gamma'
-masses and a statistic of the field and of the root-shifted field).
+exponentials and a statistic of the field and of the root-shifted field).
+Every mass sum is reduced with the measure's weights w, so the mass w_i * e_i
+itself is never formed in a sampler.
 """
 
 from __future__ import annotations
@@ -36,19 +39,21 @@ class GmcSample:
 
 @dataclass(frozen=True)
 class Statistic:
-    """Named additive functional of a field, F(h) = finish(sum_i terms_i(h)):
-    terms(values, atoms, out) writes the terms of field rows values (atoms
-    first, the slice atoms) into out, which may be values itself."""
+    """Named additive functional of a field, F(h) = finish(sum_i weights_i *
+    terms_i(h)): terms(values, atoms, out) writes the terms of field rows
+    values (atoms first, the slice atoms) into out, which may be values
+    itself, and weights holds one reduction weight per atom."""
 
     name: str
     terms: Callable
+    weights: np.ndarray
     finish: Callable
 
     def __call__(self, values: np.ndarray):
         """F of a whole field vector, or of a matrix of field columns."""
         out = np.empty(np.shape(values))
         self.terms(values, slice(None), out)
-        return self.finish(out.sum(axis=0))
+        return self.finish(self.weights @ out)
 
 
 @dataclass(frozen=True)
@@ -67,21 +72,22 @@ class TwoSampleReport:
 
 
 def mass_columns(model, values: np.ndarray, gamma: float) -> np.ndarray:
-    """Per-atom masses for one field vector or for a matrix of field columns
-    (atoms along the first axis)."""
-    return _masses(model, values, gamma)
+    """Per-atom masses w_i * e_i for one field vector or for a matrix of
+    field columns (atoms along the first axis)."""
+    masses = _exponentials(model, values, gamma)
+    np.multiply(masses.T, model.measure.weights, out=masses.T)
+    return masses
 
 
-def _masses(model, values: np.ndarray, gamma: float, atoms: slice = slice(None),
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Masses of field rows values, atoms first (the slice atoms), written
-    into out, which may be values itself, or a new array. Every mass is
-    formed here, in this order, so it is the same double in every sampler
-    whatever the array's layout."""
+def _exponentials(model, values: np.ndarray, gamma: float, atoms: slice = slice(None),
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """e_i = exp(gamma*h_i - gamma^2/2 * var_i) of field rows values, atoms
+    first (the slice atoms), written into out, which may be values itself,
+    or a new array. Every exponential is formed here, in this order, so it
+    is the same double in every sampler whatever the array's layout."""
     scaled = np.multiply(values.T, gamma, out=None if out is None else out.T)
     scaled -= 0.5 * gamma * gamma * model.diag_variance[atoms]
     np.exp(scaled, out=scaled)
-    scaled *= model.measure.weights[atoms]
     return scaled.T
 
 
@@ -95,21 +101,40 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
     """Total chaos mass for replicas start .. start+n_replicas-1."""
 
     def terms(atoms, roots, out):
-        _masses(model, out[0], gamma, atoms, out[0])
+        _exponentials(model, out[0], gamma, atoms, out[0])
 
-    return field._strip_sums(model, base_seed, range(start, start + n_replicas), terms)[0]
+    return field._strip_sums(model, base_seed, range(start, start + n_replicas), terms,
+                             [model.measure.weights])[0]
+
+
+def graded_total_masses(model, gamma: float, base_seed: int,
+                        n_replicas: int) -> np.ndarray:
+    """total_masses of replicas 0 .. n_replicas-1, unless every one is 0 or
+    not finite: a true mass is positive, so such a sample under- or
+    overflowed and would grade a constant (NumericalError). Where only some
+    underflow, their damped values are still exact."""
+    totals = total_masses(model, gamma, base_seed, n_replicas)
+    if not np.any(np.isfinite(totals) & (totals > 0)):
+        raise NumericalError(
+            f"the total masses at gamma={gamma:g} under- or overflow: all {totals.size} "
+            "replicas are 0 or not finite")
+    return totals
 
 
 def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
-    """sum_i weight[root, i] * mass_i per replica of an index list, with the
-    gamma chaos mass and an n x n weight matrix over the atoms."""
+    """sum_i weight[i, root] * mass_i per replica of an index list, with the
+    gamma chaos mass and an n x n weight matrix over the atoms: the sum over
+    the root's column, which is its row for the symmetric pair-distance and
+    Green weights of verify-bound. The columns are gathered in the strip's C
+    order, like _root_rows, so the terms are multiplied in one layout."""
 
     def terms(atoms, roots, out):
-        _masses(model, out[0], gamma, atoms, out[0])
-        out[0] *= weight[roots, atoms].T
+        _exponentials(model, out[0], gamma, atoms, out[0])
+        out[0] *= np.take(weight[atoms], roots, axis=1)
 
-    return field._strip_sums(model, base_seed, replicas, terms, rooted=True)[0]
+    return field._strip_sums(model, base_seed, replicas, terms, [model.measure.weights],
+                             rooted=True)[0]
 
 
 def _root_rows(model, roots: np.ndarray, atoms: slice) -> np.ndarray:
@@ -133,14 +158,15 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
         row = _root_rows(model, roots, atoms)
         np.multiply(row, gamma_prime, out=rhs)
         rhs += h
-        _masses(model, rhs, gamma, atoms, rhs)
+        _exponentials(model, rhs, gamma, atoms, rhs)
         row *= gamma * gamma_prime
         np.exp(row, out=row)
-        _masses(model, h, gamma, atoms, h)
+        _exponentials(model, h, gamma, atoms, h)
         h *= row
 
-    lhs, rhs = field._strip_sums(model, base_seed, range(n_replicas), terms, rows=2,
-                                 rooted=True)
+    weights = model.measure.weights
+    lhs, rhs = field._strip_sums(model, base_seed, range(n_replicas), terms,
+                                 [weights, weights], rooted=True)
     bad = np.count_nonzero(~(np.isfinite(lhs) & np.isfinite(rhs) & (rhs > 0)))
     if bad:
         raise NumericalError(
@@ -150,24 +176,35 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
 
 
 def clipped_mass_statistic(model, gamma: float, cap: float) -> Statistic:
-    """Total chaos mass at the given gamma, clipped above at cap."""
+    """Total chaos mass at the given gamma, clipped above at cap: its terms
+    are the exponentials e_i, reduced with the weights w. An exponential
+    that overflows is a mass above any finite cap, so it is left infinite
+    and clipped without a warning."""
     if not cap > 0:
         raise DomainError("cap must be > 0")
 
-    return Statistic(f"total_mass_clipped(gamma={gamma:g}, cap={cap:g})",
-                     lambda values, atoms, out: _masses(model, values, gamma, atoms, out),
-                     lambda total: np.minimum(total, cap))
+    def terms(values, atoms, out):
+        with np.errstate(over="ignore"):
+            _exponentials(model, values, gamma, atoms, out)
+
+    return Statistic(f"total_mass_clipped(gamma={gamma:g}, cap={cap:g})", terms,
+                     model.measure.weights, lambda total: np.minimum(total, cap))
 
 
-def atom_value_statistic(index: int) -> Statistic:
-    """Field value at a fixed atom index, its one term that is not 0; the
-    index must name an atom, 0 <= index < n, as the command line checks."""
+def atom_value_statistic(model, index: int) -> Statistic:
+    """Field value at a fixed atom index: its terms are the field values,
+    reduced with the one-hot weight vector of the atom, so every other
+    term is multiplied by 0 and the sum is the value exactly."""
+    if not 0 <= index < model.n:
+        raise DomainError(f"atom index must satisfy 0 <= index < {model.n}")
+    weights = np.zeros(model.n)
+    weights[index] = 1.0
 
     def terms(values, atoms, out):
-        first = atoms.start or 0
-        np.multiply(values.T, np.arange(first, first + len(values)) == index, out=out.T)
+        if out is not values:
+            np.copyto(out, values)
 
-    return Statistic(f"atom_value({index})", terms, lambda total: total)
+    return Statistic(f"atom_value({index})", terms, weights, lambda total: total)
 
 
 def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
@@ -189,11 +226,14 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
         shifted += h
         statistic.terms(shifted, atoms, shifted)
         statistic.terms(h, atoms, plain)
-        _masses(model, h, gamma_prime, atoms, h)
+        _exponentials(model, h, gamma_prime, atoms, h)
 
-    masses, plain, shifted = field._strip_sums(model, base_seed, range(n_replicas),
-                                               terms, rows=3, rooted=True)
-    ess = masses.sum() ** 2 / np.sum(masses ** 2)
+    masses, plain, shifted = field._strip_sums(
+        model, base_seed, range(n_replicas), terms,
+        [model.measure.weights, statistic.weights, statistic.weights], rooted=True)
+    # sums that under- or overflow make the ratio 0/0 or inf/inf: not finite
+    with np.errstate(all="ignore"):
+        ess = masses.sum() ** 2 / np.sum(masses ** 2)
     if not np.isfinite(ess):
         raise NumericalError(
             f"the gamma_prime={gamma_prime:g} mass sums m of {n_replicas} replicas "

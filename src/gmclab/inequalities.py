@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolationError, NumericalError
+from .errors import DomainError, HypothesisViolationError
 from .field import check_replica_count
-from .gmc import mean_se, total_masses
+from .gmc import graded_total_masses, mean_se
+from .gmc import total_masses  # noqa: F401  bench/tests/test_tracing.py patches it
 from .kernel import PSD_TOL, DiskKernel, _tile_rows, build_covariance, markov_difference_psd
 from .measure import AtomicMeasure
 
@@ -33,17 +34,6 @@ class InequalityVerdict:
     n_replicas: int | None = None
     base_seed: int | None = None
     details: dict | None = None
-
-
-def _graded_masses(totals: np.ndarray, gamma: float) -> np.ndarray:
-    """totals, unless every one is 0 or not finite: a true mass is positive,
-    so such a sample under- or overflowed and would grade a constant. Where
-    only some underflow, their damped values are still exact."""
-    if not np.any(np.isfinite(totals) & (totals > 0)):
-        raise NumericalError(
-            f"the total masses at gamma={gamma:g} under- or overflow: all {totals.size} "
-            "replicas are 0 or not finite")
-    return totals
 
 
 def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
@@ -63,7 +53,7 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
         raise HypothesisViolationError(
             f"covariance entry {worst:.3e} is negative; positive association "
             "does not apply")
-    totals = _graded_masses(total_masses(model, gamma, base_seed, n_replicas), gamma)
+    totals = graded_total_masses(model, gamma, base_seed, n_replicas)
     x = np.exp(-s * totals)
     y = np.exp(-t * totals)
     products = (x - x.mean()) * (y - y.mean())
@@ -114,10 +104,10 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
     those shared numbers correlate a replica's damped mass with its
     neighbour's in the other model only weakly and positively (0.030 to
     0.060 over 8192 replicas at the command's defaults, seeds 3, 7 and 11,
-    against at most 0.026 in size for pairs that share no stream number;
-    stream version 9). A positive cross correlation makes the true variance
-    of the mean difference smaller than the standard error assumes, so the
-    error errs large and false alarms only get rarer.
+    against at most 0.030 in size for pairs 2 to 7 rows away, which share no
+    stream number; stream version 12). A positive cross correlation makes the
+    true variance of the mean difference smaller than the standard error
+    assumes, so the error errs large and false alarms only get rarer.
     """
     if t <= 0:
         raise DomainError("t must be > 0")
@@ -135,7 +125,7 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")
     damped_small, damped_big = (
-        np.exp(-t * _graded_masses(total_masses(m, gamma, base_seed, n_replicas), gamma))
+        np.exp(-t * graded_total_masses(m, gamma, base_seed, n_replicas))
         for m in (small, big))
     statistic, se = map(float, mean_se(damped_big - damped_small))
     threshold = -3.0 * se

@@ -3,7 +3,8 @@
 These are the scalar, per-replica and one-eigh forms of computations that
 gmclab does in bulk: a scalar kernel entry against the tiled pair matrices,
 one full eigh clip against the range finder, one replica's rooted sample
-against the block-streamed rooted samplers, the default epsilon from one
+against the block-streamed rooted samplers, the strip engine's weighted
+reduction over materialized terms, the default epsilon from one
 distance pass against the one the kernel fill finds, and the rooted local
 energy of one chaos sample. No command, demo or benchmark calls them, so
 they live here, next to the tests, and not in the package.
@@ -19,7 +20,8 @@ import numpy as np
 
 from gmclab.bounds import t0_from_ratio
 from gmclab.errors import DomainError
-from gmclab.field import FieldSample, block_roots, check_replica_count, gather_blocks, sample_field
+from gmclab.field import (BATCH, STRIP, FieldSample, block_roots, check_replica_count,
+                          gather_blocks, sample_field)
 from gmclab.gmc import mass_columns, rooted_kernel_sums
 from gmclab.kernel import (UNIT_DISK, DiskKernel, _check_atom_count, _eigen_clip, _half_gap,
                            _pair_matrix, pair_distances)
@@ -106,6 +108,21 @@ def draw_roots(model, base_seed: int, indices) -> np.ndarray:
     entry k % BATCH of block_roots of block k // BATCH."""
     return gather_blocks(lambda key: block_roots(model, base_seed, key), indices,
                          np.empty(len(indices), dtype=np.intp))
+
+
+def strip_sums(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * terms[i] per column of terms, an n x (k * BATCH)
+    array of the replicas of k whole stream blocks, in field._strip_sums'
+    order: each block's strips of STRIP atoms are reduced by one product with
+    the weights, in the engine's C layout, and added strip after strip."""
+    n, cols = terms.shape
+    sums = np.zeros(cols)
+    for first in range(0, cols, BATCH):
+        block = slice(first, first + BATCH)
+        for lo in range(0, n, STRIP):
+            hi = min(lo + STRIP, n)
+            sums[block] += weights[lo:hi] @ np.ascontiguousarray(terms[lo:hi, block])
+    return sums
 
 
 def sample_rooted(model, base_seed: int, replica_index: int,

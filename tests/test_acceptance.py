@@ -76,7 +76,7 @@ def test_criterion_04_change_of_measure_law():
     model = build_covariance(AtomicMeasure(np.array([0.3 + 0j]), np.array([1.0])))
     gamma_prime = 0.7
     target = gamma_prime * model.diag_variance[0]
-    rep = verify_change_of_measure(model, gamma_prime, atom_value_statistic(0),
+    rep = verify_change_of_measure(model, gamma_prime, atom_value_statistic(model, 0),
                                    100000, SEED)
     ok = abs(rep.mean_rooted - target) <= 3.0 * rep.se_rooted
     ok = ok and abs(rep.mean_weighted - target) <= 3.0 * rep.se_weighted

@@ -310,13 +310,20 @@ def test_verify_change_of_measure_mass_default(files):
      "the total masses at gamma=60 under- or overflow: all 50 replicas"),
     (("verify-ineq", "--which", "kahane", "--gamma", "60", "--r-inner", "0.9"),
      "the total masses at gamma=60 under- or overflow: all 50 replicas"),
-], ids=["identity", "change-of-measure", "fkg", "kahane"])
+    (("laplace", "--gamma", "60", "--t", "1,5"),
+     "the total masses at gamma=60 under- or overflow: all 50 replicas"),
+    (("tail", "--gamma", "60", "--eps", "0.1"),
+     "the total masses at gamma=60 under- or overflow: all 50 replicas"),
+], ids=["identity", "change-of-measure", "fkg", "kahane", "laplace", "tail"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_underflowing_rooted_sums_exit_2(tmp_path, capsys, argv, message):
     # on the 8x8 grid of radius 0.8 every identity right side underflows to 0
     # at gamma 40, and the squares of the gamma' 30 mass sums do too: a null
     # max_rel_err or effective_sample_size with exit 1 when let through; at
     # gamma 60 every total mass does, which fkg and kahane would grade as a
-    # pass on a statistic and threshold of 0
+    # pass on a statistic and threshold of 0, laplace as estimates of 1 and
+    # tail as a frequency of 1, each with a standard error of 0. Each exits
+    # 2 with its one error line and no numpy warning before it
     path = tmp_path / "grid8.csv"
     assert gmclab.cli.main(["generate", "grid", "--n", "8", "--radius", "0.8",
                             "--out", str(path), "--no-timestamp"]) == 0
@@ -326,6 +333,7 @@ def test_underflowing_rooted_sums_exit_2(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 # --------------------------------------------------------------- verify-ineq
@@ -680,7 +688,7 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 11
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 12
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov

@@ -26,10 +26,11 @@ from gmclab.bounds import estimate_s0, laplace_transform, small_ball_tail, verif
 from gmclab.errors import NumericalError, ResourceLimitError
 from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTREAM,
                           check_replica_count)
-from gmclab.gmc import mass_columns, mean_se, rooted_kernel_sums
+from gmclab.gmc import _exponentials, mass_columns, mean_se, rooted_kernel_sums
 from gmclab.inequalities import fkg_check, kahane_check
 from gmclab.kernel import offdiagonal_green, pair_distances
-from reference import draw_roots, local_energy_samples, sample_rooted, verify_rooted_identity
+from reference import (draw_roots, local_energy_samples, sample_rooted, strip_sums,
+                       verify_rooted_identity)
 
 SEED = 7
 
@@ -194,7 +195,7 @@ def test_identity_rhs_monotone_in_gamma_prime(model8):
 
 def test_change_of_measure_constant_statistic(model8):
     one = Statistic("one", lambda values, atoms, out: out.fill(0.0),
-                    lambda total: total + 1.0)
+                    model8.measure.weights, lambda total: total + 1.0)
     report = verify_change_of_measure(model8, 0.8, one, 20000, SEED)
     assert report.mean_rooted == 1.0
     assert abs(report.mean_weighted - 1.0) <= 3.0 * report.se_weighted
@@ -205,7 +206,7 @@ def test_change_of_measure_single_atom_field_value(single_model):
     gamma_prime = 0.7
     v = single_model.diag_variance[0]
     report = verify_change_of_measure(
-        single_model, gamma_prime, atom_value_statistic(0), 20000, SEED)
+        single_model, gamma_prime, atom_value_statistic(single_model, 0), 20000, SEED)
     assert abs(report.mean_rooted - gamma_prime * v) <= 3.0 * report.se_rooted
     assert abs(report.mean_weighted - gamma_prime * v) <= 3.0 * report.se_weighted
     assert report.overlap
@@ -240,6 +241,7 @@ def test_change_of_measure_paired_standard_error(model8):
                               <= 3.0 * report.se_difference)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_change_of_measure_mass_underflow_raises(model8):
     # the gamma' 30 mass sums are below 1e-250, so their squares, and the
     # effective sample size's numerator and denominator, underflow to 0
@@ -249,13 +251,25 @@ def test_change_of_measure_mass_underflow_raises(model8):
 
 
 def test_statistics_are_their_summed_terms(model8):
-    # F(h) = finish(sum_i terms_i(h)); the atom-value terms are 0 but at the atom
+    # F(h) = finish(sum_i weights_i * terms_i(h)); the atom-value weights are
+    # one-hot, so every other field value is multiplied by 0
     values = field_matrix(model8, SEED, np.arange(40))
-    assert np.array_equal(atom_value_statistic(5)(values), values[5])
-    assert np.array_equal(atom_value_statistic(5)(values[:, 3]), values[5, 3])
+    assert np.array_equal(atom_value_statistic(model8, 5)(values), values[5])
+    assert np.array_equal(atom_value_statistic(model8, 5)(values[:, 3]), values[5, 3])
     stat = clipped_mass_statistic(model8, 0.8, 1.5)
+    weights = model8.measure.weights
+    assert np.array_equal(stat.weights, weights)
     assert np.array_equal(stat(values),
-                          np.minimum(mass_columns(model8, values, 0.8).sum(axis=0), 1.5))
+                          np.minimum(weights @ _exponentials(model8, values, 0.8), 1.5))
+    np.testing.assert_allclose(
+        stat(values), np.minimum(mass_columns(model8, values, 0.8).sum(axis=0), 1.5),
+        rtol=1e-13, atol=0)
+
+
+def test_atom_value_statistic_needs_an_atom(model8):
+    for index in (-1, model8.n):
+        with pytest.raises(DomainError, match="0 <= index < 64"):
+            atom_value_statistic(model8, index)
 
 
 def test_clipped_mass_statistic_cap(model8):
@@ -383,12 +397,18 @@ def model20():
     pytest.param("cantor5_clipped", 1023, 1026, id="clipped-1023-1026"),
 ])
 def test_streamed_samplers_match_materialized_path(request, model_name, start, n):
+    # the reference materializes every stream block from replica 0 up to
+    # the last one asked for, and reduces its terms with the engine's
+    # weighted product per strip and per block (reference.strip_sums), so
+    # every sum matches bit for bit
     model = request.getfixturevalue(model_name)
     gamma, beta = 0.8, 1.5
-    indices = np.arange(start, start + n)
-    values = field_matrix(model, SEED, indices)
-    roots = draw_roots(model, SEED, indices)
-    masses = mass_columns(model, values, gamma)
+    weights = model.measure.weights
+    whole = np.arange(-(-(start + n) // BATCH) * BATCH)
+    picked = slice(start, start + n)
+    values = field_matrix(model, SEED, whole)
+    roots = draw_roots(model, SEED, whole)
+    exps = _exponentials(model, values, gamma)
     p = model.measure.positions
     dist = np.abs(p[:, None] - p[None, :])
     np.fill_diagonal(dist, np.inf)
@@ -396,35 +416,80 @@ def test_streamed_samplers_match_materialized_path(request, model_name, start, n
     singular = np.exp(beta * green)
     np.fill_diagonal(singular, 0.0)
 
-    assert np.array_equal(total_masses(model, gamma, SEED, n, start=start),
-                          masses.sum(axis=0))
-    assert np.array_equal(
-        local_energy_samples(model, gamma, beta, SEED, n, start=start),
-        np.einsum("ki,ik->k", (dist ** -beta)[roots], masses))
-    assert np.array_equal(rooted_kernel_sums(model, SEED, indices, gamma, singular),
-                          np.einsum("ki,ik->k", singular[roots], masses))
-    # rooted_identity_errors always starts at replica 0; its sums, like every
-    # strip-engine sum, are sequential axis-0 sums over C-ordered (n, N) terms
-    whole = np.arange(start + n)
-    values = field_matrix(model, SEED, whole)
-    rows = np.ascontiguousarray(model.matrix[draw_roots(model, SEED, whole)].T)
-    base_mass = mass_columns(model, values, gamma)
-    assert base_mass.flags.c_contiguous
-    lhs = np.sum(np.exp(gamma * gamma * rows) * base_mass, axis=0)
-    rhs = np.sum(mass_columns(model, values + gamma * rows, gamma), axis=0)
+    total = strip_sums(weights, exps)
+    assert np.array_equal(total_masses(model, gamma, SEED, n, start=start), total[picked])
+    energy = strip_sums(weights, exps * np.take(dist ** -beta, roots, axis=1))
+    assert np.array_equal(local_energy_samples(model, gamma, beta, SEED, n, start=start),
+                          energy[picked])
+    kernel = strip_sums(weights, exps * np.take(singular, roots, axis=1))
+    assert np.array_equal(rooted_kernel_sums(model, SEED, whole[picked], gamma, singular),
+                          kernel[picked])
+    # rooted_identity_errors always starts at replica 0
+    rows = np.take(model.matrix, roots, axis=1)
+    lhs = strip_sums(weights, exps * np.exp(gamma * gamma * rows))
+    rhs = strip_sums(weights, _exponentials(model, values + gamma * rows, gamma))
     assert np.array_equal(rooted_identity_errors(model, SEED, start + n, gamma, gamma),
-                          np.abs(lhs - rhs) / rhs)
+                          (np.abs(lhs - rhs) / rhs)[:start + n])
     # verify_change_of_measure likewise starts at 0; the mass statistic at the
-    # same gamma, so its sums are base_mass.sum(axis=0) over the same replicas
+    # same gamma, so its plain sums are the total masses and its shifted sums
+    # the identity's right sides
     stat = clipped_mass_statistic(model, gamma, 2.0)
     report = verify_change_of_measure(model, gamma, stat, start + n, SEED)
-    total = base_mass.sum(axis=0)
-    weighted = stat(values) * total / model.measure.total_mass
-    rooted = stat(values + gamma * rows)
+    total, rhs = total[:start + n], rhs[:start + n]
+    weighted = np.minimum(total, 2.0) * total / model.measure.total_mass
+    rooted = np.minimum(rhs, 2.0)
     assert (report.mean_weighted, report.se_weighted) == mean_se(weighted)
     assert (report.mean_rooted, report.se_rooted) == mean_se(rooted)
     assert report.se_difference == mean_se(weighted - rooted)[1]
     assert report.effective_sample_size == total.sum() ** 2 / np.sum(total ** 2)
+
+
+@pytest.mark.parametrize("model_name", ["model8", "model20", "cantor5_clipped"])
+def test_strip_engine_sums_match_plain_sums(request, monkeypatch, model_name):
+    # every sum the strip engine returns, each a sum over the atoms of w_i
+    # times a positive term, lies within 1e-13 of a plain float64 sum of
+    # w_i * term_i: with positive terms each sum's relative rounding error
+    # stays below about n times the unit roundoff, 1.1e-13 at n = 1024
+    model = request.getfixturevalue(model_name)
+    gamma, gamma_prime, n = 0.8, 0.6, BATCH + 76
+    sums = []
+    real = gmclab.field._strip_sums
+
+    def recording(*args, **kwargs):
+        sums.append(real(*args, **kwargs))
+        return sums[-1]
+
+    monkeypatch.setattr(gmclab.field, "_strip_sums", recording)
+    weight = _singular_weight(model, 1.5)
+    total_masses(model, gamma, SEED, n)
+    rooted_kernel_sums(model, SEED, range(n), gamma, weight)
+    rooted_identity_errors(model, SEED, n, gamma, gamma_prime)
+    verify_change_of_measure(model, gamma_prime,
+                             clipped_mass_statistic(model, gamma, 10.0), n, SEED)
+
+    values = field_matrix(model, SEED, np.arange(n))
+    roots = draw_roots(model, SEED, np.arange(n))
+    rows = model.matrix[:, roots]
+    variance = model.diag_variance[:, None]
+
+    def plain(terms):
+        return np.sum(model.measure.weights[:, None] * terms, axis=0)
+
+    def exps(h, g):
+        return np.exp(g * h - 0.5 * g * g * variance)
+
+    shifted = values + gamma_prime * rows
+    expected = [
+        [plain(exps(values, gamma))],
+        [plain(exps(values, gamma) * weight[:, roots])],
+        [plain(exps(values, gamma) * np.exp(gamma * gamma_prime * rows)),
+         plain(exps(shifted, gamma))],
+        [plain(exps(values, gamma_prime)), plain(exps(values, gamma)),
+         plain(exps(shifted, gamma))],
+    ]
+    assert len(sums) == len(expected)
+    for got, want in zip(sums, expected):
+        np.testing.assert_allclose(got, np.array(want), rtol=1e-13, atol=0)
 
 
 @pytest.fixture(scope="module")
@@ -485,10 +550,19 @@ def test_rooted_kernel_sums_take_any_index_list(model20, wide20):
 
 
 def _einsum_kernel_sums(model, indices, gamma, weight):
-    # reference: one einsum over each replica's root row and masses, which
-    # rooted_kernel_sums must match bit for bit
+    # one einsum over each replica's root column and masses
     masses = mass_columns(model, field_matrix(model, SEED, indices), gamma)
-    return np.einsum("ki,ik->k", weight[draw_roots(model, SEED, indices)], masses)
+    return np.einsum("ik,ik->k", weight[:, draw_roots(model, SEED, indices)], masses)
+
+
+def _strip_kernel_sums(model, indices, gamma, weight):
+    # the terms of the stream blocks from replica 0 up to the last index,
+    # reduced as the strip engine reduces them: rooted_kernel_sums must
+    # match these bit for bit
+    whole = np.arange((max(indices) // BATCH + 1) * BATCH)
+    terms = _exponentials(model, field_matrix(model, SEED, whole), gamma)
+    terms *= np.take(weight, draw_roots(model, SEED, whole), axis=1)
+    return strip_sums(model.measure.weights, terms)[indices]
 
 
 def _sparse_weight(model, beta):
@@ -511,13 +585,17 @@ def _sparse_weight(model, beta):
 ])
 @pytest.mark.parametrize("model_name", ["cantor5_clipped", "grid16_model"])
 def test_rooted_kernel_sums_match_einsum(request, model_name, make_weight, indices):
+    # the sums run over the root's column of the weight, which need not be
+    # symmetric here (zero-rows-cols)
     model = request.getfixturevalue(model_name)
     weight = make_weight(model)
     sums = rooted_kernel_sums(model, SEED, indices, 1.2, weight)
-    assert np.array_equal(sums, _einsum_kernel_sums(model, indices, 1.2, weight))
-    # a root whose weight row is zero has an empty sum, exactly 0
-    zero_row = ~weight[draw_roots(model, SEED, indices)].any(axis=1)
-    assert np.all(sums[zero_row] == 0.0)
+    assert np.array_equal(sums, _strip_kernel_sums(model, indices, 1.2, weight))
+    np.testing.assert_allclose(sums, _einsum_kernel_sums(model, indices, 1.2, weight),
+                               rtol=1e-13, atol=0)
+    # a root whose weight column is zero has an empty sum, exactly 0
+    zero_column = ~weight[:, draw_roots(model, SEED, indices)].any(axis=0)
+    assert np.all(sums[zero_column] == 0.0)
 
 
 def _peak_bytes(call):
@@ -593,7 +671,7 @@ def test_change_of_measure_memory_flat_in_replicas(grid16_model):
 
 
 def test_change_of_measure_one_replica_is_not_graded(model8):
-    rep = verify_change_of_measure(model8, 0.6, atom_value_statistic(0), 1, SEED)
+    rep = verify_change_of_measure(model8, 0.6, atom_value_statistic(model8, 0), 1, SEED)
     assert math.isnan(rep.se_weighted) and math.isnan(rep.se_rooted)
     assert rep.overlap is False
 
@@ -615,7 +693,7 @@ def test_replica_ceiling_counts_rows_per_replica():
 
 def test_replica_ceiling_refuses_before_allocating(single_model):
     huge = 10 ** 13     # 72.8 TiB for one vector of total masses
-    stat = atom_value_statistic(0)
+    stat = atom_value_statistic(single_model, 0)
     calls = [
         lambda: total_masses(single_model, 0.8, SEED, huge),
         lambda: rooted_identity_errors(single_model, SEED, huge, 0.8, 0.8),
