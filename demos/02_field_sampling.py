@@ -19,10 +19,9 @@ import numpy as np
 
 from gmclab import (
     build_covariance,
+    field_matrix,
     generate_uniform_grid,
     green_disk,
-    sample_field,
-    field_matrix,
 )
 
 SEED = 11
@@ -37,14 +36,14 @@ print(f"raw min eigenvalue   {model.eig_min_raw:.3e}")
 print(f"max eigenvalue       {model.eig_max:.3e}")
 print(f"G(0.5, 0.5i)         {green_disk(0.5, 0.5j):.14f}")
 
-# one replica is a vector of field values, one per atom
-sample = sample_field(model, SEED, 0)
-print(f"\nreplica 0: mean {sample.values.mean():+.4f}, "
-      f"std {sample.values.std():.4f}")
+# one replica is a column of field values, one per atom
+values = field_matrix(model, SEED, [0])[:, 0]
+print(f"\nreplica 0: mean {values.mean():+.4f}, "
+      f"std {values.std():.4f}")
 
 # replica determinism: regenerating replica 3 gives bitwise equal numbers
-a = sample_field(model, SEED, 3).values
-b = sample_field(model, SEED, 3).values
+a = field_matrix(model, SEED, [3])[:, 0]
+b = field_matrix(model, SEED, [3])[:, 0]
 print(f"replica 3 regenerated bitwise equal: {np.array_equal(a, b)}")
 
 # empirical covariance over many replicas approaches the model matrix

@@ -14,13 +14,13 @@ import numpy as np
 from gmclab import (
     atom_value_statistic,
     build_covariance,
+    field_matrix,
     generate_uniform_grid,
-    gmc_mass,
     rooted_identity_errors,
-    sample_field,
     total_masses,
     verify_change_of_measure,
 )
+from gmclab.gmc import mass_columns
 
 SEED = 23
 
@@ -33,10 +33,10 @@ for gamma in (0.3, 0.8, 1.2):
     se = totals.std(ddof=1) / np.sqrt(totals.size)
     print(f"  gamma {gamma}: mean {totals.mean():.5f} +- {se:.5f}")
 
-# one replica in detail
-sample = gmc_mass(model, sample_field(model, SEED, 0), 0.8)
-print(f"\nreplica 0 at gamma 0.8: total {sample.total_mass:.5f}, "
-      f"largest atom {sample.per_atom_mass.max():.5f}")
+# one replica in detail: its per-atom masses w_i * e_i
+masses = mass_columns(model, field_matrix(model, SEED, [0])[:, 0], 0.8)
+print(f"\nreplica 0 at gamma 0.8: total {masses.sum():.5f}, "
+      f"largest atom {masses.max():.5f}")
 
 # the rooted identity holds replica by replica at machine precision
 errors = rooted_identity_errors(model, SEED, 1000, 0.8, 0.8)

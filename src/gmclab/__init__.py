@@ -36,14 +36,12 @@ from .kernel import (
     green_disk,
     markov_difference_psd,
 )
-from .field import FieldSample, field_matrix, replica_generator, sample_field
+from .field import field_matrix, replica_generator
 from .gmc import (
-    GmcSample,
     Statistic,
     TwoSampleReport,
     atom_value_statistic,
     clipped_mass_statistic,
-    gmc_mass,
     rooted_identity_errors,
     total_masses,
     verify_change_of_measure,
@@ -76,10 +74,9 @@ __all__ = [
     "save_measure", "split_half_plane",
     "CovarianceModel", "DiskKernel", "build_covariance", "green_disk",
     "markov_difference_psd",
-    "FieldSample", "field_matrix", "replica_generator", "sample_field",
-    "GmcSample", "Statistic", "TwoSampleReport", "atom_value_statistic",
-    "clipped_mass_statistic", "gmc_mass", "rooted_identity_errors", "total_masses",
-    "verify_change_of_measure",
+    "field_matrix", "replica_generator",
+    "Statistic", "TwoSampleReport", "atom_value_statistic", "clipped_mass_statistic",
+    "rooted_identity_errors", "total_masses", "verify_change_of_measure",
     "BoundReport", "ExponentReport", "LaplaceReport", "TailReport",
     "estimate_s0", "exponents", "fit_loglog_slope", "laplace_transform",
     "small_ball_tail", "t0_from_ratio", "verify_bound",

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DomainError
 from .field import BATCH, check_replica_count
-from .field import field_matrix  # noqa: F401  bench/tests/test_tracing.py patches it
 from .gmc import graded_total_masses, mean_se, rooted_kernel_sums
 from .kernel import offdiagonal_green, pair_distances
 from .measure import _distance_energy

@@ -38,18 +38,16 @@ per-replica values (field columns, normals, roots or reduced scalars) and
 gets back the columns of the replicas it asked for. Replica k's numbers, and
 every per-replica scalar reduced from them, thus depend only on (base_seed,
 k), never on index order or which other replicas are drawn with it.
-Regenerating a lone replica costs one BATCH x r draw, about 30 ms at
-r = n = 2304, plus the factor product over its block, about 80 ms at
-n = 2304 on two cores.
+Regenerating a lone replica costs its whole block: field_matrix on one index
+of the 48x48 grid (r = n = 2304) took 104-139 ms on a 2-core host, 28-41 ms
+of it the BATCH x r draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DomainError, ResourceLimitError
 
 # names this keying, the root draw, the factor product and the weighted strip
 # reduction in reports; CHANGES.md tells what each version changed. Version
@@ -75,13 +73,6 @@ STRIP = 256
 MAX_REPLICA_CELLS = 2 ** 27
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    values: np.ndarray
-    replica_index: int
-    base_seed: int
-
-
 def replica_generator(base_seed: int, block_index: int,
                       substream: int = FIELD_SUBSTREAM) -> np.random.Generator:
     """SFC64 stream keyed by (base_seed, block_index, substream).
@@ -97,8 +88,11 @@ def replica_generator(base_seed: int, block_index: int,
 
 
 def check_replica_count(n_replicas: int, rows: int = 1) -> None:
-    """Refuse n_replicas replicas whose largest per-replica array holds rows
-    values per replica when it would exceed MAX_REPLICA_CELLS."""
+    """Refuse a negative n_replicas (DomainError), and n_replicas replicas
+    whose largest per-replica array holds rows values per replica when it
+    would exceed MAX_REPLICA_CELLS (ResourceLimitError)."""
+    if n_replicas < 0:
+        raise DomainError(f"the replica count must be >= 0, not {n_replicas}")
     if int(n_replicas) * max(int(rows), 1) > MAX_REPLICA_CELLS:
         raise ResourceLimitError(
             f"{n_replicas} replicas x {rows} values per replica exceed the limit "
@@ -182,16 +176,23 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
     and the columns asked for are copied out of its array before the next
     block is made, so that array may be a view into a buffer block reuses.
     A step-1 range is walked as slices cut at block edges; any other index
-    list is grouped by block."""
+    list is grouped by block. An index below 0, an index that is not an
+    integer or a range that ends before it starts is a DomainError."""
     if isinstance(indices, range) and indices.step == 1:
         start, stop = indices.start, indices.stop
+        if start < 0:
+            raise DomainError(f"replica indices must be >= 0, not {start}")
+        check_replica_count(stop - start)
         keys = range(start // BATCH, (stop - 1) // BATCH + 1) if stop > start else ()
         for key in keys:
             lo, hi = max(start, key * BATCH), min(stop, (key + 1) * BATCH)
             first = key * BATCH
             out[..., lo - start:hi - start] = block(key)[..., lo - first:hi - first]
         return out
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = np.asarray(indices)
+    if indices.size and (indices.dtype.kind not in "iu" or indices.min() < 0):
+        raise DomainError("replica indices must be integers >= 0")
+    indices = indices.astype(np.int64, copy=False)
     keys = indices // BATCH
     for key in np.unique(keys):
         picked = keys == key
@@ -203,6 +204,7 @@ def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
     """Standard normal matrix with one replica per column, column-major like
     the normals field_matrix multiplies: replica k's column is row k % BATCH of
     the (BATCH, n) draw of block k // BATCH."""
+    check_replica_count(len(indices), n)
     return gather_blocks(
         lambda key: replica_generator(base_seed, key).standard_normal((BATCH, n)).T,
         indices, np.empty((len(indices), n)).T)
@@ -217,6 +219,7 @@ def field_matrix(model, base_seed: int, indices) -> np.ndarray:
     else was requested: the result is bit-identical for any index order or
     batch shape.
     """
+    check_replica_count(len(indices), model.n)
     normals = np.empty((BATCH, model.factor_rank))
     values = np.empty((model.n, BATCH))
 
@@ -227,8 +230,3 @@ def field_matrix(model, base_seed: int, indices) -> np.ndarray:
 
     return gather_blocks(block, indices, np.empty((model.n, len(indices))))
 
-
-def sample_field(model, base_seed: int, replica_index: int) -> FieldSample:
-    """Draw one replica; regenerating with the same arguments is bit-exact."""
-    values = field_matrix(model, base_seed, [replica_index])[:, 0]
-    return FieldSample(values, replica_index, base_seed)

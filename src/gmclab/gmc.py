@@ -25,16 +25,6 @@ import numpy as np
 
 from . import field
 from .errors import DomainError, NumericalError
-from .field import FieldSample
-
-
-@dataclass(frozen=True)
-class GmcSample:
-    per_atom_mass: np.ndarray
-    total_mass: float
-    gamma: float
-    field: FieldSample
-    model: object
 
 
 @dataclass(frozen=True)
@@ -89,11 +79,6 @@ def _exponentials(model, values: np.ndarray, gamma: float, atoms: slice = slice(
     scaled -= 0.5 * gamma * gamma * model.diag_variance[atoms]
     np.exp(scaled, out=scaled)
     return scaled.T
-
-
-def gmc_mass(model, field: FieldSample, gamma: float) -> GmcSample:
-    per_atom = mass_columns(model, field.values, gamma)
-    return GmcSample(per_atom, float(per_atom.sum()), gamma, field, model)
 
 
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError, HypothesisViolationError
 from .field import check_replica_count
 from .gmc import graded_total_masses, mean_se
-from .gmc import total_masses  # noqa: F401  bench/tests/test_tracing.py patches it
 from .kernel import PSD_TOL, DiskKernel, _tile_rows, build_covariance, markov_difference_psd
 from .measure import AtomicMeasure
 

@@ -6,7 +6,7 @@ one full eigh clip against the range finder, one replica's rooted sample
 against the block-streamed rooted samplers, the strip engine's weighted
 reduction over materialized terms, the default epsilon from one
 distance pass against the one the kernel fill finds, and the rooted local
-energy of one chaos sample. No command, demo or benchmark calls them, so
+energy of one replica's masses. No command, demo or benchmark calls them, so
 they live here, next to the tests, and not in the package.
 """
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from gmclab.bounds import t0_from_ratio
 from gmclab.errors import DomainError
-from gmclab.field import (BATCH, STRIP, FieldSample, block_roots, check_replica_count,
-                          gather_blocks, sample_field)
+from gmclab.field import (BATCH, STRIP, block_roots, check_replica_count, field_matrix,
+                          gather_blocks)
 from gmclab.gmc import mass_columns, rooted_kernel_sums
 from gmclab.kernel import (UNIT_DISK, DiskKernel, _check_atom_count, _eigen_clip, _half_gap,
                            _pair_matrix, pair_distances)
@@ -94,7 +94,7 @@ class RootedSample:
     root_index: int
     gamma_prime: float
     shifted_field: np.ndarray
-    base_field: FieldSample
+    base_field: np.ndarray
 
 
 class IdentityCheck(NamedTuple):
@@ -129,8 +129,8 @@ def sample_rooted(model, base_seed: int, replica_index: int,
                   gamma_prime: float) -> RootedSample:
     """Root atom plus field shifted by gamma' times the root's covariance row."""
     root_index = int(draw_roots(model, base_seed, [replica_index])[0])
-    base = sample_field(model, base_seed, replica_index)
-    shifted = base.values + gamma_prime * model.matrix[root_index]
+    base = field_matrix(model, base_seed, [replica_index])[:, 0]
+    shifted = base + gamma_prime * model.matrix[root_index]
     return RootedSample(complex(model.measure.positions[root_index]), root_index,
                         gamma_prime, shifted, base)
 
@@ -144,7 +144,7 @@ def verify_rooted_identity(model, base_seed: int, replica_index: int,
     """
     rooted = sample_rooted(model, base_seed, replica_index, gamma_prime)
     row = model.matrix[rooted.root_index]
-    base_mass = mass_columns(model, rooted.base_field.values, gamma)
+    base_mass = mass_columns(model, rooted.base_field, gamma)
     lhs = float(np.sum(np.exp(gamma * gamma_prime * row) * base_mass))
     rhs = float(np.sum(mass_columns(model, rooted.shifted_field, gamma)))
     return IdentityCheck(lhs, rhs, abs(lhs - rhs) / rhs)
@@ -153,17 +153,18 @@ def verify_rooted_identity(model, base_seed: int, replica_index: int,
 # --------------------------------------------------------- energies, bounds
 
 
-def local_energy(root: complex, gmc, beta: float) -> float:
-    """Energy of a chaos sample seen from a root point, the root atom excluded.
+def local_energy(root: complex, masses: np.ndarray, positions: np.ndarray,
+                 beta: float) -> float:
+    """Energy of one replica's per-atom chaos masses at the atom positions,
+    seen from a root point, the root atom excluded.
 
-    sum over atoms p_i != root of per_atom_mass[i] / |root - p_i|**beta.
+    sum over atoms p_i != root of masses[i] / |root - p_i|**beta.
     """
     if beta <= 0:
         raise DomainError("beta must be > 0")
-    positions = gmc.model.measure.positions
     dist = np.abs(positions - root)
     keep = positions != root
-    return float(np.sum(gmc.per_atom_mass[keep] * dist[keep] ** -beta))
+    return float(np.sum(masses[keep] * dist[keep] ** -beta))
 
 
 def t0_l2(measure: AtomicMeasure, gamma: float, d: float) -> float:

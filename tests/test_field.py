@@ -1,34 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gmclab import (
     AtomicMeasure,
     DiskKernel,
+    DomainError,
+    ResourceLimitError,
     build_covariance,
     field_matrix,
     generate_uniform_grid,
     replica_generator,
-    sample_field,
     total_masses,
 )
-from gmclab.field import (BATCH, FIELD_SUBSTREAM, ROOT_SUBSTREAM, STREAM_VERSION, STRIP,
-                          gather_blocks, normal_block)
+from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTREAM,
+                          STREAM_VERSION, STRIP, check_replica_count, gather_blocks,
+                          normal_block)
 
 SEED = 2024
 N_BIG = 100000
-
-
-def test_sample_field_deterministic(model8):
-    a = sample_field(model8, SEED, 17)
-    b = sample_field(model8, SEED, 17)
-    assert np.array_equal(a.values, b.values)
-    assert a.values.shape == (model8.n,)
-
-
-def test_sample_field_changes_with_replica(model8):
-    a = sample_field(model8, SEED, 0)
-    b = sample_field(model8, SEED, 1)
-    assert not np.array_equal(a.values, b.values)
 
 
 def test_single_atom_variance(single_model):
@@ -50,13 +41,18 @@ def test_two_atom_covariance(two_model):
 
 
 def test_field_matrix_matches_single_samples(model4):
-    # batched product may differ from the one-column product at the last ulp;
-    # the last index sits in stream block 2
+    # a one-index call forms its replica's whole block, so it returns the
+    # batched call's column bit for bit, call after call; the last index
+    # sits in stream block 2
     indices = np.r_[np.arange(40), 2 * BATCH + 5]
     values = field_matrix(model4, SEED, indices)
     for col in (0, 7, 39, 40):
-        single = sample_field(model4, SEED, int(indices[col])).values
-        assert np.allclose(values[:, col], single, rtol=0, atol=1e-13)
+        single = field_matrix(model4, SEED, [int(indices[col])])
+        assert single.shape == (model4.n, 1)
+        assert np.array_equal(single[:, 0], values[:, col])
+    assert np.array_equal(field_matrix(model4, SEED, [17]), field_matrix(model4, SEED, [17]))
+    # neighbouring replicas are other rows of the block draw
+    assert not np.array_equal(values[:, 0], values[:, 1])
 
 
 def test_stream_fingerprint(model8):
@@ -182,6 +178,41 @@ def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
 def test_empty_index_list(model4):
     assert field_matrix(model4, SEED, []).shape == (model4.n, 0)
     assert normal_block(model4.n, SEED, []).shape == (model4.n, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: field_matrix(m, 1, [2.5]),
+    lambda m: field_matrix(m, 1, np.array([3.0])),
+    lambda m: field_matrix(m, 1, [True]),
+    lambda m: field_matrix(m, 1, [-1]),
+    lambda m: field_matrix(m, 1, [5, -BATCH]),
+    lambda m: normal_block(16, 1, [-3]),
+    lambda m: total_masses(m, 0.8, 1, 3, start=-2),
+    lambda m: total_masses(m, 0.8, 1, -4),
+    lambda m: check_replica_count(-1),
+], ids=["fractional", "float", "bool", "negative", "negative-in-list", "normals-negative",
+        "negative-start", "negative-count", "check-negative-count"])
+def test_replica_indices_must_be_integers_from_0(model4, call):
+    # a fractional index would be truncated to another replica, and a
+    # negative one reach SeedSequence; both are refused before any draw
+    with pytest.raises(DomainError):
+        call(model4)
+
+
+def test_field_columns_refused_past_the_ceiling_before_allocating(model8):
+    # 64 atoms x (2**21 + 1) replicas is one replica past MAX_REPLICA_CELLS
+    indices = range(2 ** 21 + 1)
+    assert model8.n * (len(indices) - 1) == MAX_REPLICA_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            field_matrix(model8, SEED, indices)
+        with pytest.raises(ResourceLimitError):
+            normal_block(model8.n, SEED, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 # ------------------------------------------------------ strip-wise product

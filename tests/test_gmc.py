@@ -15,10 +15,8 @@ from gmclab import (
     d_energy,
     field_matrix,
     generate_uniform_grid,
-    gmc_mass,
     green_disk,
     rooted_identity_errors,
-    sample_field,
     total_masses,
     verify_change_of_measure,
 )
@@ -35,22 +33,21 @@ from reference import (draw_roots, local_energy_samples, sample_rooted, strip_su
 SEED = 7
 
 
-# --------------------------------------------------------------- gmc_mass
+# ----------------------------------------------------------- mass_columns
 
 
 def test_gamma0_mass_equals_weights(model8):
-    sample = gmc_mass(model8, sample_field(model8, SEED, 0), 0.0)
-    assert np.array_equal(sample.per_atom_mass, model8.measure.weights)
-    assert sample.total_mass == model8.measure.total_mass
+    masses = mass_columns(model8, field_matrix(model8, SEED, [0])[:, 0], 0.0)
+    assert np.array_equal(masses, model8.measure.weights)
+    assert masses.sum() == model8.measure.total_mass
 
 
 def test_mass_formula_exact(model8):
-    field = sample_field(model8, SEED, 3)
+    values = field_matrix(model8, SEED, [3])[:, 0]
     gamma = 0.9
-    sample = gmc_mass(model8, field, gamma)
     manual = model8.measure.weights * np.exp(
-        gamma * field.values - 0.5 * gamma ** 2 * model8.diag_variance)
-    assert np.array_equal(sample.per_atom_mass, manual)
+        gamma * values - 0.5 * gamma ** 2 * model8.diag_variance)
+    assert np.array_equal(mass_columns(model8, values, gamma), manual)
     # a matrix of columns, formed in place, equals the out-of-place expression
     values = field_matrix(model8, SEED, np.arange(1000, 1100))
     shift = 0.5 * gamma * gamma * model8.diag_variance
@@ -119,13 +116,13 @@ def test_all_weight_on_one_atom():
 def test_rooted_sample_structure(model8):
     rooted = sample_rooted(model8, SEED, 4, 0.7)
     assert rooted.root == model8.measure.positions[rooted.root_index]
-    shift = rooted.shifted_field - rooted.base_field.values
+    shift = rooted.shifted_field - rooted.base_field
     assert np.allclose(shift, 0.7 * model8.matrix[rooted.root_index], rtol=1e-12)
 
 
 def test_rooted_gamma_prime_zero(model8):
     rooted = sample_rooted(model8, SEED, 4, 0.0)
-    assert np.array_equal(rooted.shifted_field, rooted.base_field.values)
+    assert np.array_equal(rooted.shifted_field, rooted.base_field)
 
 
 # ----------------------------------------------------------- rooted identity
@@ -139,8 +136,8 @@ def test_identity_single_atom(single_model):
 
 def test_identity_gamma_prime_zero(model8):
     check = verify_rooted_identity(model8, SEED, 2, 0.8, 0.0)
-    base = gmc_mass(model8, sample_field(model8, SEED, 2), 0.8)
-    assert check.lhs == pytest.approx(base.total_mass, rel=1e-12)
+    base = total_masses(model8, 0.8, SEED, 1, start=2)[0]
+    assert check.lhs == pytest.approx(base, rel=1e-12)
     assert check.rel_err <= 1e-13
 
 
@@ -299,7 +296,6 @@ def test_beta_singular_zero_beta(two_model):
     samples = rooted_kernel_sums(two_model, SEED, np.arange(50), gamma,
                                  _singular_weight(two_model, 0.0))
     roots = draw_roots(two_model, SEED, np.arange(50))
-    from gmclab.field import field_matrix
     masses = mass_columns(two_model, field_matrix(two_model, SEED, np.arange(50)), gamma)
     expected = masses.sum(axis=0) - masses[roots, np.arange(50)]
     assert np.allclose(samples, expected, rtol=1e-12)
@@ -313,8 +309,7 @@ def test_beta_singular_one_term(two_model):
     roots = draw_roots(two_model, SEED, [3])
     root = int(roots[0])
     other = 1 - root
-    masses = mass_columns(
-        two_model, sample_field(two_model, SEED, 3).values, gamma)
+    masses = mass_columns(two_model, field_matrix(two_model, SEED, [3])[:, 0], gamma)
     p = two_model.measure.positions
     direct = math.exp(beta * green_disk(p[root], p[other])) * masses[other]
     assert value == pytest.approx(direct, rel=1e-10)

@@ -15,13 +15,13 @@ from gmclab import (
     d_energy,
     generate_cantor_dust,
     generate_julia_boundary,
+    field_matrix,
     generate_uniform_grid,
-    gmc_mass,
     load_measure,
-    sample_field,
     save_measure,
     split_half_plane,
 )
+from gmclab.gmc import mass_columns
 from gmclab.measure import MAX_GRID_SIDE
 from reference import default_epsilon, local_energy
 
@@ -307,39 +307,47 @@ def test_d_energy_rejects():
 # ------------------------------------------------------------ local energy
 
 
+def _masses(model, replica, gamma):
+    """Per-atom chaos masses of one replica."""
+    return mass_columns(model, field_matrix(model, SEED, [replica])[:, 0], gamma)
+
+
 def test_local_energy_one_term(single_model):
-    sample = gmc_mass(single_model, sample_field(single_model, SEED, 0), 0.5)
+    masses = _masses(single_model, 0, 0.5)
+    positions = single_model.measure.positions
     # root at distance 0.5 from the only atom, beta = 1
-    value = local_energy(0.3 + 0.5j, sample, 1.0)
-    assert value == pytest.approx(2.0 * sample.per_atom_mass[0], rel=1e-14)
+    value = local_energy(0.3 + 0.5j, masses, positions, 1.0)
+    assert value == pytest.approx(2.0 * masses[0], rel=1e-14)
 
 
 def test_local_energy_excludes_root(single_model):
-    sample = gmc_mass(single_model, sample_field(single_model, SEED, 0), 0.5)
-    assert local_energy(0.3 + 0j, sample, 1.0) == 0.0
+    masses = _masses(single_model, 0, 0.5)
+    assert local_energy(0.3 + 0j, masses, single_model.measure.positions, 1.0) == 0.0
 
 
 def test_local_energy_gamma0_brute(model4):
-    sample = gmc_mass(model4, sample_field(model4, SEED, 0), 0.0)
+    masses = _masses(model4, 0, 0.0)
+    positions = model4.measure.positions
     root = 0.05 + 0.02j
     beta = 1.3
     brute = sum(w / abs(root - p) ** beta
-                for p, w in zip(model4.measure.positions, model4.measure.weights))
-    assert local_energy(root, sample, beta) == pytest.approx(brute, rel=1e-12)
+                for p, w in zip(positions, model4.measure.weights))
+    assert local_energy(root, masses, positions, beta) == pytest.approx(brute, rel=1e-12)
 
 
 def test_local_energy_monotone_in_beta():
     m = generate_uniform_grid(4, 0.4)
     model = build_covariance(m)
-    sample = gmc_mass(model, sample_field(model, SEED, 3), 0.6)
+    masses = _masses(model, 3, 0.6)
     # distances from an interior root are all < 1
-    assert local_energy(0.1 + 0j, sample, 0.5) <= local_energy(0.1 + 0j, sample, 1.0)
+    assert (local_energy(0.1 + 0j, masses, m.positions, 0.5)
+            <= local_energy(0.1 + 0j, masses, m.positions, 1.0))
 
 
 def test_local_energy_rejects(single_model):
-    sample = gmc_mass(single_model, sample_field(single_model, SEED, 0), 0.5)
+    masses = _masses(single_model, 0, 0.5)
     with pytest.raises(DomainError):
-        local_energy(0.0, sample, 0.0)
+        local_energy(0.0, masses, single_model.measure.positions, 0.0)
 
 
 # ------------------------------------------------------------------- split
