@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .field import BATCH, check_replica_count
-from .gmc import graded_total_masses, mean_se, rooted_kernel_sums
+from .field import BATCH, check_replica_count, replica_range
+from .gmc import check_sample, graded_total_masses, mean_se, rooted_kernel_sums
 from .kernel import offdiagonal_green, pair_distances
 from .measure import _distance_energy
 
@@ -127,14 +127,14 @@ def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
     """Threshold estimate (2^4 * median of phi_beta)^(1/delta) over the rooted
     local energies phi_beta(root, mass), root atom excluded, of replicas
     start .. start+n_replicas-1, from pair_distances(positions), which the
-    caller may pass as dist."""
+    caller may pass as dist. No replicas at all is a DomainError (check_sample)."""
     if not delta > 0.0:
         raise DomainError("delta must satisfy delta > 0")
-    check_replica_count(n_replicas)
+    check_sample(n_replicas)
+    replicas = replica_range(start, n_replicas)
     if dist is None:
         dist = pair_distances(model.measure.positions)
-    phi = rooted_kernel_sums(model, base_seed, range(start, start + n_replicas),
-                             gamma, dist ** -beta)
+    phi = rooted_kernel_sums(model, base_seed, replicas, gamma, dist ** -beta)
     return float((T0_CONSTANT * np.median(phi)) ** (1.0 / delta))
 
 
@@ -173,6 +173,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     report = exponents(gamma, d, beta, delta)
     steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
     check_replica_count(n_replicas, rows=steps)
+    check_sample(n_replicas)
     stride = -(-n_replicas // BATCH) * BATCH
     sigma = model.measure.total_mass
     if l2 is None:

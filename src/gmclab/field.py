@@ -10,8 +10,11 @@ Substream 0 is reserved for root selection (block_roots), substream 1 for the
 Gaussian vector itself.
 
 All field values come from field_strips, the one loop over the block
-product: the lower trapezoidal n x r factor times the block's normals, in
-row strips of STRIP atoms so the zero upper triangle is skipped. _strip_sums,
+product: the lower trapezoidal n x r factor times the block's normals, one
+row strip of STRIP atoms at a time. The model stores its factor as exactly
+these strips (CovarianceModel.strips), each over only the columns its rows
+reach, so a strip product reads one contiguous array and neither stores nor
+multiplies the zero upper triangle. _strip_sums,
 the engine behind every sampler, has each strip turned into rows of per-atom
 terms in one reused buffer and reduces each row with one BLAS product, its
 atom weights (the measure's weights w for a mass sum) times the strip's terms,
@@ -60,8 +63,9 @@ FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it
 # changes every sampled number
 BATCH = 1024
-# rows of the factor per strip of the block product; part of the stream
-# definition too, since the strip cuts set the summation order of each value
+# rows of the factor per strip: the unit the factor is stored in, its check
+# works in and the block product runs in; part of the stream definition too,
+# since the strip cuts set the summation order of each value
 STRIP = 256
 
 # Replica ceiling: the most cells a per-replica array may hold, checked before
@@ -88,15 +92,24 @@ def replica_generator(base_seed: int, block_index: int,
 
 
 def check_replica_count(n_replicas: int, rows: int = 1) -> None:
-    """Refuse a negative n_replicas (DomainError), and n_replicas replicas
-    whose largest per-replica array holds rows values per replica when it
-    would exceed MAX_REPLICA_CELLS (ResourceLimitError)."""
-    if n_replicas < 0:
-        raise DomainError(f"the replica count must be >= 0, not {n_replicas}")
+    """Refuse an n_replicas that is not an integer >= 0 (DomainError), and
+    n_replicas replicas whose largest per-replica array holds rows values per
+    replica when it would exceed MAX_REPLICA_CELLS (ResourceLimitError)."""
+    if not isinstance(n_replicas, (int, np.integer)) or n_replicas < 0:
+        raise DomainError(f"the replica count must be an integer >= 0, not {n_replicas!r}")
     if int(n_replicas) * max(int(rows), 1) > MAX_REPLICA_CELLS:
         raise ResourceLimitError(
             f"{n_replicas} replicas x {rows} values per replica exceed the limit "
             f"of {MAX_REPLICA_CELLS} cells")
+
+
+def replica_range(start: int, n_replicas: int) -> range:
+    """Replicas start .. start+n_replicas-1, once the count has passed
+    check_replica_count and start is an integer >= 0 (else DomainError)."""
+    check_replica_count(n_replicas)
+    if not isinstance(start, (int, np.integer)) or start < 0:
+        raise DomainError(f"the first replica index must be an integer >= 0, not {start!r}")
+    return range(start, start + n_replicas)
 
 
 def block_normals(base_seed: int, key: int, out: np.ndarray) -> np.ndarray:
@@ -117,20 +130,18 @@ def block_roots(model, base_seed: int, key: int) -> np.ndarray:
 
 def field_strips(model, z: np.ndarray, out: np.ndarray):
     """Yield (lo, hi, rows) for each row strip [lo, hi) of STRIP atoms, rows
-    holding the factor's rows lo:hi times the normals z, r x BATCH.
+    holding the factor's rows lo:hi times the normals z, r x BATCH: the
+    model's strip times the normals its columns reach.
 
     rows is out[lo:hi] when out has a row per atom; otherwise out holds one
     strip, rows is out[:hi - lo], and each strip overwrites the last, so the
     caller consumes rows before asking for the next strip.
     """
-    n, rank = model.factor.shape
-    whole = len(out) >= n
-    # rows [lo, hi) need only the factor's first min(hi, rank) columns and
-    # normals, which the slices below take
-    for lo in range(0, n, STRIP):
-        hi = min(lo + STRIP, n)
+    whole = len(out) >= model.n
+    for lo, strip in zip(range(0, model.n, STRIP), model.strips):
+        hi = lo + len(strip)
         rows = out[lo:hi] if whole else out[:hi - lo]
-        np.matmul(model.factor[lo:hi, :hi], z[:hi], out=rows)
+        np.matmul(strip, z[:strip.shape[1]], out=rows)
         yield lo, hi, rows
 
 

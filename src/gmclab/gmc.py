@@ -88,8 +88,17 @@ def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
     def terms(atoms, roots, out):
         _exponentials(model, out[0], gamma, atoms, out[0])
 
-    return field._strip_sums(model, base_seed, range(start, start + n_replicas), terms,
+    return field._strip_sums(model, base_seed, field.replica_range(start, n_replicas), terms,
                              [model.measure.weights])[0]
+
+
+def check_sample(n_replicas: int) -> None:
+    """Refuse a replica count that check_replica_count refuses, or 0: every
+    graded statistic and identity error needs a replica, and an empty
+    sample would otherwise read as an under- or overflow (DomainError)."""
+    field.check_replica_count(n_replicas)
+    if n_replicas == 0:
+        raise DomainError("the sample is empty: grading needs at least 1 replica, not 0")
 
 
 def graded_total_masses(model, gamma: float, base_seed: int,
@@ -97,7 +106,9 @@ def graded_total_masses(model, gamma: float, base_seed: int,
     """total_masses of replicas 0 .. n_replicas-1, unless every one is 0 or
     not finite: a true mass is positive, so such a sample under- or
     overflowed and would grade a constant (NumericalError). Where only some
-    underflow, their damped values are still exact."""
+    underflow, their damped values are still exact. No replicas at all is a
+    DomainError (check_sample)."""
+    check_sample(n_replicas)
     totals = total_masses(model, gamma, base_seed, n_replicas)
     if not np.any(np.isfinite(totals) & (totals > 0)):
         raise NumericalError(
@@ -135,8 +146,10 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
 
     At atom i the left side's term is mass_i(h) * exp(gamma * gamma' *
     C[root, i]) and the right side's mass_i(h + gamma' * C[root]). Sums that
-    are not finite, or a right side not > 0, raise NumericalError.
+    are not finite, or a right side not > 0, raise NumericalError; no
+    replicas at all, DomainError (check_sample).
     """
+    check_sample(n_replicas)
 
     def terms(atoms, roots, out):
         h, rhs = out
@@ -202,8 +215,9 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     estimates must agree within 3 standard errors of the per-replica
     difference. effective_sample_size is (sum m)^2 / sum m^2 over the
     gamma' masses m that weight the first branch; NumericalError when it is
-    not finite.
+    not finite. No replicas at all is a DomainError (check_sample).
     """
+    check_sample(n_replicas)
 
     def terms(atoms, roots, out):
         h, plain, shifted = out

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
-from .field import check_replica_count
-from .gmc import graded_total_masses, mean_se
+from .gmc import check_sample, graded_total_masses, mean_se
 from .kernel import PSD_TOL, DiskKernel, _tile_rows, build_covariance, markov_difference_psd
 from .measure import AtomicMeasure
 
@@ -114,7 +113,7 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
         raise DomainError("r_inner must lie in (0, 1]")
     if model.measure.support_radius >= r_inner:
         raise DomainError("every atom must satisfy |p| < r_inner")
-    check_replica_count(n_replicas)
+    check_sample(n_replicas)
     big = model
     small = build_covariance(model.measure, model.epsilon, DiskKernel(r_inner))
     tol = ORDER_TOL * max(1.0, -float(big.matrix.min()), float(big.matrix.max()))

@@ -39,16 +39,28 @@ distances it forms anyway (DiskKernel.entry_matrix).
 The symmetric LAPACK calls (eigh, eigvalsh, and each cholesky) get the
 F-ordered view matrix.T: numpy copies its input into a column-major buffer
 either way, and for that view the copy is contiguous instead of transposing,
-with the same numbers, so their results are bit-identical too. Up to
-CHOL_GATE atoms the Cholesky factor is one such call. Above it, numpy would
-also hold that n x n input buffer and copy its result into a C-ordered
-n x n array, so _cholesky factors the matrix in block columns of CHOL_BLOCK
-atoms straight into one preallocated factor instead; the part above the
-diagonal is never written, and its zero pages need not become resident. The
-factor check multiplies DEFECT_STRIP-square blocks of the lower triangle,
-each over only the factor columns its rows reach, so it forms no n x n
-temporary. A build then holds two n x n arrays, the kernel matrix and its
-factor, and blocks of at most n x CHOL_BLOCK beside them.
+with the same numbers, so their results are bit-identical too.
+
+Every factor is stored in row strips of field.STRIP atoms, the unit that the
+field product, the samplers' reductions and the factor check work in: strip
+k holds the factor's rows [k * STRIP, (k + 1) * STRIP) over only the columns
+those rows reach, and the strips lie one after another in one packed buffer
+(_zero_strips). So the n x r factor's zero upper triangle is never stored. A
+dense n x n array would not keep it out of memory: numpy advises every array
+of 4 MB or more onto transparent huge pages, which made its never-written
+upper pages resident too. Up to CHOL_GATE atoms the Cholesky factor is one
+np.linalg.cholesky call, cut into the strips. Above it, numpy would also
+hold that n x n input buffer and copy its result into a C-ordered n x n
+array, so _cholesky factors the matrix in block columns of CHOL_BLOCK atoms,
+each inside one strip, straight into the strips. The clipped factor, a QR's,
+is copied into the same layout. The factor check multiplies STRIP-square
+blocks of the lower triangle, strip by strip, so it forms no n x n
+temporary. A Cholesky build then holds the kernel matrix, its packed factor
+(n * (n + STRIP) / 2 entries when STRIP divides n, 0.56 n**2 at n = 2304),
+and blocks of at most STRIP x STRIP beside them. On a 2-core host the 48x48
+grid's build and one total_masses block raised the process's peak RSS by
+99 MB (2.33 n**2 * 8 bytes), where a dense n x n factor raised it by 122 MB
+(2.87 n**2 * 8 bytes).
 """
 
 from __future__ import annotations
@@ -60,6 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceLimitError, SingularityError
+from .field import STRIP
 from .measure import AtomicMeasure, _lower_distance_rows
 
 # relative Frobenius tolerance the factor must reproduce the repaired matrix to
@@ -68,13 +81,12 @@ FACTOR_RTOL = 1e-8
 MAX_ATOMS = 4096
 # entries per full-width row tile of a pair matrix: its temporaries then fit in cache
 TILE_ENTRIES = 2 ** 16
-# rows and columns per block of the factor check
-DEFECT_STRIP = 256
 # most atoms whose Cholesky factor is one np.linalg.cholesky call; above it
 # the blocked _cholesky is faster (even at 640 atoms, 20% ahead at 768, 1.6x
 # at 1024 and 2304 on a 2-core host)
 CHOL_GATE = 640
-# atoms per block column of the blocked Cholesky factorization
+# atoms per block column of the blocked Cholesky factorization; it divides
+# STRIP, so that each block column lies inside one strip of the factor
 CHOL_BLOCK = 128
 # names the pair-matrix arithmetic in reports that sample nothing (markov);
 # bumped whenever a change moves any entry of a pair matrix
@@ -268,12 +280,12 @@ def _orthonormal_block(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _range_defect(matrix: np.ndarray, basis: np.ndarray, product: np.ndarray) -> float:
     """||matrix - basis @ product.T||_F, with product = matrix @ basis, from
-    DEFECT_STRIP-row strips: ||(I - Q Q^T) C||_F for symmetric C, with no
+    STRIP-row strips: ||(I - Q Q^T) C||_F for symmetric C, with no
     n x n temporary."""
     n = len(matrix)
     total = 0.0
-    for lo in range(0, n, DEFECT_STRIP):
-        hi = min(lo + DEFECT_STRIP, n)
+    for lo in range(0, n, STRIP):
+        hi = min(lo + STRIP, n)
         strip = basis[lo:hi] @ product.T
         strip -= matrix[lo:hi]
         total += np.vdot(strip, strip)
@@ -339,18 +351,43 @@ def _range_clip(matrix: np.ndarray):
     return _clipped_root(ritz_values, basis @ ritz_vectors)
 
 
-def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor of the symmetric matrix, C-ordered and
-    exactly 0.0 above the diagonal, or None when a pivot fails.
+def _zero_strips(n: int, rank: int) -> tuple[np.ndarray, ...]:
+    """The row strips of an n x rank lower trapezoidal factor, zeroed: strip
+    k holds rows [k * STRIP, min((k + 1) * STRIP, n)) over columns
+    [0, min((k + 1) * STRIP, rank)), the columns those rows can reach. They
+    are C-ordered views into one packed buffer, so that a strip product reads
+    contiguous memory and no zero above a strip's diagonal block is stored."""
+    shapes = [(min(lo + STRIP, n) - lo, min(lo + STRIP, rank)) for lo in range(0, n, STRIP)]
+    packed = np.zeros(sum(rows * cols for rows, cols in shapes))
+    strips, offset = [], 0
+    for rows, cols in shapes:
+        strips.append(packed[offset:offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+    return tuple(strips)
 
-    Up to CHOL_GATE atoms it is one np.linalg.cholesky call. Above that,
-    numpy's copies of the matrix into LAPACK's column-major buffer and of
-    the result into a C-ordered one would take about 0.08 s of its 0.2 s
-    call at n = 2304, so the factor is written into one preallocated array
-    instead, left-looking over block columns [lo, hi) of CHOL_BLOCK atoms:
+
+def _strips_of(factor: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A lower trapezoidal n x r factor copied into its row strips (_zero_strips)."""
+    strips = _zero_strips(*factor.shape)
+    for lo, strip in zip(range(0, len(factor), STRIP), strips):
+        strip[...] = factor[lo:lo + len(strip), :strip.shape[1]]
+    return strips
+
+
+def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The row strips (_zero_strips) of the lower Cholesky factor of the
+    symmetric matrix, or None when a pivot fails.
+
+    Up to CHOL_GATE atoms it is one np.linalg.cholesky call, cut into the
+    strips. Above that, numpy's copies of the matrix into LAPACK's
+    column-major buffer and of the result into a C-ordered one would take
+    about 0.08 s of its 0.2 s call at n = 2304, so the factor is written
+    straight into the strips instead, left-looking over block columns
+    [lo, hi) of CHOL_BLOCK atoms, each inside one strip:
         S = C[lo:hi, lo:hi] - L[lo:hi, :lo] L[lo:hi, :lo]^T,
         L[lo:hi, lo:hi] = cholesky(S),
-        L[hi:, lo:hi] = (C[hi:, lo:hi] - L[hi:, :lo] L[lo:hi, :lo]^T) inv(L[lo:hi, lo:hi])^T.
+        L[rows, lo:hi] = (C[rows, lo:hi] - L[rows, :lo] L[lo:hi, :lo]^T) inv(L[lo:hi, lo:hi])^T
+    for the rows below hi of each strip in turn, one product per strip.
     Multiplying by the explicit inverse of a well-conditioned diagonal block
     is backward stable (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, ch. 10 and 13), and build_covariance checks
@@ -359,45 +396,45 @@ def _cholesky(matrix: np.ndarray) -> np.ndarray | None:
     F-ordered view, as the unblocked call does.
 
     A failed pivot returns None instead of raising: the exception's
-    traceback would keep the n x n factor alive through the caller's clip.
+    traceback would keep the factor alive through the caller's clip.
     """
     n = len(matrix)
     try:
         if n <= CHOL_GATE:
-            return np.linalg.cholesky(matrix.T)
-        factor = np.zeros((n, n))
+            return _strips_of(np.linalg.cholesky(matrix.T))
+        strips = _zero_strips(n, n)
         for lo in range(0, n, CHOL_BLOCK):
             hi = min(lo + CHOL_BLOCK, n)
-            left = factor[lo:hi, :lo]
+            own, first = strips[lo // STRIP], lo // STRIP * STRIP
+            left = own[lo - first:hi - first, :lo]
             diag = np.linalg.cholesky((matrix[lo:hi, lo:hi] - left @ left.T).T)
-            factor[lo:hi, lo:hi] = diag
-            if hi < n:
-                below = factor[hi:, :lo] @ left.T
-                np.subtract(matrix[hi:, lo:hi], below, out=below)
-                np.matmul(below, np.linalg.inv(diag).T, out=factor[hi:, lo:hi])
-        return factor
+            own[lo - first:hi - first, lo:hi] = diag
+            inverse = np.linalg.inv(diag).T
+            for k in range(hi // STRIP, len(strips)):
+                top = max(hi, k * STRIP)
+                rows = strips[k][top - k * STRIP:]
+                below = rows[:, :lo] @ left.T
+                np.subtract(matrix[top:top + len(rows), lo:hi], below, out=below)
+                np.matmul(below, inverse, out=rows[:, lo:hi])
+        return strips
     except np.linalg.LinAlgError:
         return None
 
 
-def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:
-    """||factor @ factor.T - matrix||_F from DEFECT_STRIP-square blocks of the
-    lower triangle.
+def _factor_defect(strips: tuple[np.ndarray, ...], matrix: np.ndarray) -> float:
+    """||L @ L.T - matrix||_F for the factor L whose row strips are strips,
+    from the STRIP-square blocks of the lower triangle.
 
-    factor is lower trapezoidal, so its rows [jlo, jhi) vanish beyond column
-    jhi and the block at rows [lo, hi), columns [jlo, jhi) needs only the
-    first jhi columns of either operand. Both products are symmetric, so each
-    block left of the diagonal counts twice and each diagonal block once. No
-    n x n temporary is formed.
+    The block at the rows of strip k and the rows of strip j <= k needs only
+    the columns strip j holds, the first of strip k's. Both products are
+    symmetric, so each block left of the diagonal counts twice and each
+    diagonal block once. No n x n temporary is formed.
     """
-    n = len(matrix)
     total = 0.0
-    for lo in range(0, n, DEFECT_STRIP):
-        hi = min(lo + DEFECT_STRIP, n)
-        for jlo in range(0, lo + 1, DEFECT_STRIP):
-            jhi = min(jlo + DEFECT_STRIP, n)
-            block = factor[lo:hi, :jhi] @ factor[jlo:jhi, :jhi].T
-            block -= matrix[lo:hi, jlo:jhi]
+    for lo, strip in zip(range(0, len(matrix), STRIP), strips):
+        for jlo, other in zip(range(0, lo + 1, STRIP), strips):
+            block = strip[:, :other.shape[1]] @ other.T
+            block -= matrix[lo:lo + len(strip), jlo:jlo + len(other)]
             total += (1.0 if jlo == lo else 2.0) * np.vdot(block, block)
     return math.sqrt(total)
 
@@ -406,19 +443,23 @@ def _factor_defect(factor: np.ndarray, matrix: np.ndarray) -> float:
 class CovarianceModel:
     """Repaired covariance matrix over a measure's atoms, ready for sampling.
 
-    matrix is the regularized kernel matrix, eigen-clipped to PSD
-    only when Cholesky fails on it; factor is a lower trapezoidal n x r square
-    root, C-ordered. On the Cholesky path r = n and factor is _cholesky's,
-    exactly 0.0 above the diagonal; otherwise r is the number of eigenvalues
-    above the clip's cut (_clip_cut), from the range finder's Ritz values or
-    from eigh, and factor comes from a QR. diag_variance is the per-atom
-    variance the factor actually realizes (row sums of squares).
+    matrix is the regularized kernel matrix, eigen-clipped to PSD only when
+    Cholesky fails on it. strips holds a lower trapezoidal n x r square root
+    L of it in row strips of field.STRIP atoms: strip k is L's rows
+    [k * STRIP, min((k + 1) * STRIP, n)) over its columns [0, min((k + 1) *
+    STRIP, r)), exactly 0.0 above the diagonal, and the strips are
+    C-ordered, read-only views into one packed buffer, so L's zero upper
+    triangle beyond them is never stored. On the Cholesky path r = n and L
+    is _cholesky's; otherwise r is the number of eigenvalues above the
+    clip's cut (_clip_cut), from the range finder's Ritz values or from
+    eigh, and L comes from a QR. diag_variance is the per-atom variance the
+    factor actually realizes (row sums of squares).
     """
 
     measure: AtomicMeasure
     epsilon: float
     matrix: np.ndarray
-    factor: np.ndarray
+    strips: tuple[np.ndarray, ...]
     diag_variance: np.ndarray
     clip_magnitude: float
     known_eig_range: tuple[float, float] | None = None
@@ -430,7 +471,7 @@ class CovarianceModel:
     @property
     def factor_rank(self) -> int:
         """r, the factor's column count: normals drawn per replica."""
-        return self.factor.shape[1]
+        return self.strips[-1].shape[1]
 
     @cached_property
     def eig_range(self) -> tuple[float, float]:
@@ -463,9 +504,12 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     if not np.all(green.inside(measure.positions)):
         raise DomainError("atom outside the kernel domain")
     matrix, epsilon = green.entry_matrix(measure.positions, epsilon)
-    factor = _cholesky(matrix)
+    strips = _cholesky(matrix)
     clip_magnitude, eig_range = 0.0, None
-    if factor is None:
+    if strips is not None:
+        diag_variance = np.concatenate([np.einsum("ij,ij->i", strip, strip)
+                                        for strip in strips])
+    else:
         # root @ root.T == repaired, so the r x n root.T = Q R gives the
         # n x r lower trapezoidal factor L = R.T
         clipped = _range_clip(matrix)
@@ -474,14 +518,17 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
         root, clip_magnitude, eig_min, eig_max = clipped
         matrix, eig_range = root @ root.T, (eig_min, eig_max)
         factor = np.linalg.qr(root.T, mode="r").T
-        factor = factor * np.where(np.diag(factor) < 0.0, -1.0, 1.0)
-    diag_variance = np.einsum("ij,ij->i", factor, factor)
-    for array in (matrix, factor, diag_variance):
+        factor *= np.where(np.diag(factor) < 0.0, -1.0, 1.0)
+        # einsum's sum order follows the layout: the row sums come from the
+        # F-ordered R.T, as they have since the clipped factor was a QR's
+        diag_variance = np.einsum("ij,ij->i", factor, factor)
+        strips = _strips_of(factor)
+    for array in (matrix, diag_variance, *strips):
         array.setflags(write=False)
-    model = CovarianceModel(measure, float(epsilon), matrix, factor, diag_variance,
+    model = CovarianceModel(measure, float(epsilon), matrix, strips, diag_variance,
                             clip_magnitude, eig_range)
     scale = float(np.linalg.norm(matrix))
-    defect = _factor_defect(factor, matrix)
+    defect = _factor_defect(strips, matrix)
     if scale > 0 and defect > FACTOR_RTOL * scale:
         raise NumericalError(
             f"factorization defect {defect:.3e} exceeds {FACTOR_RTOL:.0e} * {scale:.3e} "

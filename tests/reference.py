@@ -2,7 +2,8 @@
 
 These are the scalar, per-replica and one-eigh forms of computations that
 gmclab does in bulk: a scalar kernel entry against the tiled pair matrices,
-one full eigh clip against the range finder, one replica's rooted sample
+one full eigh clip against the range finder, the dense n x n Cholesky
+factor against the strip-packed one, one replica's rooted sample
 against the block-streamed rooted samplers, the strip engine's weighted
 reduction over materialized terms, the default epsilon from one
 distance pass against the one the kernel fill finds, and the rooted local
@@ -23,8 +24,8 @@ from gmclab.errors import DomainError
 from gmclab.field import (BATCH, STRIP, block_roots, check_replica_count, field_matrix,
                           gather_blocks)
 from gmclab.gmc import mass_columns, rooted_kernel_sums
-from gmclab.kernel import (UNIT_DISK, DiskKernel, _check_atom_count, _eigen_clip, _half_gap,
-                           _pair_matrix, pair_distances)
+from gmclab.kernel import (CHOL_BLOCK, CHOL_GATE, UNIT_DISK, DiskKernel, _check_atom_count,
+                           _eigen_clip, _half_gap, _pair_matrix, pair_distances)
 from gmclab.measure import AtomicMeasure, d_energy
 
 # ----------------------------------------------------------------- kernel
@@ -83,6 +84,46 @@ def clip_to_psd(matrix: np.ndarray):
     """
     root, clip_magnitude, eig_min, eig_max = _eigen_clip(matrix)
     return root @ root.T, clip_magnitude, eig_min, eig_max
+
+
+def dense_factor(strips) -> np.ndarray:
+    """The n x r lower trapezoidal factor whose row strips are strips (a
+    CovarianceModel's), zeros above them: the array a model held as factor
+    before the factor was stored as strips."""
+    rank = strips[-1].shape[1]
+    return np.vstack([np.pad(strip, ((0, 0), (0, rank - strip.shape[1])))
+                      for strip in strips])
+
+
+def dense_cholesky(matrix: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of the symmetric matrix as one C-ordered
+    n x n array, exactly 0.0 above the diagonal, or None when a pivot fails:
+    kernel._cholesky as it was before it wrote row strips, the reference
+    the strips are held to bit for bit.
+
+    Up to CHOL_GATE atoms it is one np.linalg.cholesky call. Above that it
+    is left-looking over block columns [lo, hi) of CHOL_BLOCK atoms:
+        S = C[lo:hi, lo:hi] - L[lo:hi, :lo] L[lo:hi, :lo]^T,
+        L[lo:hi, lo:hi] = cholesky(S),
+        L[hi:, lo:hi] = (C[hi:, lo:hi] - L[hi:, :lo] L[lo:hi, :lo]^T) inv(L[lo:hi, lo:hi])^T.
+    """
+    n = len(matrix)
+    try:
+        if n <= CHOL_GATE:
+            return np.linalg.cholesky(matrix.T)
+        factor = np.zeros((n, n))
+        for lo in range(0, n, CHOL_BLOCK):
+            hi = min(lo + CHOL_BLOCK, n)
+            left = factor[lo:hi, :lo]
+            diag = np.linalg.cholesky((matrix[lo:hi, lo:hi] - left @ left.T).T)
+            factor[lo:hi, lo:hi] = diag
+            if hi < n:
+                below = factor[hi:, :lo] @ left.T
+                np.subtract(matrix[hi:, lo:hi], below, out=below)
+                np.matmul(below, np.linalg.inv(diag).T, out=factor[hi:, lo:hi])
+        return factor
+    except np.linalg.LinAlgError:
+        return None
 
 
 # ------------------------------------------------------------------- gmc

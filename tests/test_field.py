@@ -17,6 +17,7 @@ from gmclab import (
 from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTREAM,
                           STREAM_VERSION, STRIP, check_replica_count, gather_blocks,
                           normal_block)
+from reference import dense_factor
 
 SEED = 2024
 N_BIG = 100000
@@ -152,7 +153,8 @@ def test_block_field_is_the_whole_block(model4, aligned):
     # block's normals, one column per replica
     _, values = aligned
     normals = replica_generator(SEED, 1).standard_normal((BATCH, model4.factor_rank))
-    assert np.array_equal(model4.factor @ normals.T, values[:, BATCH:])
+    [strip] = model4.strips
+    assert np.array_equal(strip @ normals.T, values[:, BATCH:])
 
 
 def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
@@ -219,11 +221,12 @@ def test_field_columns_refused_past_the_ceiling_before_allocating(model8):
 
 
 def test_factor_upper_triangle_is_zero(model8, cantor5_clipped):
-    # field_matrix skips the upper triangle; the Cholesky path (grid8) and the
-    # eigen-clip path (cantor5 at epsilon 0.05) must both leave it exactly zero
+    # the strips hold no column past their last row; the Cholesky path
+    # (grid8) and the eigen-clip path (cantor5 at epsilon 0.05) must both
+    # leave the part of each strip above the diagonal exactly zero
     assert cantor5_clipped.clip_magnitude > 0.0
     for model in (model8, cantor5_clipped):
-        assert not np.triu(model.factor, 1).any()
+        assert not np.triu(dense_factor(model.strips), 1).any()
 
 
 def _disk_measure(n):
@@ -237,7 +240,7 @@ def _disk_measure(n):
 def test_strip_product_matches_dense_product(n):
     model = build_covariance(_disk_measure(n))
     idx = np.arange(1000, 1100)
-    dense = model.factor @ normal_block(n, SEED, idx)
+    dense = dense_factor(model.strips) @ normal_block(n, SEED, idx)
     values = field_matrix(model, SEED, idx)
     assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -264,7 +267,7 @@ def clipped(request):
 
 def test_clipped_field_is_factor_times_rank_normals(clipped):
     idx = np.arange(1000, 1100)
-    dense = clipped.factor @ normal_block(clipped.factor_rank, SEED, idx)
+    dense = dense_factor(clipped.strips) @ normal_block(clipped.factor_rank, SEED, idx)
     values = field_matrix(clipped, SEED, idx)
     assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
 
@@ -305,13 +308,14 @@ def _version5_field(model, base_seed, indices):
     # stream version 5: each block's n normals through the square factor,
     # in strips of STRIP rows over the lower triangle
     n = model.n
+    factor = dense_factor(model.strips)
     out = np.empty((n, len(indices)))
     for column, k in enumerate(indices):
         z = replica_generator(base_seed, k // BATCH).standard_normal((BATCH, n)).T
         product = np.empty((n, BATCH))
         for lo in range(0, n, STRIP):
             hi = min(lo + STRIP, n)
-            np.matmul(model.factor[lo:hi, :hi], z[:hi], out=product[lo:hi])
+            np.matmul(factor[lo:hi, :hi], z[:hi], out=product[lo:hi])
         out[:, column] = product[:, k % BATCH]
     return out
 
@@ -320,7 +324,7 @@ def _version5_field(model, base_seed, indices):
 def test_positive_definite_models_sample_as_version_5(n):
     model = build_covariance(_disk_measure(n))
     assert model.clip_magnitude == 0.0
-    assert model.factor.shape == (n, n)
+    assert model.factor_rank == n
     idx = np.array([0, 5, BATCH - 1, BATCH, 2 * BATCH + 7])
     assert np.array_equal(field_matrix(model, SEED, idx),
                           _version5_field(model, SEED, idx))

@@ -530,10 +530,12 @@ def test_empty_range_draws_nothing(model20, monkeypatch, start):
     weight = _singular_weight(model20, 1.5)
     results = (total_masses(model20, 0.8, SEED, 0, start=start),
                local_energy_samples(model20, 0.8, 1.5, SEED, 0, start=start),
-               rooted_kernel_sums(model20, SEED, range(start, start), 0.8, weight),
-               rooted_identity_errors(model20, SEED, 0, 0.8, 0.8))
+               rooted_kernel_sums(model20, SEED, range(start, start), 0.8, weight))
     for result in results:
         assert result.shape == (0,)
+    # an identity check of no replicas has no errors to grade: it is refused
+    with pytest.raises(DomainError, match="sample is empty"):
+        rooted_identity_errors(model20, SEED, 0, 0.8, 0.8)
     assert made == []
 
 
@@ -669,6 +671,45 @@ def test_change_of_measure_one_replica_is_not_graded(model8):
     rep = verify_change_of_measure(model8, 0.6, atom_value_statistic(model8, 0), 1, SEED)
     assert math.isnan(rep.se_weighted) and math.isnan(rep.se_rooted)
     assert rep.overlap is False
+
+
+# ------------------------------------------------------ replica count checks
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: total_masses(m, 0.8, 1, 2.5),
+    lambda m: total_masses(m, 0.8, 1, 2, start=1.5),
+    lambda m: total_masses(m, 0.8, 1, np.float64(2.0)),
+    lambda m: total_masses(m, 0.8, 1, "2"),
+    lambda m: check_replica_count(2.0),
+    lambda m: estimate_s0(m, 0.8, 1.0, 1.0, 2, SEED, start=0.5),
+], ids=["fractional-count", "fractional-start", "float-count", "string-count",
+        "check-float-count", "s0-fractional-start"])
+def test_replica_counts_and_starts_must_be_integers(model8, call):
+    # range() would raise Python's TypeError; the library refuses first
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(model8)
+
+
+def test_numpy_integer_counts_and_starts_are_accepted(model8):
+    assert np.array_equal(total_masses(model8, 0.8, SEED, np.int64(3), start=np.int32(2)),
+                          total_masses(model8, 0.8, SEED, 3, start=2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: laplace_transform(m, 0.8, [1.0], 0, SEED),
+    lambda m: small_ball_tail(m, 0.8, [0.5], 0, SEED),
+    lambda m: fkg_check(m, 0.8, 1.0, 2.0, 0, SEED),
+    lambda m: kahane_check(m, 0.8, 0.9, 2.0, 0, SEED),
+    lambda m: verify_bound(m, 0.6, 2.0, 2.0, 1.0, 0, SEED),
+    lambda m: estimate_s0(m, 0.8, 1.0, 1.0, 0, SEED),
+    lambda m: rooted_identity_errors(m, SEED, 0, 0.8, 0.8),
+    lambda m: verify_change_of_measure(m, 0.6, atom_value_statistic(m, 0), 0, SEED),
+], ids=["laplace", "tail", "fkg", "kahane", "bound", "s0", "identity", "change-of-measure"])
+def test_zero_replicas_are_an_empty_sample(model8, call):
+    # not an under- or overflow, and never an empty verdict
+    with pytest.raises(DomainError, match="sample is empty"):
+        call(model8)
 
 
 # ---------------------------------------------------------- replica ceiling

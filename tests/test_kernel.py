@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,9 +22,10 @@ from gmclab import (
     green_disk,
     markov_difference_psd,
 )
+from gmclab.field import STRIP
 from gmclab.kernel import offdiagonal_green, pair_distances
-from reference import (clip_to_psd, default_epsilon, green_subdisk, regularized_entry,
-                       smooth_matrix, smooth_part)
+from reference import (clip_to_psd, default_epsilon, dense_cholesky, dense_factor, green_subdisk,
+                       regularized_entry, smooth_matrix, smooth_part)
 
 SEED = 99
 # frozen spot values, recomputed from the kernel formula by hand
@@ -203,10 +207,11 @@ def test_build_matrix_invariants(model8):
     assert np.allclose(m, m.T, rtol=1e-12, atol=0)
     eigs = np.linalg.eigvalsh(m)
     assert eigs[0] >= -1e-10 * eigs[-1]
-    defect = np.linalg.norm(model8.factor @ model8.factor.T - m)
+    factor = dense_factor(model8.strips)
+    defect = np.linalg.norm(factor @ factor.T - m)
     assert defect <= 1e-8 * np.linalg.norm(m)
     assert np.allclose(model8.diag_variance, np.diag(m), rtol=1e-12)
-    assert np.all(np.tril(model8.factor) == model8.factor)
+    assert np.all(np.tril(factor) == factor)
 
 
 def test_build_grid_spacing_epsilon_clip_ratio():
@@ -272,7 +277,7 @@ def test_build_positive_definite_takes_cholesky_alone(grid8, monkeypatch):
     model = build_covariance(grid8)
     assert calls == {"cholesky": 1}
     assert np.array_equal(model.matrix, _raw_matrix(grid8, default_epsilon(grid8)))
-    assert np.array_equal(model.factor, np.linalg.cholesky(model.matrix))
+    assert np.array_equal(dense_factor(model.strips), np.linalg.cholesky(model.matrix))
 
 
 def test_build_eigen_ranges_are_lazy_on_cholesky_path(grid8, monkeypatch):
@@ -344,9 +349,10 @@ def test_build_clipped_takes_one_eigh(measure, epsilon, clip, monkeypatch):
     assert model.clip_magnitude == pytest.approx(clip, rel=1e-9)
     assert model.eig_min_raw == pytest.approx(eig_min, rel=1e-12)
     assert model.eig_max == pytest.approx(eig_max, rel=1e-12)
-    assert np.all(np.tril(model.factor) == model.factor)
-    assert np.all(np.diag(model.factor) >= 0.0)
-    defect = np.linalg.norm(model.factor @ model.factor.T - model.matrix)
+    factor = dense_factor(model.strips)
+    assert np.all(np.tril(factor) == factor)
+    assert np.all(np.diag(factor) >= 0.0)
+    defect = np.linalg.norm(factor @ factor.T - model.matrix)
     assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
     assert "eigvalsh" not in calls
 
@@ -362,10 +368,11 @@ def test_build_clipped_factor_has_rank_columns(measure):
     repaired, clip_magnitude, _, _ = clip_to_psd(raw)
     model = build_covariance(measure, 0.05)
     assert 0 < rank < measure.n
-    assert model.factor.shape == (measure.n, rank) == (model.n, model.factor_rank)
-    assert not np.triu(model.factor, 1).any()
-    assert np.all(np.diag(model.factor) >= 0.0)
-    defect = np.linalg.norm(model.factor @ model.factor.T - model.matrix)
+    factor = dense_factor(model.strips)
+    assert factor.shape == (measure.n, rank) == (model.n, model.factor_rank)
+    assert not np.triu(factor, 1).any()
+    assert np.all(np.diag(factor) >= 0.0)
+    defect = np.linalg.norm(factor @ factor.T - model.matrix)
     assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
     assert model.clip_magnitude == pytest.approx(clip_magnitude, rel=1e-12)
     # the grid (256 atoms) falls back to eigh, which is clip_to_psd's own;
@@ -506,7 +513,7 @@ def test_range_defect_matches_full_norm():
 def test_clipped_build_is_bit_identical_across_builds():
     first, second = (build_covariance(CANTOR5, 0.05) for _ in range(2))
     assert np.array_equal(first.matrix, second.matrix)
-    assert np.array_equal(first.factor, second.factor)
+    assert all(np.array_equal(a, b) for a, b in zip(first.strips, second.strips))
     assert (first.clip_magnitude, first.eig_range) == (second.clip_magnitude, second.eig_range)
 
 
@@ -523,7 +530,7 @@ def test_cantor6_clips_without_a_full_eigh(monkeypatch):
         tracemalloc.stop()
     assert all(k < measure.n // 4 for k, _ in shapes) and len(shapes) == 1
     assert 0 < model.factor_rank < 100
-    defect = gmclab.kernel._factor_defect(model.factor, model.matrix)
+    defect = gmclab.kernel._factor_defect(model.strips, model.matrix)
     assert defect <= gmclab.kernel.FACTOR_RTOL * np.linalg.norm(model.matrix)
     assert peak <= 2.5 * measure.n ** 2 * 8
 
@@ -738,12 +745,13 @@ def test_lapack_input_view_is_bit_identical(tile_points, epsilon, monkeypatch):
         assert (model.eig_min_raw, model.eig_max) == (eigvals[0], eigvals[-1])
     elif blocked:
         assert not calls["eigh"][0]
+        factor = dense_factor(model.strips)
         for lo, result in zip(blocks, results):
             hi = lo + len(result)
-            assert np.array_equal(model.factor[lo:hi, lo:hi], result)
+            assert np.array_equal(factor[lo:hi, lo:hi], result)
     else:
         assert not calls["eigh"][0]
-        assert np.array_equal(model.factor, np.linalg.cholesky(raw))
+        assert np.array_equal(dense_factor(model.strips), np.linalg.cholesky(raw))
 
 
 def test_markov_eigenvalues_from_view_are_bit_identical(tile_points, monkeypatch):
@@ -764,18 +772,20 @@ def test_strip_defect_matches_full_norm():
     rng = np.random.default_rng(SEED)
     factor = np.linalg.cholesky(matrix) + 1e-3 * np.tril(rng.standard_normal(matrix.shape))
     full = np.linalg.norm(factor @ factor.T - matrix)
-    assert gmclab.kernel._factor_defect(factor, matrix) == pytest.approx(full, rel=1e-12)
+    strips = gmclab.kernel._strips_of(factor)
+    assert gmclab.kernel._factor_defect(strips, matrix) == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.parametrize("n, rank", [(625, 139), (257, 257), (1, 1)])
 def test_block_defect_matches_full_norm_on_trapezoidal_factors(n, rank):
-    # neither n nor rank a multiple of DEFECT_STRIP; blocks then end mid-strip
+    # neither n nor rank a multiple of STRIP; blocks then end mid-strip
     rng = np.random.default_rng(SEED + n)
     factor = np.tril(rng.standard_normal((n, rank)))
     matrix = factor @ factor.T
     factor += 1e-3 * np.tril(rng.standard_normal((n, rank)))
     full = np.linalg.norm(factor @ factor.T - matrix)
-    assert gmclab.kernel._factor_defect(factor, matrix) == pytest.approx(full, rel=1e-12)
+    strips = gmclab.kernel._strips_of(factor)
+    assert gmclab.kernel._factor_defect(strips, matrix) == pytest.approx(full, rel=1e-12)
 
 
 def test_block_defect_matches_full_norm_at_2304_atoms():
@@ -783,7 +793,8 @@ def test_block_defect_matches_full_norm_at_2304_atoms():
     rng = np.random.default_rng(SEED)
     factor = np.linalg.cholesky(matrix) + 1e-3 * np.tril(rng.standard_normal(matrix.shape))
     full = np.linalg.norm(factor @ factor.T - matrix)
-    assert gmclab.kernel._factor_defect(factor, matrix) == pytest.approx(full, rel=1e-12)
+    strips = gmclab.kernel._strips_of(factor)
+    assert gmclab.kernel._factor_defect(strips, matrix) == pytest.approx(full, rel=1e-12)
 
 
 @pytest.mark.parametrize("entry", [(300, 10), (399, 390)],
@@ -809,9 +820,10 @@ def test_build_rejects_blocked_factor_off_by_1e3(monkeypatch, entry):
     real_cholesky = gmclab.kernel._cholesky
 
     def off_by_one_entry(matrix):
-        factor = real_cholesky(matrix)
-        factor[entry] += 1e-3
-        return factor
+        strips = real_cholesky(matrix)
+        row, column = entry
+        strips[row // STRIP][row % STRIP, column] += 1e-3
+        return strips
 
     monkeypatch.setattr(gmclab.kernel, "_cholesky", off_by_one_entry)
     measure = generate_uniform_grid(32, 0.8)
@@ -826,7 +838,8 @@ def test_build_rejects_blocked_factor_off_by_1e3(monkeypatch, entry):
 def test_cholesky_at_the_gate_is_numpys():
     matrix = _raw_matrix(generate_uniform_grid(24, 0.8), None)
     assert len(matrix) == 576 <= gmclab.kernel.CHOL_GATE
-    assert np.array_equal(gmclab.kernel._cholesky(matrix), np.linalg.cholesky(matrix))
+    assert np.array_equal(dense_factor(gmclab.kernel._cholesky(matrix)),
+                          np.linalg.cholesky(matrix))
 
 
 def _conditioned_spd(n, cond):
@@ -847,8 +860,9 @@ def test_blocked_cholesky_reproduces_the_matrix(make):
     # 700 atoms end in a partial block column (5 * 128 + 60)
     matrix = make()
     assert len(matrix) > gmclab.kernel.CHOL_GATE
-    factor = gmclab.kernel._cholesky(matrix)
-    assert factor.flags.c_contiguous
+    strips = gmclab.kernel._cholesky(matrix)
+    assert all(strip.flags.c_contiguous for strip in strips)
+    factor = dense_factor(strips)
     assert np.all(np.triu(factor, 1) == 0.0)
     assert np.all(np.diag(factor) > 0.0)
     defect = np.linalg.norm(factor @ factor.T - matrix)
@@ -866,6 +880,51 @@ def test_blocked_cholesky_fails_on_the_first_block(radius, monkeypatch):
     assert not results
 
 
+# ---------------------------------------------------- strip-packed factor
+
+
+def test_a_block_column_lies_inside_one_strip():
+    assert STRIP % gmclab.kernel.CHOL_BLOCK == 0
+
+
+@pytest.mark.parametrize("side", [24, 30, 48])
+def test_strips_are_the_dense_cholesky_factor_bit_for_bit(side):
+    # 576 atoms take the one numpy call, 900 and 2304 the blocked path, and
+    # 900 ends in a partial strip of 132 rows
+    model = build_covariance(generate_uniform_grid(side, 0.8))
+    reference = dense_cholesky(model.matrix)
+    n = model.n
+    assert [strip.shape for strip in model.strips] == [
+        (min(lo + STRIP, n) - lo, min(lo + STRIP, n)) for lo in range(0, n, STRIP)]
+    assert np.array_equal(dense_factor(model.strips), reference)
+    assert np.array_equal(model.diag_variance, np.einsum("ij,ij->i", reference, reference))
+
+
+def test_clipped_strips_are_the_qr_factor_bit_for_bit(cantor5_clipped):
+    raw = DiskKernel(1.0).entry_matrix(CANTOR5.positions, 0.05)[0]
+    root = gmclab.kernel._range_clip(raw)[0]
+    factor = np.linalg.qr(root.T, mode="r").T
+    factor = factor * np.where(np.diag(factor) < 0.0, -1.0, 1.0)
+    # r = 80 columns reach every strip of the 1024 rows
+    assert [strip.shape for strip in cantor5_clipped.strips] == [(STRIP, 80)] * 4
+    assert np.array_equal(dense_factor(cantor5_clipped.strips), factor)
+    assert np.array_equal(cantor5_clipped.diag_variance, np.einsum("ij,ij->i", factor, factor))
+
+
+@pytest.mark.parametrize("side", [30, 48])
+def test_strips_are_read_only_views_into_one_packed_buffer(side):
+    model = build_covariance(generate_uniform_grid(side, 0.8))
+    packed = model.strips[0].base
+    assert all(strip.base is packed for strip in model.strips)
+    assert packed.size == sum(strip.size for strip in model.strips)
+    for strip in model.strips:
+        assert strip.flags.c_contiguous and not strip.flags.writeable
+    # the n x n factor's lower trapezoid: 0.56 n**2 at 2304 atoms
+    n = model.n
+    assert packed.size == sum((min(lo + STRIP, n) - lo) * min(lo + STRIP, n)
+                              for lo in range(0, n, STRIP))
+
+
 def test_build_rejects_atoms_outside_the_kernel_disk(grid8):
     # the 8x8 grid reaches radius 0.8 > 0.5
     with pytest.raises(DomainError, match="outside the kernel domain"):
@@ -873,7 +932,8 @@ def test_build_rejects_atoms_outside_the_kernel_disk(grid8):
 
 
 def test_build_peak_memory_is_about_two_matrices():
-    # the kernel matrix and its factor; no n x n temporary beside them
+    # the kernel matrix and its strip-packed factor (0.56 n**2 entries at
+    # 2304 atoms); no n x n temporary beside them
     measure = generate_uniform_grid(48, 0.8)
     tracemalloc.start()
     try:
@@ -881,4 +941,40 @@ def test_build_peak_memory_is_about_two_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * measure.n ** 2 * 8
+    assert peak <= 1.75 * measure.n ** 2 * 8
+
+
+# the 48x48 grid's build and one total_masses block, run in a fresh process;
+# it prints the growth of the peak RSS (VmHWM) over the RSS after the
+# imports, in bytes. ru_maxrss would not do: Linux carries the RSS of the
+# process that spawned this one into it, so it reads the test runner's
+RSS_SCRIPT = r"""
+import re
+from gmclab import build_covariance, generate_uniform_grid, total_masses
+
+def kib(field):
+    with open("/proc/self/status") as status:
+        return int(re.search(field + r":\s+(\d+) kB", status.read()).group(1))
+
+base = kib("VmRSS")
+model = build_covariance(generate_uniform_grid(48, 0.8))
+total_masses(model, 0.8, 1, 1024)
+print((kib("VmHWM") - base) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process's RSS from /proc, as Linux gives it")
+def test_build_and_one_block_peak_rss():
+    # tracemalloc cannot see the buffers numpy's LAPACK wrappers allocate in
+    # C, nor which pages become resident; the process's peak RSS sees both.
+    # The kernel matrix (n**2), the packed factor (0.56 n**2) and the
+    # block's (BATCH, n) normals (0.44 n**2) raised it by 2.33 n**2 * 8
+    # bytes on a 2-core host, where a dense n x n factor, its zero upper
+    # triangle made resident by transparent huge pages, raised it by 2.87
+    n = 48 * 48
+    package = os.path.dirname(os.path.dirname(gmclab.kernel.__file__))
+    env = dict(os.environ, PYTHONPATH=package)
+    result = subprocess.run([sys.executable, "-c", RSS_SCRIPT], env=env, check=True,
+                            capture_output=True, text=True)
+    assert int(result.stdout) <= 2.6 * n ** 2 * 8
