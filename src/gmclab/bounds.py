@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import BATCH, check_replica_count, replica_range
-from .gmc import check_sample, graded_total_masses, mean_se, rooted_kernel_sums
+from .gmc import (check_graded_sample, check_sample, graded_total_masses, mean_se,
+                  rooted_kernel_sums)
 from .kernel import offdiagonal_green, pair_distances
 from .measure import _distance_energy
 
@@ -143,7 +144,7 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
     """Monte Carlo E[exp(-t * mass)] on a shared replica set for every t;
     verify_bound attaches the bound values."""
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.any(t_values < 0):
+    if not np.all(t_values >= 0):
         raise DomainError("t values must be >= 0")
     check_replica_count(n_replicas, rows=t_values.size)
     totals = graded_total_masses(model, gamma, base_seed, n_replicas)
@@ -173,7 +174,7 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     report = exponents(gamma, d, beta, delta)
     steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
     check_replica_count(n_replicas, rows=steps)
-    check_sample(n_replicas)
+    check_graded_sample(n_replicas)
     stride = -(-n_replicas // BATCH) * BATCH
     sigma = model.measure.total_mass
     if l2 is None:
@@ -229,7 +230,7 @@ def small_ball_tail(model, gamma: float, thresholds, n_replicas: int,
                     base_seed: int) -> TailReport:
     """Frequencies of {mass < threshold} with binomial standard errors."""
     thresholds = np.atleast_1d(np.asarray(thresholds, dtype=float))
-    if np.any(thresholds <= 0):
+    if not np.all(thresholds > 0):
         raise DomainError("thresholds must be > 0")
     check_replica_count(n_replicas, rows=thresholds.size)
     totals = graded_total_masses(model, gamma, base_seed, n_replicas)

@@ -41,12 +41,11 @@ import numpy as np
 from . import bounds, gmc, inequalities, measure as measure_mod
 from .errors import GmcLabError, HypothesisViolationError, ValidationError
 from .field import STREAM_VERSION
+from .gmc import MIN_REPLICAS
 from .kernel import KERNEL_VERSION, build_covariance
 from .reports import render_report, write_plot_csv
 
 IDENTITY_TOLERANCE = 1e-10
-# fewer replicas leave every standard error undefined
-MIN_REPLICAS = 2
 # parameters that take one of a fixed set of strings
 CHOICES = {"kind": ("grid", "cantor", "julia"),
            "which": ("fkg", "kahane", "markov"),

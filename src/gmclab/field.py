@@ -54,10 +54,11 @@ from .errors import DomainError, ResourceLimitError
 
 # names this keying, the root draw, the factor product and the weighted strip
 # reduction in reports; CHANGES.md tells what each version changed. Version
-# 12 changed only the rounding order of the sums: each strip's terms are
-# reduced by one BLAS product with the atom weights, where the masses were
-# formed and added atom after atom, moving every sum in its last bits.
-STREAM_VERSION = 12
+# 13 moved only last bits, of the Cholesky factors of 129 to 640 atoms and of
+# the clipped models' variances: one blocked Cholesky path factors every
+# positive definite covariance, and every model sums its variances from its
+# strips.
+STREAM_VERSION = 13
 ROOT_SUBSTREAM = 0
 FIELD_SUBSTREAM = 1
 # replicas per stream block; part of the stream definition, so changing it

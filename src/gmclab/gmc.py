@@ -18,6 +18,7 @@ itself is never formed in a sampler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,9 @@ import numpy as np
 
 from . import field
 from .errors import DomainError, NumericalError
+
+# fewer replicas leave every standard error undefined
+MIN_REPLICAS = 2
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,24 @@ def check_sample(n_replicas: int) -> None:
         raise DomainError("the sample is empty: grading needs at least 1 replica, not 0")
 
 
+def check_graded_sample(n_replicas: int) -> None:
+    """check_sample, and refuse fewer than MIN_REPLICAS: a verdict is graded
+    against a standard error, which one replica leaves undefined (DomainError)."""
+    check_sample(n_replicas)
+    if n_replicas < MIN_REPLICAS:
+        raise DomainError(
+            f"a graded verdict needs at least {MIN_REPLICAS} replicas, not {n_replicas}")
+
+
 def graded_total_masses(model, gamma: float, base_seed: int,
                         n_replicas: int) -> np.ndarray:
     """total_masses of replicas 0 .. n_replicas-1, unless every one is 0 or
     not finite: a true mass is positive, so such a sample under- or
     overflowed and would grade a constant (NumericalError). Where only some
-    underflow, their damped values are still exact. No replicas at all is a
-    DomainError (check_sample)."""
+    underflow, their damped values are still exact. No replicas at all, or
+    a gamma that is not finite, is a DomainError."""
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, not {gamma}")
     check_sample(n_replicas)
     totals = total_masses(model, gamma, base_seed, n_replicas)
     if not np.any(np.isfinite(totals) & (totals > 0)):
@@ -215,9 +230,9 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
     estimates must agree within 3 standard errors of the per-replica
     difference. effective_sample_size is (sum m)^2 / sum m^2 over the
     gamma' masses m that weight the first branch; NumericalError when it is
-    not finite. No replicas at all is a DomainError (check_sample).
+    not finite. Fewer than MIN_REPLICAS is a DomainError (check_graded_sample).
     """
-    check_sample(n_replicas)
+    check_graded_sample(n_replicas)
 
     def terms(atoms, roots, out):
         h, plain, shifted = out

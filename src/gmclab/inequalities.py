@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
-from .gmc import check_sample, graded_total_masses, mean_se
+from .gmc import check_graded_sample, graded_total_masses, mean_se
 from .kernel import PSD_TOL, DiskKernel, _tile_rows, build_covariance, markov_difference_psd
 from .measure import AtomicMeasure
 
@@ -42,8 +42,9 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
     Requires every covariance entry >= 0; a negative entry violates the
     positive-association hypothesis and raises.
     """
-    if s <= 0 or t <= 0:
+    if not (s > 0 and t > 0):
         raise DomainError("s and t must be > 0")
+    check_graded_sample(n_replicas)
     worst = float(model.matrix.min())
     # max|C| without an n x n temporary: max(-min, max) is exact
     scale = max(1.0, -worst, float(model.matrix.max()))
@@ -107,13 +108,13 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
     true variance of the mean difference smaller than the standard error
     assumes, so the error errs large and false alarms only get rarer.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be > 0")
     if not 0.0 < r_inner <= 1.0:
         raise DomainError("r_inner must lie in (0, 1]")
     if model.measure.support_radius >= r_inner:
         raise DomainError("every atom must satisfy |p| < r_inner")
-    check_sample(n_replicas)
+    check_graded_sample(n_replicas)
     big = model
     small = build_covariance(model.measure, model.epsilon, DiskKernel(r_inner))
     tol = ORDER_TOL * max(1.0, -float(big.matrix.min()), float(big.matrix.max()))

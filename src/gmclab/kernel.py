@@ -45,22 +45,17 @@ Every factor is stored in row strips of field.STRIP atoms, the unit that the
 field product, the samplers' reductions and the factor check work in: strip
 k holds the factor's rows [k * STRIP, (k + 1) * STRIP) over only the columns
 those rows reach, and the strips lie one after another in one packed buffer
-(_zero_strips). So the n x r factor's zero upper triangle is never stored. A
-dense n x n array would not keep it out of memory: numpy advises every array
-of 4 MB or more onto transparent huge pages, which made its never-written
-upper pages resident too. Up to CHOL_GATE atoms the Cholesky factor is one
-np.linalg.cholesky call, cut into the strips. Above it, numpy would also
-hold that n x n input buffer and copy its result into a C-ordered n x n
-array, so _cholesky factors the matrix in block columns of CHOL_BLOCK atoms,
-each inside one strip, straight into the strips. The clipped factor, a QR's,
-is copied into the same layout. The factor check multiplies STRIP-square
-blocks of the lower triangle, strip by strip, so it forms no n x n
-temporary. A Cholesky build then holds the kernel matrix, its packed factor
-(n * (n + STRIP) / 2 entries when STRIP divides n, 0.56 n**2 at n = 2304),
-and blocks of at most STRIP x STRIP beside them. On a 2-core host the 48x48
-grid's build and one total_masses block raised the process's peak RSS by
-99 MB (2.33 n**2 * 8 bytes), where a dense n x n factor raised it by 122 MB
-(2.87 n**2 * 8 bytes).
+(_zero_strips). So the n x r factor's zero upper triangle is never stored: a
+dense n x n array would not keep it out of memory, since numpy advises every
+array of 4 MB or more onto transparent huge pages. _cholesky writes every
+Cholesky factor straight into the strips, one block column of CHOL_BLOCK
+atoms at a time; the clipped factor, a QR's, is copied into them. The factor
+check multiplies STRIP-square blocks of the lower triangle, strip by strip,
+so it forms no n x n temporary. A Cholesky build then holds the kernel
+matrix, its packed factor (n * (n + STRIP) / 2 entries when STRIP divides n,
+0.56 n**2 at n = 2304), and blocks of at most STRIP x STRIP beside them: on
+a 2-core host the 48x48 grid's build and one total_masses block raised the
+process's peak RSS by 99 MB (2.33 n**2 * 8 bytes).
 """
 
 from __future__ import annotations
@@ -81,10 +76,6 @@ FACTOR_RTOL = 1e-8
 MAX_ATOMS = 4096
 # entries per full-width row tile of a pair matrix: its temporaries then fit in cache
 TILE_ENTRIES = 2 ** 16
-# most atoms whose Cholesky factor is one np.linalg.cholesky call; above it
-# the blocked _cholesky is faster (even at 640 atoms, 20% ahead at 768, 1.6x
-# at 1024 and 2304 on a 2-core host)
-CHOL_GATE = 640
 # atoms per block column of the blocked Cholesky factorization; it divides
 # STRIP, so that each block column lies inside one strip of the factor
 CHOL_BLOCK = 128
@@ -378,37 +369,33 @@ def _cholesky(matrix: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """The row strips (_zero_strips) of the lower Cholesky factor of the
     symmetric matrix, or None when a pivot fails.
 
-    Up to CHOL_GATE atoms it is one np.linalg.cholesky call, cut into the
-    strips. Above that, numpy's copies of the matrix into LAPACK's
-    column-major buffer and of the result into a C-ordered one would take
-    about 0.08 s of its 0.2 s call at n = 2304, so the factor is written
-    straight into the strips instead, left-looking over block columns
-    [lo, hi) of CHOL_BLOCK atoms, each inside one strip:
+    The factor is written straight into the strips, left-looking over block
+    columns [lo, hi) of CHOL_BLOCK atoms, each inside one strip:
         S = C[lo:hi, lo:hi] - L[lo:hi, :lo] L[lo:hi, :lo]^T,
         L[lo:hi, lo:hi] = cholesky(S),
         L[rows, lo:hi] = (C[rows, lo:hi] - L[rows, :lo] L[lo:hi, :lo]^T) inv(L[lo:hi, lo:hi])^T
-    for the rows below hi of each strip in turn, one product per strip.
-    Multiplying by the explicit inverse of a well-conditioned diagonal block
-    is backward stable (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, ch. 10 and 13), and build_covariance checks
-    every factor anyway. Each S is symmetric bit for bit, since numpy forms
-    a product with its own transpose by one syrk, so cholesky gets its
-    F-ordered view, as the unblocked call does.
+    for the rows below hi of each strip in turn, one product per strip; a
+    matrix of at most CHOL_BLOCK atoms is one cholesky call. Multiplying by
+    the explicit inverse of a well-conditioned diagonal block is backward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, ch. 10 and 13), and build_covariance checks every factor anyway.
+    Each S is symmetric bit for bit, since numpy forms a product with its
+    own transpose by one syrk, so cholesky gets its F-ordered view.
 
     A failed pivot returns None instead of raising: the exception's
     traceback would keep the factor alive through the caller's clip.
     """
     n = len(matrix)
+    strips = _zero_strips(n, n)
     try:
-        if n <= CHOL_GATE:
-            return _strips_of(np.linalg.cholesky(matrix.T))
-        strips = _zero_strips(n, n)
         for lo in range(0, n, CHOL_BLOCK):
             hi = min(lo + CHOL_BLOCK, n)
             own, first = strips[lo // STRIP], lo // STRIP * STRIP
             left = own[lo - first:hi - first, :lo]
             diag = np.linalg.cholesky((matrix[lo:hi, lo:hi] - left @ left.T).T)
             own[lo - first:hi - first, lo:hi] = diag
+            if hi == n:
+                break
             inverse = np.linalg.inv(diag).T
             for k in range(hi // STRIP, len(strips)):
                 top = max(hi, k * STRIP)
@@ -453,7 +440,7 @@ class CovarianceModel:
     is _cholesky's; otherwise r is the number of eigenvalues above the
     clip's cut (_clip_cut), from the range finder's Ritz values or from
     eigh, and L comes from a QR. diag_variance is the per-atom variance the
-    factor actually realizes (row sums of squares).
+    factor actually realizes: its row sums of squares, strip by strip.
     """
 
     measure: AtomicMeasure
@@ -491,13 +478,12 @@ class CovarianceModel:
 def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
                      green=UNIT_DISK) -> CovarianceModel:
     """Assemble the regularized kernel matrix and factor it: Cholesky first
-    (_cholesky, blocked above CHOL_GATE atoms, so a matrix indefinite within
-    its first block fails after one small call); only when it fails, one
-    eigen-clip (the range finder's, else a full eigh's) and a QR of its
-    root. epsilon None means half the least pair distance (for one atom, half
-    its distance to the circle), which the matrix fill finds on its own.
-    Every factor must reproduce the matrix within FACTOR_RTOL, or
-    NumericalError is raised."""
+    (_cholesky, so a matrix indefinite within its first block column fails
+    after one CHOL_BLOCK-square call); only when it fails, one eigen-clip
+    (the range finder's, else a full eigh's) and a QR of its root. epsilon
+    None means half the least pair distance (for one atom, half its distance
+    to the circle), which the matrix fill finds on its own. Every factor must
+    reproduce the matrix within FACTOR_RTOL, or NumericalError is raised."""
     _check_atom_count(measure)
     if epsilon is not None and not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
@@ -506,10 +492,7 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     matrix, epsilon = green.entry_matrix(measure.positions, epsilon)
     strips = _cholesky(matrix)
     clip_magnitude, eig_range = 0.0, None
-    if strips is not None:
-        diag_variance = np.concatenate([np.einsum("ij,ij->i", strip, strip)
-                                        for strip in strips])
-    else:
+    if strips is None:
         # root @ root.T == repaired, so the r x n root.T = Q R gives the
         # n x r lower trapezoidal factor L = R.T
         clipped = _range_clip(matrix)
@@ -519,10 +502,8 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
         matrix, eig_range = root @ root.T, (eig_min, eig_max)
         factor = np.linalg.qr(root.T, mode="r").T
         factor *= np.where(np.diag(factor) < 0.0, -1.0, 1.0)
-        # einsum's sum order follows the layout: the row sums come from the
-        # F-ordered R.T, as they have since the clipped factor was a QR's
-        diag_variance = np.einsum("ij,ij->i", factor, factor)
         strips = _strips_of(factor)
+    diag_variance = np.concatenate([np.einsum("ij,ij->i", strip, strip) for strip in strips])
     for array in (matrix, diag_variance, *strips):
         array.setflags(write=False)
     model = CovarianceModel(measure, float(epsilon), matrix, strips, diag_variance,

@@ -24,7 +24,7 @@ from gmclab.errors import DomainError
 from gmclab.field import (BATCH, STRIP, block_roots, check_replica_count, field_matrix,
                           gather_blocks)
 from gmclab.gmc import mass_columns, rooted_kernel_sums
-from gmclab.kernel import (CHOL_BLOCK, CHOL_GATE, UNIT_DISK, DiskKernel, _check_atom_count,
+from gmclab.kernel import (CHOL_BLOCK, UNIT_DISK, DiskKernel, _check_atom_count,
                            _eigen_clip, _half_gap, _pair_matrix, pair_distances)
 from gmclab.measure import AtomicMeasure, d_energy
 
@@ -98,20 +98,16 @@ def dense_factor(strips) -> np.ndarray:
 def dense_cholesky(matrix: np.ndarray) -> np.ndarray | None:
     """The lower Cholesky factor of the symmetric matrix as one C-ordered
     n x n array, exactly 0.0 above the diagonal, or None when a pivot fails:
-    kernel._cholesky as it was before it wrote row strips, the reference
-    the strips are held to bit for bit.
-
-    Up to CHOL_GATE atoms it is one np.linalg.cholesky call. Above that it
-    is left-looking over block columns [lo, hi) of CHOL_BLOCK atoms:
+    the dense twin of kernel._cholesky, the reference its strips are held
+    to bit for bit. It is left-looking over block columns [lo, hi) of
+    CHOL_BLOCK atoms:
         S = C[lo:hi, lo:hi] - L[lo:hi, :lo] L[lo:hi, :lo]^T,
         L[lo:hi, lo:hi] = cholesky(S),
         L[hi:, lo:hi] = (C[hi:, lo:hi] - L[hi:, :lo] L[lo:hi, :lo]^T) inv(L[lo:hi, lo:hi])^T.
     """
     n = len(matrix)
+    factor = np.zeros((n, n))
     try:
-        if n <= CHOL_GATE:
-            return np.linalg.cholesky(matrix.T)
-        factor = np.zeros((n, n))
         for lo in range(0, n, CHOL_BLOCK):
             hi = min(lo + CHOL_BLOCK, n)
             left = factor[lo:hi, :lo]

@@ -688,7 +688,7 @@ def test_stream_version_only_in_sampled_reports(files, capsys):
 
     sampled = run(*SEEDED_ARGV["laplace"], "--measure", str(files["small"]),
                   "--replicas", "16", "--seed", str(SEED))
-    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 12
+    assert sampled["stream_version"] == gmclab.field.STREAM_VERSION == 13
     markov = run("verify-ineq", "--which", "markov", "--measure", str(files["small"]))
     energy = run("energy", "--measure", str(files["small"]), "--d", "1.0")
     assert "stream_version" not in markov

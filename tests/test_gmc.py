@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gmclab.cli
 import gmclab.field
+import gmclab.gmc
 from gmclab import (
     AtomicMeasure,
     DomainError,
@@ -668,9 +670,9 @@ def test_change_of_measure_memory_flat_in_replicas(grid16_model):
 
 
 def test_change_of_measure_one_replica_is_not_graded(model8):
-    rep = verify_change_of_measure(model8, 0.6, atom_value_statistic(model8, 0), 1, SEED)
-    assert math.isnan(rep.se_weighted) and math.isnan(rep.se_rooted)
-    assert rep.overlap is False
+    # one replica leaves the standard errors undefined: never a NaN verdict
+    with pytest.raises(DomainError, match="at least 2 replicas"):
+        verify_change_of_measure(model8, 0.6, atom_value_statistic(model8, 0), 1, SEED)
 
 
 # ------------------------------------------------------ replica count checks
@@ -710,6 +712,37 @@ def test_zero_replicas_are_an_empty_sample(model8, call):
     # not an under- or overflow, and never an empty verdict
     with pytest.raises(DomainError, match="sample is empty"):
         call(model8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: fkg_check(m, 0.8, 1.0, 2.0, 1, SEED),
+    lambda m: kahane_check(m, 0.8, 0.9, 2.0, 1, SEED),
+    lambda m: verify_bound(m, 0.6, 2.0, 2.0, 1.0, 1, SEED),
+    lambda m: verify_change_of_measure(m, 0.6, atom_value_statistic(m, 0), 1, SEED),
+], ids=["fkg", "kahane", "bound", "change-of-measure"])
+def test_graded_verdicts_refuse_one_replica(model8, call):
+    # a verdict is graded against a standard error, which one replica
+    # leaves undefined
+    assert gmclab.gmc.MIN_REPLICAS == gmclab.cli.MIN_REPLICAS == 2
+    with pytest.raises(DomainError, match="at least 2 replicas"):
+        call(model8)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: fkg_check(m, 0.8, math.nan, 2.0, 10, 3), "s and t"),
+    (lambda m: fkg_check(m, 0.8, 1.0, math.nan, 10, 3), "s and t"),
+    (lambda m: kahane_check(m, 0.8, 0.9, math.nan, 10, 3), "t must"),
+    (lambda m: laplace_transform(m, 0.8, [1.0, math.nan], 10, 3), "t values"),
+    (lambda m: small_ball_tail(m, 0.8, [math.nan], 10, 3), "thresholds"),
+    (lambda m: laplace_transform(m, math.nan, [1.0], 10, 3), "gamma must be finite"),
+    (lambda m: fkg_check(m, math.inf, 1.0, 2.0, 10, 3), "gamma must be finite"),
+    (lambda m: small_ball_tail(m, -math.inf, [0.5], 10, 3), "gamma must be finite"),
+], ids=["fkg-s", "fkg-t", "kahane-t", "laplace-t", "tail-threshold", "laplace-gamma",
+        "fkg-gamma-inf", "tail-gamma-minus-inf"])
+def test_nan_parameters_are_refused(model4, call, message):
+    # NaN passes a range test written as x <= 0, so each test asks x > 0
+    with pytest.raises(DomainError, match=message):
+        call(model4)
 
 
 # ---------------------------------------------------------- replica ceiling

@@ -725,12 +725,11 @@ def test_lapack_input_view_is_bit_identical(tile_points, epsilon, monkeypatch):
     for arguments, _ in calls.values():
         assert all(a.flags.f_contiguous for a in arguments)
     # the 257- and 2304-atom sets clip at epsilon 0.05, and no set clips at
-    # its default epsilon; the 2304-atom factor is blocked, each block's S
-    # symmetric bit for bit, and its clipped build fails on the first block
+    # its default epsilon; every factor is blocked, each block's S symmetric
+    # bit for bit, and a clipped build fails on the first block
     clipped = epsilon is not None and p.size > 2
     assert (model.clip_magnitude > 0.0) == clipped
-    blocked = p.size > gmclab.kernel.CHOL_GATE
-    blocks = range(0, p.size, gmclab.kernel.CHOL_BLOCK) if blocked and not clipped else [0]
+    blocks = [0] if clipped else range(0, p.size, gmclab.kernel.CHOL_BLOCK)
     arguments, results = calls["cholesky"]
     assert len(arguments) == len(blocks)
     for a, result in zip(arguments, results):
@@ -743,15 +742,14 @@ def test_lapack_input_view_is_bit_identical(tile_points, epsilon, monkeypatch):
         assert np.array_equal(eigvals, expected_vals)
         assert np.array_equal(eigvecs, expected_vecs)
         assert (model.eig_min_raw, model.eig_max) == (eigvals[0], eigvals[-1])
-    elif blocked:
+    else:
         assert not calls["eigh"][0]
         factor = dense_factor(model.strips)
         for lo, result in zip(blocks, results):
             hi = lo + len(result)
             assert np.array_equal(factor[lo:hi, lo:hi], result)
-    else:
-        assert not calls["eigh"][0]
-        assert np.array_equal(dense_factor(model.strips), np.linalg.cholesky(raw))
+        if len(blocks) == 1:
+            assert np.array_equal(factor, np.linalg.cholesky(raw))
 
 
 def test_markov_eigenvalues_from_view_are_bit_identical(tile_points, monkeypatch):
@@ -797,26 +795,13 @@ def test_block_defect_matches_full_norm_at_2304_atoms():
     assert gmclab.kernel._factor_defect(strips, matrix) == pytest.approx(full, rel=1e-12)
 
 
-@pytest.mark.parametrize("entry", [(300, 10), (399, 390)],
-                         ids=["left_of_diagonal", "diagonal_block"])
-def test_build_rejects_factor_off_by_1e3(monkeypatch, entry):
-    real_cholesky = np.linalg.cholesky
-
-    def off_by_one_entry(matrix):
-        factor = real_cholesky(matrix)
-        factor[entry] += 1e-3
-        return factor
-
-    monkeypatch.setattr(np.linalg, "cholesky", off_by_one_entry)
-    with pytest.raises(NumericalError, match="factorization defect"):
-        build_covariance(generate_uniform_grid(20, 0.8))
-
-
-@pytest.mark.parametrize("entry", [(600, 10), (399, 390)],
-                         ids=["left_of_diagonal_block", "diagonal_block"])
-def test_build_rejects_blocked_factor_off_by_1e3(monkeypatch, entry):
-    # grid32 has 1024 atoms, above CHOL_GATE: its factor has 8 block columns
-    # and (399, 390) lies inside the diagonal block [384, 512)
+@pytest.mark.parametrize("side, entry", [(20, (300, 10)), (20, (399, 390)),
+                                         (32, (600, 10)), (32, (399, 390))],
+                         ids=["grid20_left_of_diagonal_block", "grid20_diagonal_block",
+                              "left_of_diagonal_block", "diagonal_block"])
+def test_build_rejects_blocked_factor_off_by_1e3(monkeypatch, side, entry):
+    # grid20 has 400 atoms in 4 block columns, (399, 390) inside the last,
+    # [384, 400); grid32 has 1024 atoms in 8, (399, 390) inside [384, 512)
     real_cholesky = gmclab.kernel._cholesky
 
     def off_by_one_entry(matrix):
@@ -826,20 +811,24 @@ def test_build_rejects_blocked_factor_off_by_1e3(monkeypatch, entry):
         return strips
 
     monkeypatch.setattr(gmclab.kernel, "_cholesky", off_by_one_entry)
-    measure = generate_uniform_grid(32, 0.8)
-    assert measure.n > gmclab.kernel.CHOL_GATE
     with pytest.raises(NumericalError, match="factorization defect"):
-        build_covariance(measure)
+        build_covariance(generate_uniform_grid(side, 0.8))
 
 
 # ------------------------------------------------------ blocked Cholesky
 
 
-def test_cholesky_at_the_gate_is_numpys():
-    matrix = _raw_matrix(generate_uniform_grid(24, 0.8), None)
-    assert len(matrix) == 576 <= gmclab.kernel.CHOL_GATE
-    assert np.array_equal(dense_factor(gmclab.kernel._cholesky(matrix)),
-                          np.linalg.cholesky(matrix))
+@pytest.mark.parametrize("n", [1, 2, 64, 128])
+def test_cholesky_of_one_block_is_numpys(n, monkeypatch):
+    # a matrix of at most CHOL_BLOCK atoms is one block with no rows below
+    # it: one numpy call and no block inverse, so its factor is numpy's bits
+    matrix = DiskKernel(1.0).entry_matrix(_disk_points(n))[0]
+    arguments, _ = _record_calls(monkeypatch, "cholesky")
+    inverses, _ = _record_calls(monkeypatch, "inv")
+    strips = gmclab.kernel._cholesky(matrix)
+    monkeypatch.undo()
+    assert len(arguments) == 1 and not inverses
+    assert np.array_equal(dense_factor(strips), np.linalg.cholesky(matrix))
 
 
 def _conditioned_spd(n, cond):
@@ -851,15 +840,16 @@ def _conditioned_spd(n, cond):
 
 
 @pytest.mark.parametrize("make", [
+    lambda: _raw_matrix(generate_uniform_grid(20, 0.8), None),
     lambda: _raw_matrix(generate_uniform_grid(32, 0.8), None),
     lambda: _raw_matrix(generate_uniform_grid(48, 0.8), None),
     lambda: _conditioned_spd(1024, 1e12),
     lambda: DiskKernel(1.0).entry_matrix(_disk_points(700))[0],
-], ids=["grid32", "grid48", "spd1024_cond1e12", "700_atoms"])
+], ids=["grid20", "grid32", "grid48", "spd1024_cond1e12", "700_atoms"])
 def test_blocked_cholesky_reproduces_the_matrix(make):
-    # 700 atoms end in a partial block column (5 * 128 + 60)
+    # 400 and 700 atoms end in a partial block column (3 * 128 + 16 and
+    # 5 * 128 + 60)
     matrix = make()
-    assert len(matrix) > gmclab.kernel.CHOL_GATE
     strips = gmclab.kernel._cholesky(matrix)
     assert all(strip.flags.c_contiguous for strip in strips)
     factor = dense_factor(strips)
@@ -869,11 +859,14 @@ def test_blocked_cholesky_reproduces_the_matrix(make):
     assert defect <= 1e-14 * np.linalg.norm(matrix)
 
 
-@pytest.mark.parametrize("radius", [1.0, 0.5])
-def test_blocked_cholesky_fails_on_the_first_block(radius, monkeypatch):
-    # the raw Cantor 5 matrix at epsilon 0.05 is indefinite within its first
-    # block column, so one CHOL_BLOCK-square attempt tells, not one of all 1024 rows
-    raw = DiskKernel(radius).entry_matrix(CANTOR5.positions, 0.05)[0]
+@pytest.mark.parametrize("measure, radius", [
+    (CANTOR5, 1.0), (CANTOR5, 0.5), (CANTOR4, 1.0), (CANTOR4, 0.5)],
+    ids=["1.0", "0.5", "cantor4-1.0", "cantor4-0.5"])
+def test_blocked_cholesky_fails_on_the_first_block(measure, radius, monkeypatch):
+    # the raw Cantor 4 and 5 matrices at epsilon 0.05 are indefinite within
+    # their first block column, so one CHOL_BLOCK-square attempt tells, not
+    # one of all 256 or 1024 rows
+    raw = DiskKernel(radius).entry_matrix(measure.positions, 0.05)[0]
     arguments, results = _record_calls(monkeypatch, "cholesky")
     assert gmclab.kernel._cholesky(raw) is None
     assert [a.shape for a in arguments] == [(gmclab.kernel.CHOL_BLOCK,) * 2]
@@ -889,8 +882,7 @@ def test_a_block_column_lies_inside_one_strip():
 
 @pytest.mark.parametrize("side", [24, 30, 48])
 def test_strips_are_the_dense_cholesky_factor_bit_for_bit(side):
-    # 576 atoms take the one numpy call, 900 and 2304 the blocked path, and
-    # 900 ends in a partial strip of 132 rows
+    # 576 atoms end in a partial strip of 64 rows and 900 in one of 132
     model = build_covariance(generate_uniform_grid(side, 0.8))
     reference = dense_cholesky(model.matrix)
     n = model.n
@@ -907,8 +899,10 @@ def test_clipped_strips_are_the_qr_factor_bit_for_bit(cantor5_clipped):
     factor = factor * np.where(np.diag(factor) < 0.0, -1.0, 1.0)
     # r = 80 columns reach every strip of the 1024 rows
     assert [strip.shape for strip in cantor5_clipped.strips] == [(STRIP, 80)] * 4
-    assert np.array_equal(dense_factor(cantor5_clipped.strips), factor)
-    assert np.array_equal(cantor5_clipped.diag_variance, np.einsum("ij,ij->i", factor, factor))
+    dense = dense_factor(cantor5_clipped.strips)
+    assert np.array_equal(dense, factor)
+    assert dense.flags.c_contiguous
+    assert np.array_equal(cantor5_clipped.diag_variance, np.einsum("ij,ij->i", dense, dense))
 
 
 @pytest.mark.parametrize("side", [30, 48])
