@@ -30,7 +30,7 @@ print("reference exponents at gamma=1, d=2, beta=2, delta=1")
 print(f"  eta = {rep.eta}, L = {rep.L}, beta_bar = {rep.beta_bar}")
 
 light = build_covariance(AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 0.04)))
-out = verify_bound(light, 0.6, 1.0, 1.0, 1.0, 20000, SEED, l2=True)
+out = verify_bound(light, 0.6, 1.0, 1.0, 1.0, 20000, SEED)
 e = out.exponent
 print(f"\ntwo-atom measure, gamma 0.6, square-integrable branch")
 print(f"  eta {e.eta:.4f}, s0 {e.s0:.4f}, t0 {e.t0:.4f}")

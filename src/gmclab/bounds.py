@@ -4,14 +4,15 @@ Laplace-transform estimates and the quantitative bound verdict.
 For an admissible pair (beta, delta) the decay exponent is
     eta = (beta - gamma^2) / (beta + gamma^2 * delta),   L = (1 + delta) / (beta - gamma^2),
 and the bound under test is E[exp(-t * mass)] <= 2^5 / (sigma * t^eta) for all
-t >= t0 = 2^4 * s0^(1/eta). In the square-integrable branch (gamma < sqrt(d),
-beta = d, delta = 1) the threshold is analytic, s0 = 2^5 * E_d / sigma; in
-general s0 comes from the empirical median of the rooted local energy
-phi_beta(root, mass) via s0 = (2^4 * median)^(1/delta).
+t >= t0 = 2^4 * s0^(1/eta). The exponents alone pick the threshold: when
+beta = d, delta = 1 and gamma < sqrt(d) (the square-integrable branch) it is
+analytic, s0 = 2^5 * E_d / sigma; otherwise s0 = (2^4 * median)^(1/delta)
+from the empirical median of the rooted local energy phi_beta(root, mass).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 
@@ -106,6 +107,19 @@ def exponents(gamma: float, d: float, beta: float, delta: float) -> ExponentRepo
     return ExponentReport(gamma, d, beta, delta, beta_bar, eta, big_l, l2_eta)
 
 
+def _threshold(s0: float, inv_eta: float) -> float:
+    """t0 = 2^4 * s0^(1/eta) as a float64 power; an s0 that is not > 0 or a t0
+    past double range is a DomainError."""
+    if not s0 > 0.0:
+        raise DomainError(f"threshold s0 must be > 0, got {s0:.6g}")
+    with np.errstate(over="ignore"):
+        t0 = float(T0_CONSTANT * np.float64(s0) ** np.float64(inv_eta))
+    if not math.isfinite(t0):
+        raise DomainError(f"threshold t0 = 2^4 * s0^(1/eta) overflows double precision "
+                          f"(s0 = {s0:.6g}, 1/eta = {inv_eta:.6g})")
+    return t0
+
+
 def t0_from_ratio(energy_ratio: float, gamma: float, d: float) -> float:
     """Square-integrable threshold 2^4 * (2^5 * E_d/sigma)^((d+g^2)/(d-g^2)).
 
@@ -117,9 +131,7 @@ def t0_from_ratio(energy_ratio: float, gamma: float, d: float) -> float:
     gamma2 = gamma * gamma
     if not gamma2 < d:
         raise DomainError("gamma must satisfy gamma < sqrt(d)")
-    if not energy_ratio > 0.0:
-        raise DomainError("energy ratio must be > 0")
-    return T0_CONSTANT * (BOUND_CONSTANT * energy_ratio) ** ((d + gamma2) / (d - gamma2))
+    return _threshold(BOUND_CONSTANT * energy_ratio, (d + gamma2) / (d - gamma2))
 
 
 def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
@@ -154,10 +166,13 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
 
 
 def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
-                 n_replicas: int, base_seed: int,
-                 l2: bool | None = None) -> BoundReport:
+                 n_replicas: int, base_seed: int) -> BoundReport:
     """Test estimate + 3 SE <= 2^5/(sigma * t^eta) on a 12-points-per-decade
     grid over [t0, 100*t0], plus the concentration-event frequency check.
+
+    t0 is the analytic square-integrable threshold, which l2_t0 repeats, when
+    beta = d, delta = 1 and gamma^2 < d, and the empirical one otherwise; then
+    l2_t0 (gamma^2 < d) is an ungraded reference, None past double range.
 
     Replica ranges are disjoint per stage and no stream block is drawn by two
     stages: with stride = ceil(N / BATCH) * BATCH, Laplace estimates use
@@ -177,29 +192,21 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     check_graded_sample(n_replicas)
     stride = -(-n_replicas // BATCH) * BATCH
     sigma = model.measure.total_mass
-    if l2 is None:
-        l2 = beta == d and delta == 1.0 and gamma * gamma < d
+    gamma2 = gamma * gamma
+    l2 = beta == d and delta == 1.0 and gamma2 < d
     dist = pair_distances(model.measure.positions)
     energy_ratio = (_distance_energy(model.measure.weights, dist, d) / sigma
-                    if gamma * gamma < d else None)
+                    if gamma2 < d else None)
     if l2:
-        if not (beta == d and delta == 1.0 and gamma * gamma < d):
-            raise DomainError(
-                "square-integrable branch requires beta = d, delta = 1, gamma < sqrt(d)")
         s0 = BOUND_CONSTANT * energy_ratio
     else:
         s0 = estimate_s0(model, gamma, beta, delta, n_replicas, base_seed,
                          start=stride, dist=dist)
-    if not s0 > 0.0:
-        raise DomainError("threshold s0 is zero; measure too degenerate to grade")
-    inv_eta = (beta + gamma * gamma * delta) / (beta - gamma * gamma)
-    with np.errstate(over="ignore"):
-        t0 = float(T0_CONSTANT * np.float64(s0) ** np.float64(inv_eta))
-    if not math.isfinite(t0):
-        raise DomainError(
-            f"threshold t0 = 2^4 * s0^(1/eta) overflows double precision "
-            f"(s0 = {s0:.6g}, 1/eta = {inv_eta:.6g}); the grid cannot be formed")
-    l2_t0 = None if energy_ratio is None else t0_from_ratio(energy_ratio, gamma, d)
+    t0 = _threshold(s0, (beta + gamma2 * delta) / (beta - gamma2))
+    l2_t0 = t0 if l2 else None
+    if energy_ratio is not None and not l2:
+        with contextlib.suppress(DomainError):  # None past double range
+            l2_t0 = t0_from_ratio(energy_ratio, gamma, d)
     report = replace(report, s0=s0, t0=t0, l2_t0=l2_t0)
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)
     laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed)
@@ -216,10 +223,10 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         ball_mass = np.zeros(n_replicas)
     else:
         green = offdiagonal_green(model.measure.positions, dist)
-        weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
+        weight = np.where(dist <= r, np.exp(gamma2 * green), 0.0)
         event_replicas = range(2 * stride, 2 * stride + n_replicas)
         ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
-    freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma * gamma))
+    freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma2))
     event_pass = freq >= 0.5 - 3.0 * se
     verdict = bool(points_pass.all() and event_pass)
     return BoundReport(report, laplace, points_pass, trivial, freq, se,

@@ -183,11 +183,6 @@ def _check_writable(path) -> None:
         raise OSError(code, os.strerror(code), path)
 
 
-def _resolve_seed(cfg: dict) -> None:
-    if cfg.get("seed") is None:
-        cfg["seed"] = int(np.random.SeedSequence().entropy % (2 ** 63))
-
-
 def _require(cfg: dict, *keys: str) -> None:
     for key in keys:
         if cfg.get(key) is None:
@@ -207,7 +202,8 @@ def _model_keys(model) -> dict:
 def _seeded_model(cfg: dict):
     """Fix the seed (drawn from entropy when absent) and build the unit-disk
     model of the measure; the epsilon it used is echoed in the config."""
-    _resolve_seed(cfg)
+    if cfg.get("seed") is None:
+        cfg["seed"] = int(np.random.SeedSequence().entropy % (2 ** 63))
     _require(cfg, "measure")
     atoms = measure_mod.load_measure(cfg["measure"])
     model = build_covariance(atoms, cfg["epsilon"])
@@ -216,7 +212,7 @@ def _seeded_model(cfg: dict):
 
 
 def _require_exponents(cfg: dict) -> None:
-    """gamma, d, beta and delta must be set; --l2 sets beta = d, delta = 1."""
+    """gamma, d, beta and delta must be set; --l2 is shorthand for beta = d, delta = 1."""
     _require(cfg, "gamma", "d")
     if cfg["l2"]:
         cfg["beta"], cfg["delta"] = cfg["d"], 1.0
@@ -280,8 +276,7 @@ def _cmd_laplace(cfg, args) -> tuple[dict, dict, int]:
                                       cfg["replicas"], cfg["seed"])
     if args.csv:
         with _writing(args.csv):
-            write_plot_csv(args.csv, report.t_values, report.estimates,
-                           report.standard_errors, report.bound_values)
+            write_plot_csv(args.csv, report)
     return cfg, {"laplace": report, **_model_keys(model)}, 0
 
 
@@ -289,12 +284,10 @@ def _cmd_verify_bound(cfg, args) -> tuple[dict, dict, int]:
     _require_exponents(cfg)
     model = _seeded_model(cfg)
     report = bounds.verify_bound(model, cfg["gamma"], cfg["d"], cfg["beta"],
-                                 cfg["delta"], cfg["replicas"], cfg["seed"],
-                                 l2=bool(cfg["l2"]))
+                                 cfg["delta"], cfg["replicas"], cfg["seed"])
     if args.csv:
         with _writing(args.csv):
-            write_plot_csv(args.csv, report.laplace.t_values, report.laplace.estimates,
-                           report.laplace.standard_errors, report.laplace.bound_values)
+            write_plot_csv(args.csv, report.laplace)
     payload = {"bound": report, **_model_keys(model)}
     if report.trivial_pass:
         payload["warning"] = ("laplace estimates underflowed to zero at every "

@@ -217,9 +217,9 @@ def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
     the normals field_matrix multiplies: replica k's column is row k % BATCH of
     the (BATCH, n) draw of block k // BATCH."""
     check_replica_count(len(indices), n)
-    return gather_blocks(
-        lambda key: replica_generator(base_seed, key).standard_normal((BATCH, n)).T,
-        indices, np.empty((len(indices), n)).T)
+    normals = np.empty((BATCH, n))
+    return gather_blocks(lambda key: block_normals(base_seed, key, normals),
+                         indices, np.empty((len(indices), n)).T)
 
 
 def field_matrix(model, base_seed: int, indices) -> np.ndarray:

@@ -42,8 +42,8 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
     Requires every covariance entry >= 0; a negative entry violates the
     positive-association hypothesis and raises.
     """
-    if not (s > 0 and t > 0):
-        raise DomainError("s and t must be > 0")
+    if not (0 < s < math.inf and 0 < t < math.inf):
+        raise DomainError("s and t must be finite and > 0")
     check_graded_sample(n_replicas)
     worst = float(model.matrix.min())
     # max|C| without an n x n temporary: max(-min, max) is exact
@@ -108,8 +108,8 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
     true variance of the mean difference smaller than the standard error
     assumes, so the error errs large and false alarms only get rarer.
     """
-    if not t > 0:
-        raise DomainError("t must be > 0")
+    if not 0 < t < math.inf:
+        raise DomainError("t must be finite and > 0")
     if not 0.0 < r_inner <= 1.0:
         raise DomainError("r_inner must lie in (0, 1]")
     if model.measure.support_radius >= r_inner:

@@ -254,8 +254,6 @@ def load_measure(path) -> AtomicMeasure:
             ys.append(y)
             ws.append(w)
     positions = np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float)
-    if positions.size and np.any(np.abs(positions) > 1.0):
-        raise ValidationError("atom outside the closed unit disk")
     return AtomicMeasure(positions, np.asarray(ws, dtype=float))
 
 

@@ -56,13 +56,16 @@ def render_report(command: str, config: dict, payload: dict,
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def write_plot_csv(path, t_values, estimates, standard_errors, bound_values=None):
-    """Plot-data table t,estimate,stderr,bound (bound blank when absent)."""
+def write_plot_csv(path, laplace):
+    """Plot-data table t,estimate,stderr,bound of a LaplaceReport (bound blank
+    when absent)."""
+    bound_values = laplace.bound_values
     rows = ["t,estimate,stderr,bound"]
-    for k, t in enumerate(np.asarray(t_values, dtype=float)):
+    for k, t in enumerate(np.asarray(laplace.t_values, dtype=float)):
         bound = ""
         if bound_values is not None and math.isfinite(bound_values[k]):
             bound = f"{bound_values[k]:.17g}"
-        rows.append(f"{t:.17g},{estimates[k]:.17g},{standard_errors[k]:.17g},{bound}")
+        rows.append(f"{t:.17g},{laplace.estimates[k]:.17g},"
+                    f"{laplace.standard_errors[k]:.17g},{bound}")
     with open(path, "w") as handle:
         handle.write("\n".join(rows) + "\n")

@@ -86,7 +86,7 @@ def test_criterion_04_change_of_measure_law():
 
 def test_criterion_05_negative_moment_bound():
     model = build_covariance(generate_uniform_grid(12, 0.8))
-    rep = verify_bound(model, 0.8, 2.0, 2.0, 1.0, 50000, SEED, l2=True)
+    rep = verify_bound(model, 0.8, 2.0, 2.0, 1.0, 50000, SEED)
     ok = bool(rep.points_pass.all())
     ok = ok and rep.event_frequency >= 0.5 - 3.0 * rep.event_se
     ok = ok and rep.verdict
@@ -190,7 +190,7 @@ def test_note_asymptotic_slope():
     # log-log slope of the Laplace estimate is at least eta
     m = AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 0.04))
     model = build_covariance(m)
-    rep = verify_bound(model, 0.6, 1.0, 1.0, 1.0, 20000, SEED, l2=True)
+    rep = verify_bound(model, 0.6, 1.0, 1.0, 1.0, 20000, SEED)
     ok = rep.verdict and not rep.trivial_pass
     ok = ok and bool(np.all(rep.laplace.estimates > 0.0))
     slope = fit_loglog_slope(rep.laplace.t_values, rep.laplace.estimates)

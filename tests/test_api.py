@@ -53,5 +53,7 @@ def test_public_surface_is_what_commands_readme_and_demos_use():
     def params(function):
         return set(inspect.signature(function).parameters)
     assert not {"start", "exponent"} & params(gmclab.laplace_transform)
+    # the exponents alone pick verify_bound's threshold branch
+    assert not {"l2"} & params(gmclab.verify_bound)
     # kahane_check takes the unit-disk model every sampled command builds
     assert not {"measure", "epsilon"} & params(gmclab.kahane_check)

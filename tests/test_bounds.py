@@ -104,6 +104,9 @@ def test_t0_from_ratio_rejects():
         t0_from_ratio(1.0, 1.5, 2.0)
     with pytest.raises(DomainError):
         t0_from_ratio(0.0, 0.5, 1.0)
+    # 2^4 * (2^5 * 1e300)^3 is past double range
+    with pytest.raises(DomainError, match="overflow"):
+        t0_from_ratio(1e300, 1.0, 2.0)
 
 
 def test_t0_l2_matches_energy(cantor3):
@@ -218,7 +221,7 @@ def test_verify_bound_nontrivial_gamma_zero():
 
 
 def test_verify_bound_l2_grid(grid16_model):
-    rep = verify_bound(grid16_model, 0.8, 2.0, 2.0, 1.0, 3000, SEED, l2=True)
+    rep = verify_bound(grid16_model, 0.8, 2.0, 2.0, 1.0, 3000, SEED)
     assert rep.verdict
     # t0 here is astronomically large, so every estimate underflows to zero
     assert rep.trivial_pass == bool(np.all(rep.laplace.estimates == 0.0))
@@ -236,11 +239,11 @@ def test_verify_bound_t_grid(model8):
 
 
 def test_verify_bound_l2_t0_field(model8):
-    rep = verify_bound(model8, 0.8, 2.0, 2.0, 1.0, 200, SEED, l2=True)
+    rep = verify_bound(model8, 0.8, 2.0, 2.0, 1.0, 200, SEED)
     assert rep.exponent.l2_t0 == pytest.approx(
         t0_l2(model8.measure, 0.8, 2.0), rel=1e-12)
-    # the l2 route computes t0 analytically, so the two coincide
-    assert rep.exponent.t0 == pytest.approx(rep.exponent.l2_t0, rel=1e-12)
+    # the square-integrable branch grades the analytic threshold itself
+    assert rep.exponent.t0 == rep.exponent.l2_t0
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +265,7 @@ def test_verify_bound_l2_computes_energy_once(model8, grid40_model, monkeypatch)
 
         monkeypatch.setattr(gmclab.measure, "_lower_distance_rows", counted)
         monkeypatch.setattr(gmclab.kernel, "_lower_distance_rows", counted)
-        rep = verify_bound(model, 0.8, 2.0, 2.0, 1.0, 200, SEED, l2=True)
+        rep = verify_bound(model, 0.8, 2.0, 2.0, 1.0, 200, SEED)
         monkeypatch.undo()
         n, rows = model.n, gmclab.kernel._tile_rows(model.n)
         assert calls == [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
@@ -272,10 +275,10 @@ def test_verify_bound_l2_computes_energy_once(model8, grid40_model, monkeypatch)
 
 
 def test_verify_bound_l2_requires_matching_parameters(model8):
-    with pytest.raises(DomainError):
-        verify_bound(model8, 0.8, 2.0, 1.9, 1.0, 200, SEED, l2=True)
-    with pytest.raises(DomainError):
-        verify_bound(model8, 1.5, 2.0, 2.0, 1.0, 200, SEED, l2=True)
+    # beta = d = 2 with gamma^2 = 2.25 > d: the square-integrable exponents
+    # need gamma^2 < d, and exponents() refuses beta <= gamma^2
+    with pytest.raises(DomainError, match="beta > gamma"):
+        verify_bound(model8, 1.5, 2.0, 2.0, 1.0, 200, SEED)
 
 
 def test_verify_bound_t0_overflow(model8):
@@ -446,7 +449,7 @@ def test_fit_loglog_slope_rejects_degenerate():
 def test_asymptotic_slope_exceeds_eta():
     # far beyond t0 the decay is much faster than the guaranteed t^-eta
     model = two_atom_model()
-    rep = verify_bound(model, 0.6, 1.0, 1.0, 1.0, 20000, SEED, l2=True)
+    rep = verify_bound(model, 0.6, 1.0, 1.0, 1.0, 20000, SEED)
     assert rep.verdict
     assert not rep.trivial_pass
     assert np.all(rep.laplace.estimates > 0.0)

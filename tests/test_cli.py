@@ -14,7 +14,8 @@ import gmclab.field
 import gmclab.inequalities
 import gmclab.kernel
 from gmclab import (AtomicMeasure, DiskKernel, build_covariance, d_energy,
-                    generate_cantor_dust, load_measure, save_measure)
+                    generate_cantor_dust, generate_uniform_grid, load_measure,
+                    save_measure, verify_bound)
 
 SEED = 7
 
@@ -157,6 +158,17 @@ def test_exponents_ratio_from_measure(files):
     assert rep["exponents"]["l2_t0"] > 0
 
 
+def test_exponents_overflowing_threshold_exits_2():
+    # 2^4 * (2^5 * 1e300)^3 is past double range: a refusal, not a traceback
+    proc = run_cli("exponents", "--gamma", 1.0, "--d", 2.0, "--l2",
+                   "--energy-ratio", 1e300, "--no-timestamp")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: threshold t0")
+    assert proc.stderr.count("\n") == 1
+
+
 # ------------------------------------------------------------------- laplace
 
 
@@ -235,6 +247,34 @@ def test_verify_bound_exit_mirrors_verdict(files):
     assert proc.returncode in (0, 1)
     rep = report(proc)
     assert (proc.returncode == 0) == rep["bound"]["verdict"]
+
+
+def test_verify_bound_overflowing_reference_is_null(files):
+    # general branch at gamma^2 = 1.96 < d = 2: the ungraded square-integrable
+    # reference (d + gamma^2)/(d - gamma^2) = 99 overflows, the graded t0 does not
+    proc = run_cli("verify-bound", "--measure", files["cantor"], "--gamma", 1.4,
+                   "--d", 2.0, "--beta", 2.5, "--delta", 1.0,
+                   "--replicas", 200, "--seed", SEED, "--no-timestamp")
+    assert proc.returncode in (0, 1), proc.stderr
+    rep = report(proc)
+    assert (proc.returncode == 0) == rep["bound"]["verdict"]
+    assert rep["bound"]["exponent"]["l2_t0"] is None
+    assert rep["bound"]["exponent"]["t0"] > 0
+
+
+def test_verify_bound_branch_follows_exponents(tmp_path):
+    # beta = d = 2, delta = 1, gamma^2 < d is the square-integrable branch
+    # whether or not --l2 spells it, and the library grades the same one
+    path = tmp_path / "grid8.csv"
+    save_measure(generate_uniform_grid(8, 0.8), path)
+    argv = ("verify-bound", "--measure", path, "--gamma", 0.5, "--d", 2.0,
+            "--replicas", 500, "--seed", 3, "--no-timestamp")
+    spelled = report(run_cli(*argv, "--beta", 2.0, "--delta", 1.0))
+    shorthand = report(run_cli(*argv, "--l2"))
+    assert spelled["bound"] == shorthand["bound"]
+    rep = verify_bound(build_covariance(load_measure(path)), 0.5, 2.0, 2.0, 1.0, 500, 3)
+    assert spelled["bound"]["exponent"]["s0"] == rep.exponent.s0
+    assert spelled["bound"]["exponent"]["t0"] == rep.exponent.t0 == rep.exponent.l2_t0
 
 
 # ----------------------------------------------------------- verify-identity

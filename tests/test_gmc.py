@@ -732,15 +732,19 @@ def test_graded_verdicts_refuse_one_replica(model8, call):
     (lambda m: fkg_check(m, 0.8, math.nan, 2.0, 10, 3), "s and t"),
     (lambda m: fkg_check(m, 0.8, 1.0, math.nan, 10, 3), "s and t"),
     (lambda m: kahane_check(m, 0.8, 0.9, math.nan, 10, 3), "t must"),
+    (lambda m: fkg_check(m, 0.8, math.inf, 2.0, 10, 3), "s and t"),
+    (lambda m: fkg_check(m, 0.8, 1.0, math.inf, 10, 3), "s and t"),
+    (lambda m: kahane_check(m, 0.8, 0.9, math.inf, 10, 3), "t must"),
     (lambda m: laplace_transform(m, 0.8, [1.0, math.nan], 10, 3), "t values"),
     (lambda m: small_ball_tail(m, 0.8, [math.nan], 10, 3), "thresholds"),
     (lambda m: laplace_transform(m, math.nan, [1.0], 10, 3), "gamma must be finite"),
     (lambda m: fkg_check(m, math.inf, 1.0, 2.0, 10, 3), "gamma must be finite"),
     (lambda m: small_ball_tail(m, -math.inf, [0.5], 10, 3), "gamma must be finite"),
-], ids=["fkg-s", "fkg-t", "kahane-t", "laplace-t", "tail-threshold", "laplace-gamma",
+], ids=["fkg-s", "fkg-t", "kahane-t", "fkg-s-inf", "fkg-t-inf", "kahane-t-inf", "laplace-t", "tail-threshold", "laplace-gamma",
         "fkg-gamma-inf", "tail-gamma-minus-inf"])
 def test_nan_parameters_are_refused(model4, call, message):
-    # NaN passes a range test written as x <= 0, so each test asks x > 0
+    # NaN passes a range test written as x <= 0, so each test asks x > 0;
+    # an infinite s or t damps every mass to 0 and would pass on a constant
     with pytest.raises(DomainError, match=message):
         call(model4)
 
