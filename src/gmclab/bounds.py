@@ -140,9 +140,13 @@ def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
     """Threshold estimate (2^4 * median of phi_beta)^(1/delta) over the rooted
     local energies phi_beta(root, mass), root atom excluded, of replicas
     start .. start+n_replicas-1, from pair_distances(positions), which the
-    caller may pass as dist. No replicas at all is a DomainError (check_sample)."""
+    caller may pass as dist. No replicas at all, or a gamma or beta that is
+    not finite, is a DomainError."""
     if not delta > 0.0:
         raise DomainError("delta must satisfy delta > 0")
+    for name, value in (("gamma", gamma), ("beta", beta)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, not {value}")
     check_sample(n_replicas)
     replicas = replica_range(start, n_replicas)
     if dist is None:

@@ -256,15 +256,22 @@ def _cmd_exponents(cfg, args) -> tuple[dict, dict, int]:
     _require_exponents(cfg)
     report = bounds.exponents(cfg["gamma"], cfg["d"], cfg["beta"], cfg["delta"])
     payload = {}
-    if cfg["gamma"] ** 2 < cfg["d"]:
-        ratio = cfg["energy_ratio"]
-        if ratio is None and cfg["measure"] is not None:
-            atoms = measure_mod.load_measure(cfg["measure"])
-            ratio = measure_mod.d_energy(atoms, cfg["d"]) / atoms.total_mass
-            payload["energy_ratio"] = ratio
-        if ratio is not None:
-            report = replace(report,
-                             l2_t0=bounds.t0_from_ratio(ratio, cfg["gamma"], cfg["d"]))
+    ratio, path = cfg["energy_ratio"], cfg["measure"]
+    # each sets the square-integrable threshold; one that would go unused is refused
+    if ratio is not None and path is not None:
+        raise ValidationError("energy_ratio and measure each set the "
+                              "square-integrable threshold: give one")
+    if (ratio is not None or path is not None) and not cfg["gamma"] ** 2 < cfg["d"]:
+        raise ValidationError(
+            "energy_ratio and measure set the square-integrable threshold, which "
+            f"needs gamma^2 < d (gamma={cfg['gamma']:g}, d={cfg['d']:g})")
+    if path is not None:
+        atoms = measure_mod.load_measure(path)
+        ratio = measure_mod.d_energy(atoms, cfg["d"]) / atoms.total_mass
+        payload["energy_ratio"] = ratio
+    if ratio is not None:
+        report = replace(report,
+                         l2_t0=bounds.t0_from_ratio(ratio, cfg["gamma"], cfg["d"]))
     payload["exponents"] = report
     return cfg, payload, 0
 

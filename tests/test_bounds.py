@@ -151,6 +151,17 @@ def test_s0_rejects_nonpositive_delta(model8):
         estimate_s0(model8, 0.8, 1.2, 0.0, 100, SEED)
 
 
+@pytest.mark.parametrize("gamma, beta", [(0.8, math.nan), (math.nan, 1.5),
+                                         (math.inf, 1.5), (0.8, math.inf)],
+                         ids=["beta_nan", "gamma_nan", "gamma_inf", "beta_inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_s0_rejects_non_finite_gamma_or_beta(model4, gamma, beta):
+    # let through, these return nan, nan, nan after a RuntimeWarning, and inf
+    name = "beta" if math.isfinite(gamma) else "gamma"
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        estimate_s0(model4, gamma, beta, 1.0, 50, SEED)
+
+
 # ----------------------------------------------------------- laplace transform
 
 

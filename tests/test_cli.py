@@ -33,19 +33,19 @@ def report(proc):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    paths = {"root": root, "grid": root / "grid16.csv",
-             "small": root / "grid8_small.csv", "cantor": root / "cantor3.csv",
-             "single": root / "single.csv", "quad": root / "quad.csv",
+    paths = {"root": root, "single": root / "single.csv", "quad": root / "quad.csv",
              "heavy": root / "heavy.csv"}
-    proc = run_cli("generate", "grid", "--n", 16, "--radius", 0.8,
-                   "--out", paths["grid"], "--no-timestamp")
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli("generate", "grid", "--n", 8, "--radius", 0.4,
-                   "--out", paths["small"], "--no-timestamp")
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli("generate", "cantor", "--level", 3, "--radius", 0.4,
-                   "--out", paths["cantor"], "--no-timestamp")
-    assert proc.returncode == 0, proc.stderr
+    for key, argv in {"grid": ("grid", "--n", 16, "--radius", 0.8),
+                      "small": ("grid", "--n", 8, "--radius", 0.4),
+                      "cantor": ("cantor", "--level", 3, "--radius", 0.4),
+                      "grid8": ("grid", "--n", 8, "--radius", 0.8),
+                      "grid20": ("grid", "--n", 20, "--radius", 0.8),
+                      "grid30": ("grid", "--n", 30, "--radius", 0.8),
+                      "grid32": ("grid", "--n", 32, "--radius", 0.8),
+                      "cantor5": ("cantor", "--level", 5, "--radius", 0.4)}.items():
+        paths[key] = root / f"{key}.csv"
+        proc = run_cli("generate", *argv, "--out", paths[key], "--no-timestamp")
+        assert proc.returncode == 0, proc.stderr
     save_measure(AtomicMeasure(np.array([0.3 + 0j]), np.array([1.0])),
                  paths["single"])
     save_measure(AtomicMeasure(np.array([0.5, -0.5, 0.5j, -0.5j]),
@@ -144,6 +144,7 @@ def test_exponents_l2_reference():
 def test_exponents_energy_ratio_threshold():
     proc = run_cli("exponents", "--gamma", 1.0, "--d", 2.0, "--l2",
                    "--energy-ratio", 1.0, "--no-timestamp")
+    assert proc.returncode == 0
     rep = report(proc)
     assert rep["exponents"]["l2_t0"] == 524288.0
 
@@ -167,6 +168,25 @@ def test_exponents_overflowing_threshold_exits_2():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: threshold t0")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--gamma", "1.45", "--d", "2", "--beta", "2.2", "--delta", "1",
+      "--energy-ratio", "5"), "needs gamma^2 < d (gamma=1.45, d=2)"),
+    (("--gamma", "1.45", "--d", "2", "--beta", "2.2", "--delta", "1",
+      "--measure", "MISSING"), "needs gamma^2 < d (gamma=1.45, d=2)"),
+    (("--gamma", "1", "--d", "2", "--l2", "--energy-ratio", "1",
+      "--measure", "MISSING"), "energy_ratio and measure each set"),
+], ids=["ratio_unused", "measure_unused", "ratio_and_measure"])
+def test_exponents_unused_threshold_input_exits_2(tmp_path, capsys, argv, message):
+    # let through, the first reports "l2_t0": null, the second never opens
+    # the missing file, and the third uses the ratio and ignores the file
+    argv = [str(tmp_path / "nonexistent.csv") if a == "MISSING" else a for a in argv]
+    assert gmclab.cli.main(["exponents", *argv, "--no-timestamp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
 
 
 # ------------------------------------------------------------------- laplace
@@ -356,7 +376,7 @@ def test_verify_change_of_measure_mass_default(files):
      "the total masses at gamma=60 under- or overflow: all 50 replicas"),
 ], ids=["identity", "change-of-measure", "fkg", "kahane", "laplace", "tail"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_underflowing_rooted_sums_exit_2(tmp_path, capsys, argv, message):
+def test_underflowing_rooted_sums_exit_2(files, capsys, argv, message):
     # on the 8x8 grid of radius 0.8 every identity right side underflows to 0
     # at gamma 40, and the squares of the gamma' 30 mass sums do too: a null
     # max_rel_err or effective_sample_size with exit 1 when let through; at
@@ -364,11 +384,7 @@ def test_underflowing_rooted_sums_exit_2(tmp_path, capsys, argv, message):
     # pass on a statistic and threshold of 0, laplace as estimates of 1 and
     # tail as a frequency of 1, each with a standard error of 0. Each exits
     # 2 with its one error line and no numpy warning before it
-    path = tmp_path / "grid8.csv"
-    assert gmclab.cli.main(["generate", "grid", "--n", "8", "--radius", "0.8",
-                            "--out", str(path), "--no-timestamp"]) == 0
-    capsys.readouterr()
-    assert gmclab.cli.main([*argv, "--measure", str(path), "--replicas", "50",
+    assert gmclab.cli.main([*argv, "--measure", str(files["grid8"]), "--replicas", "50",
                             "--seed", "1", "--no-timestamp"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -472,6 +488,57 @@ def test_tail_gamma_zero(files):
     assert proc.returncode == 0
     rep = report(proc)
     assert rep["tail"]["frequencies"] == [0.0]
+
+
+# ------------------------------------------------------- stream block edge
+
+
+# 1500 replicas cross a stream block edge (BATCH = 1024), where the strip
+# engine restarts its per-replica sums, one row per sum for the rooted ones
+# (two for the identity, three for the change of measure). The grids' factors
+# span the blocked Cholesky's layouts: 400 atoms are three block columns of
+# kernel.CHOL_BLOCK = 128 atoms and a fourth of 16, 1024 atoms are 8 block
+# columns over 4 strips, and 900 atoms end in a partial strip of 132 rows
+# (STRIP = 256). The level-5 dust at epsilon 0.05 fails Cholesky, so the
+# clipped build's range finder runs; at the default epsilon kahane's disk
+# model finds epsilon in its fill and the subdisk model is built at it. On
+# both verify-bound measures the event ball holds no second atom, so that
+# stage draws no field block.
+BLOCK_EDGE_ARGV = {
+    "laplace_grid8": ("laplace", "grid8", "--gamma", "0.8", "--t", "1,5"),
+    "identity_grid8": ("verify-identity", "grid8", "--gamma", "0.8",
+                       "--gamma-prime", "0.8"),
+    "com_grid8": ("verify-change-of-measure", "grid8", "--gamma-prime", "0.6"),
+    "com_atom_value_grid8": ("verify-change-of-measure", "grid8", "--gamma-prime", "0.6",
+                             "--statistic", "atom-value", "--atom-index", "5"),
+    "laplace_grid20": ("laplace", "grid20", "--gamma", "0.8", "--t", "1,5"),
+    "identity_grid20": ("verify-identity", "grid20", "--gamma", "0.8",
+                        "--gamma-prime", "0.8"),
+    "identity_grid32": ("verify-identity", "grid32", "--gamma", "0.8",
+                        "--gamma-prime", "0.8"),
+    "laplace_grid30": ("laplace", "grid30", "--gamma", "0.8", "--t", "1,5"),
+    "identity_grid30": ("verify-identity", "grid30", "--gamma", "0.8",
+                        "--gamma-prime", "0.8"),
+    "kahane_clipped_cantor5": ("verify-ineq", "cantor5", "--which", "kahane",
+                               "--epsilon", "0.05"),
+    "kahane_cantor5": ("verify-ineq", "cantor5", "--which", "kahane"),
+    "bound_clipped_cantor5": ("verify-bound", "cantor5", "--epsilon", "0.05",
+                              "--gamma", "1.2", "--d", "2", "--beta", "1.8",
+                              "--delta", "1"),
+    "bound_grid8": ("verify-bound", "grid8", "--gamma", "1.2", "--d", "2",
+                    "--beta", "1.8", "--delta", "1"),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_EDGE_ARGV)
+def test_sampled_commands_pass_across_a_stream_block_edge(files, capsys, case):
+    command, measure, *flags = BLOCK_EDGE_ARGV[case]
+    assert gmclab.cli.main([command, "--measure", str(files[measure]), *flags,
+                            "--replicas", "1500", "--seed", str(SEED),
+                            "--no-timestamp"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["command"] == command
 
 
 # ------------------------------------------------------------ error handling
