@@ -22,7 +22,7 @@ from .errors import DomainError
 from .field import BATCH, check_replica_count, replica_range
 from .gmc import (check_graded_sample, check_sample, graded_total_masses, mean_se,
                   rooted_kernel_sums)
-from .kernel import offdiagonal_green, pair_distances
+from .kernel import UNIT_DISK, pair_distances
 from .measure import _distance_energy
 
 BOUND_CONSTANT = 2.0 ** 5
@@ -107,13 +107,19 @@ def exponents(gamma: float, d: float, beta: float, delta: float) -> ExponentRepo
     return ExponentReport(gamma, d, beta, delta, beta_bar, eta, big_l, l2_eta)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent as a float64 power: inf past double range, with no
+    warning and no OverflowError."""
+    with np.errstate(over="ignore"):
+        return float(np.float64(base) ** np.float64(exponent))
+
+
 def _threshold(s0: float, inv_eta: float) -> float:
     """t0 = 2^4 * s0^(1/eta) as a float64 power; an s0 that is not > 0 or a t0
     past double range is a DomainError."""
     if not s0 > 0.0:
         raise DomainError(f"threshold s0 must be > 0, got {s0:.6g}")
-    with np.errstate(over="ignore"):
-        t0 = float(T0_CONSTANT * np.float64(s0) ** np.float64(inv_eta))
+    t0 = T0_CONSTANT * _power(s0, inv_eta)
     if not math.isfinite(t0):
         raise DomainError(f"threshold t0 = 2^4 * s0^(1/eta) overflows double precision "
                           f"(s0 = {s0:.6g}, 1/eta = {inv_eta:.6g})")
@@ -140,8 +146,9 @@ def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
     """Threshold estimate (2^4 * median of phi_beta)^(1/delta) over the rooted
     local energies phi_beta(root, mass), root atom excluded, of replicas
     start .. start+n_replicas-1, from pair_distances(positions), which the
-    caller may pass as dist. No replicas at all, or a gamma or beta that is
-    not finite, is a DomainError."""
+    caller may pass as dist. No replicas at all, a gamma or beta that is not
+    finite, or an s0 past double range (the float64 rule of t0) is a
+    DomainError."""
     if not delta > 0.0:
         raise DomainError("delta must satisfy delta > 0")
     for name, value in (("gamma", gamma), ("beta", beta)):
@@ -152,7 +159,11 @@ def estimate_s0(model, gamma: float, beta: float, delta: float, n_replicas: int,
     if dist is None:
         dist = pair_distances(model.measure.positions)
     phi = rooted_kernel_sums(model, base_seed, replicas, gamma, dist ** -beta)
-    return float((T0_CONSTANT * np.median(phi)) ** (1.0 / delta))
+    s0 = _power(T0_CONSTANT * np.median(phi), 1.0 / delta)
+    if math.isinf(s0):
+        raise DomainError(f"threshold s0 = (2^4 * median)^(1/delta) overflows double "
+                          f"precision (1/delta = {1.0 / delta:.6g})")
+    return s0
 
 
 def laplace_transform(model, gamma: float, t_values, n_replicas: int,
@@ -185,10 +196,16 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
 
     The pair distances are formed once: for the d-energy when gamma^2 < d,
     and for the threshold and event stages.
-    When no two atoms lie within the event radius r = s0^-L of each other,
-    every ball mass is an empty sum, exactly 0.0, and the event stage draws
-    no field block; otherwise each is rooted_kernel_sums over the Green
-    weight exp(gamma^2 G) inside the ball.
+    The event check holds when the mass in the ball B(root, r = s0^-L)
+    stays below s0^delta * r^(beta - gamma^2), which is 1/s0 since
+    L * (beta - gamma^2) = 1 + delta. r is a float64 power capped at 2, the
+    unit disk's diameter, so a capped ball holds every other atom and never
+    the root, whose own distance is inf. When no two atoms lie within r of
+    each other, every ball mass is an empty sum, exactly 0.0, and the event
+    stage draws no field block and forms no Green weight; otherwise each is
+    rooted_kernel_sums over exp(gamma^2 G) inside the ball, G being the
+    off-diagonal of the default-epsilon kernel fill (UNIT_DISK.entry_matrix),
+    which is the Green kernel bit for bit.
     """
     report = exponents(gamma, d, beta, delta)
     steps = GRID_POINTS_PER_DECADE * GRID_DECADES + 1
@@ -220,17 +237,18 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     points_pass = laplace.estimates + 3.0 * laplace.standard_errors <= laplace.bound_values
     trivial = bool(np.all(laplace.estimates == 0.0))
     # concentration event: the kernel-weighted mass inside the ball
-    # B(root, r = s0^-L) stays below s0^delta * r^(beta - gamma^2)
-    r = s0 ** -report.L
+    # B(root, r = s0^-L) stays below s0^delta * r^(beta - gamma^2) = 1/s0
+    r = min(_power(s0, -report.L), 2.0)
     if dist.min() > r:
         # no ball holds a second atom: every ball mass is an empty sum
         ball_mass = np.zeros(n_replicas)
     else:
-        green = offdiagonal_green(model.measure.positions, dist)
+        green = UNIT_DISK.entry_matrix(model.measure.positions)[0]
+        np.fill_diagonal(green, 0.0)
         weight = np.where(dist <= r, np.exp(gamma2 * green), 0.0)
         event_replicas = range(2 * stride, 2 * stride + n_replicas)
         ball_mass = rooted_kernel_sums(model, base_seed, event_replicas, gamma, weight)
-    freq, se = mean_se(ball_mass <= s0 ** delta * r ** (beta - gamma2))
+    freq, se = mean_se(ball_mass <= 1.0 / s0)
     event_pass = freq >= 0.5 - 3.0 * se
     verdict = bool(points_pass.all() and event_pass)
     return BoundReport(report, laplace, points_pass, trivial, freq, se,

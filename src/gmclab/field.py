@@ -191,8 +191,9 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
     and the columns asked for are copied out of its array before the next
     block is made, so that array may be a view into a buffer block reuses.
     A step-1 range is walked as slices cut at block edges; any other index
-    list is grouped by block. An index below 0, an index that is not an
-    integer or a range that ends before it starts is a DomainError."""
+    list is grouped by block, by one stable sort of its block keys cut where
+    the key changes. An index below 0, an index that is not an integer or a
+    range that ends before it starts is a DomainError."""
     if isinstance(indices, range) and indices.step == 1:
         start, stop = indices.start, indices.stop
         if start < 0:
@@ -209,9 +210,12 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
         raise DomainError("replica indices must be integers >= 0")
     indices = indices.astype(np.int64, copy=False)
     keys = indices // BATCH
-    for key in np.unique(keys):
-        picked = keys == key
-        out[..., picked] = block(int(key))[..., indices[picked] - key * BATCH]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], keys.size]):
+        picked, key = order[lo:hi], int(keys[lo])
+        out[..., picked] = block(key)[..., indices[picked] - key * BATCH]
     return out
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
 from .gmc import check_graded_sample, graded_total_masses, mean_se
-from .kernel import PSD_TOL, DiskKernel, _tile_rows, build_covariance, markov_difference_psd
+from .kernel import (DiskKernel, _tile_rows, build_covariance, markov_difference_psd,
+                     psd_threshold)
 from .measure import AtomicMeasure
 
 ENTRY_SIGN_TOL = 1e-12
@@ -146,8 +147,7 @@ def markov_psd_suite(measure: AtomicMeasure, radii) -> list[InequalityVerdict]:
     verdicts = []
     for r in np.atleast_1d(np.asarray(radii, dtype=float)):
         _, min_eig, max_eig, psd = markov_difference_psd(measure, float(r))
-        threshold = -PSD_TOL * max(max_eig, 0.0)
         verdicts.append(InequalityVerdict(
-            f"markov_psd(r={r:g})", min_eig, threshold, psd,
+            f"markov_psd(r={r:g})", min_eig, psd_threshold(max_eig), psd,
             details={"max_eig": max_eig}))
     return verdicts

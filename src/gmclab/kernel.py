@@ -34,7 +34,9 @@ cache. Each entry comes from the same expression as an untiled evaluation,
 and every formula is symmetric bit for bit, so the pair matrices are
 bit-identical to an untiled evaluation of all n**2 entries at about half its
 work. At the default epsilon the same fill also finds epsilon, in the
-distances it forms anyway (DiskKernel.entry_matrix).
+distances it forms anyway (DiskKernel.entry_matrix); every pair then lies at
+least 2 * epsilon apart, so the fill's off-diagonal is the Green kernel bit
+for bit, and verify-bound's event stage takes its Green weights from it.
 
 The symmetric LAPACK calls (eigh, eigvalsh, and each cholesky) get the
 F-ordered view matrix.T: numpy copies its input into a column-major buffer
@@ -82,7 +84,7 @@ CHOL_BLOCK = 128
 # names the pair-matrix arithmetic in reports that sample nothing (markov);
 # bumped whenever a change moves any entry of a pair matrix
 KERNEL_VERSION = 1
-# markov_difference_psd's pass: the least eigenvalue >= -PSD_TOL * the largest
+# markov_difference_psd's pass: the least eigenvalue >= psd_threshold(the largest)
 PSD_TOL = 1e-8
 # columns per block of the range finder of a clipped build
 RANGE_BLOCK = 32
@@ -218,10 +220,13 @@ def _clip_cut(eigvals: np.ndarray) -> float:
     lam_max, the window's two ends counting as neighbours.
 
     The same rule serves eigh's eigenvalues and the range finder's Ritz
-    values: the window starts above the range finder's resolution, so noise
-    Ritz values never reach it, and a cut in the widest gap keeps r where
-    another solver's small errors cannot move it. With no eigenvalue in the
-    window the cut is the window's geometric middle. A matrix with no
+    values, and a cut in the widest gap keeps r where another solver's small
+    errors cannot move it. The window's low end does not clear the range
+    finder's resolution, RANGE_RTOL * ||C||_F: on the level-4 and level-5
+    Cantor dust at epsilon 0.05, ||C||_F / lam_max is 1.17 at kernel radius 1
+    and 1.45 at 0.5, so 1e-9 * lam_max lies below it. The tests hold r equal
+    to eigh's there (80 and 84 on the level-5 dust). With no eigenvalue in
+    the window the cut is the window's geometric middle. A matrix with no
     positive eigenvalue gets the cut 0 and keeps nothing.
     """
     eig_max = float(eigvals[-1])
@@ -525,16 +530,10 @@ def pair_distances(positions: np.ndarray) -> np.ndarray:
                         lambda lo, hi, out: _lower_distance_rows(positions, lo, hi, out=out))
 
 
-def offdiagonal_green(positions: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The unit-disk Green matrix between distinct atoms, 0 on the diagonal,
-    from their pair distances dist = pair_distances(positions)."""
-
-    def fill_rows(lo, hi, out):
-        UNIT_DISK._smooth_rows(positions, lo, hi, out=out)
-        out -= np.log(dist[lo:hi, :hi])
-    green = _pair_matrix(positions.size, fill_rows)
-    np.fill_diagonal(green, 0.0)
-    return green
+def psd_threshold(max_eig: float) -> float:
+    """The least eigenvalue a difference kernel may have and pass as PSD:
+    -PSD_TOL * max_eig, and 0 when no eigenvalue is positive."""
+    return -PSD_TOL * max(max_eig, 0.0)
 
 
 def markov_difference_psd(measure: AtomicMeasure, r: float):
@@ -543,7 +542,8 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
     The off-diagonal log-distance parts cancel, so entries close over the
     diagonal: D = log|1 - x*conj(y)| - log|r**2 - x*conj(y)| + log r, with
     diagonal log(1 - |p|**2) - log((r**2 - |p|**2)/r). Returns
-    (matrix, min_eig, max_eig, psd) with psd true when min_eig >= -PSD_TOL * max_eig.
+    (matrix, min_eig, max_eig, psd) with psd true when min_eig >=
+    psd_threshold(max_eig).
     """
     if not 0.0 < r <= 1.0:
         raise DomainError("r must lie in (0, 1]")
@@ -559,5 +559,4 @@ def markov_difference_psd(measure: AtomicMeasure, r: float):
     # diff is symmetric bit for bit: its F-ordered view is a contiguous copy
     eigvals = np.linalg.eigvalsh(diff.T)
     min_eig, max_eig = float(eigvals[0]), float(eigvals[-1])
-    psd = min_eig >= -PSD_TOL * max(max_eig, 0.0)
-    return diff, min_eig, max_eig, psd
+    return diff, min_eig, max_eig, min_eig >= psd_threshold(max_eig)

@@ -1,13 +1,13 @@
 """Reference implementations the test suites compare the library against.
 
 These are the scalar, per-replica and one-eigh forms of computations that
-gmclab does in bulk: a scalar kernel entry against the tiled pair matrices,
-one full eigh clip against the range finder, the dense n x n Cholesky
-factor against the strip-packed one, one replica's rooted sample
-against the block-streamed rooted samplers, the strip engine's weighted
-reduction over materialized terms, the default epsilon from one
-distance pass against the one the kernel fill finds, and the rooted local
-energy of one replica's masses. No command, demo or benchmark calls them, so
+gmclab does in bulk: a scalar kernel entry and an untiled Green matrix
+against the tiled pair matrices, one full eigh clip against the range
+finder, the dense n x n Cholesky factor against the strip-packed one, one
+replica's rooted sample against the block-streamed rooted samplers, the
+strip engine's weighted reduction over materialized terms, the default
+epsilon from one distance pass against the one the kernel fill finds, and
+the rooted local energy of one replica's masses. No command, demo or benchmark calls them, so
 they live here, next to the tests, and not in the package.
 """
 
@@ -43,6 +43,20 @@ def smooth_matrix(kernel: DiskKernel, positions: np.ndarray) -> np.ndarray:
     """smooth_part over all atom pairs, in real arithmetic: symmetric bit for bit."""
     return _pair_matrix(positions.size,
                         lambda lo, hi, out: kernel._smooth_rows(positions, lo, hi, out=out))
+
+
+def untiled_green(positions: np.ndarray) -> np.ndarray:
+    """The unit-disk Green matrix between distinct atoms, 0 on the diagonal,
+    as one untiled n x n evaluation of log|1 - x*conj(y)| - log|x - y| in
+    the real arithmetic of the kernel fill."""
+    x, y = positions.real[:, None], positions.imag[:, None]
+    re = 1.0 - x * x.T - y * y.T
+    im = y * x.T - x * y.T
+    dist = np.abs(positions[:, None] - positions[None, :])
+    np.fill_diagonal(dist, 1.0)
+    green = np.log(np.sqrt(re * re + im * im)) - np.log(dist)
+    np.fill_diagonal(green, 0.0)
+    return green
 
 
 def default_epsilon(measure: AtomicMeasure) -> float:

@@ -152,7 +152,7 @@ def test_criterion_10_splitter():
     _grade("10 splitter", ok)
 
 
-def test_criterion_11_thread_reproducibility(tmp_path):
+def test_criterion_11_rerun_reproducibility(tmp_path):
     grid = tmp_path / "grid.csv"
     dust = tmp_path / "dust.csv"
     single = tmp_path / "single.csv"
@@ -178,11 +178,11 @@ def test_criterion_11_thread_reproducibility(tmp_path):
     ok = True
     for argv in runs:
         base = (*argv, "--seed", SEED, "--no-timestamp")
-        one = _cli(*base)
-        three = _cli(*base)
-        ok = ok and one.stdout == three.stdout and one.stdout != ""
-        ok = ok and one.returncode == three.returncode
-    _grade("11 thread-reproducibility", ok)
+        first = _cli(*base)
+        rerun = _cli(*base)
+        ok = ok and first.stdout == rerun.stdout and first.stdout != ""
+        ok = ok and first.returncode == rerun.returncode
+    _grade("11 rerun-reproducibility", ok)
 
 
 def test_note_asymptotic_slope():

@@ -23,8 +23,8 @@ from gmclab import (
 )
 from gmclab.field import BATCH
 from gmclab.gmc import mean_se, rooted_kernel_sums
-from gmclab.kernel import offdiagonal_green, pair_distances
-from reference import t0_l2
+from gmclab.kernel import DiskKernel, pair_distances
+from reference import t0_l2, untiled_green
 
 SEED = 31
 
@@ -160,6 +160,13 @@ def test_s0_rejects_non_finite_gamma_or_beta(model4, gamma, beta):
     name = "beta" if math.isfinite(gamma) else "gamma"
     with pytest.raises(DomainError, match=f"{name} must be finite"):
         estimate_s0(model4, gamma, beta, 1.0, 50, SEED)
+
+
+def test_s0_past_double_range_is_refused(model8):
+    # (2^4 * median)^(1/delta) with 1/delta = 1000: let through, a
+    # RuntimeWarning and s0 = inf, refused only later as a t0 overflow
+    with pytest.raises(DomainError, match="s0 = .* overflows double precision"):
+        estimate_s0(model8, 1.0, 1.5, 0.001, 200, 1)
 
 
 # ----------------------------------------------------------- laplace transform
@@ -316,7 +323,7 @@ def light_model():
 
 # general-branch (gamma, d, beta, delta). On grid8 r = s0^-L sits far below
 # the grid spacing, so the event ball holds no second atom; on the light
-# measure s0 ~ 0.59 and r ~ 10.6 exceeds the atoms' distance 1.0
+# measure s0 ~ 0.59 and s0^-L ~ 10.6, capped at 2, exceeds the atoms' distance 1.0
 EMPTY_BALL = (0.8, 2.0, 1.8, 1.0)
 FULL_BALL = (0.6, 1.0, 0.8, 1.0)
 
@@ -353,18 +360,36 @@ def test_verify_bound_full_ball_draws_each_block_once(light_model, monkeypatch):
     assert len(set(keys)) == len(keys)
 
 
+def _event_ball_masses(model, gamma, n, weight):
+    # the event stage's replicas, after the Laplace and threshold stages'
+    stride = -(-n // BATCH) * BATCH
+    return rooted_kernel_sums(model, SEED, range(2 * stride, 2 * stride + n), gamma, weight)
+
+
 def _event_reference(model, args, n, report):
     # the dense event stage: ball weights over every pair, summed per replica
+    # and held against s0^delta * r^(beta - gamma^2), the uncapped r = s0^-L
     gamma, _, beta, delta = args
     s0, big_l = report.exponent.s0, report.exponent.L
     r = s0 ** -big_l
     dist = pair_distances(model.measure.positions)
-    green = offdiagonal_green(model.measure.positions, dist)
+    green = untiled_green(model.measure.positions)
     weight = np.where(dist <= r, np.exp(gamma * gamma * green), 0.0)
-    stride = -(-n // BATCH) * BATCH
-    ball = rooted_kernel_sums(model, SEED, range(2 * stride, 2 * stride + n), gamma,
-                              weight)
+    ball = _event_ball_masses(model, gamma, n, weight)
     return r, dist, weight, ball, mean_se(ball <= s0 ** delta * r ** (beta - gamma * gamma))
+
+
+def _recording_green_fills(monkeypatch):
+    # the positions of every kernel fill, verify-bound's Green weights included
+    fills = []
+    real = DiskKernel.entry_matrix
+
+    def recording(self, positions, *a, **k):
+        fills.append(positions)
+        return real(self, positions, *a, **k)
+
+    monkeypatch.setattr(DiskKernel, "entry_matrix", recording)
+    return fills
 
 
 @pytest.mark.parametrize("name, args", [
@@ -373,9 +398,7 @@ def _event_reference(model, args, n, report):
 ])
 def test_empty_event_ball_draws_no_field(request, monkeypatch, name, args):
     model, n = request.getfixturevalue(name), 300
-    greens = []
-    monkeypatch.setattr(gmclab.bounds, "offdiagonal_green",
-                        lambda *a, **k: greens.append(a) or offdiagonal_green(*a, **k))
+    greens = _recording_green_fills(monkeypatch)
     keys, report = _drawn_field_blocks(monkeypatch, model, args, n)
     assert greens == []
     # Laplace block 0 and threshold block 1; the event block 2 is never drawn
@@ -394,14 +417,47 @@ def test_event_ball_masses_are_kernel_sums_over_the_ball(light_model, monkeypatc
         return sums[-1]
 
     monkeypatch.setattr(gmclab.bounds, "rooted_kernel_sums", recording)
+    greens = _recording_green_fills(monkeypatch)
     report = verify_bound(light_model, *args, n, SEED)
     monkeypatch.undo()
+    assert len(greens) == 1
     r, dist, weight, ball, (freq, se) = _event_reference(light_model, args, n, report)
     assert dist.min() <= r and weight.any()
     # the threshold stage's local energies, then the event stage's ball masses
     assert len(sums) == 2
     assert np.array_equal(sums[1], ball)
     assert (report.event_frequency, report.event_se) == (freq, se)
+
+
+@pytest.mark.parametrize("measure, epsilon, args", [
+    pytest.param(AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 0.04)), None,
+                 (0.6, 1.0, 0.361, 1.0), id="light_beta_0.361"),
+    pytest.param(generate_uniform_grid(4, 0.8), 1e-300, (1.2, 2.0, 1.8, 1.0),
+                 id="grid4_eps_1e-300"),
+])
+def test_event_ball_beyond_every_pair_holds_every_other_atom(monkeypatch, measure,
+                                                             epsilon, args):
+    # s0^-L overflows double range; capped at 2, the ball holds every other
+    # atom and never the root, and the event bound is 1/s0
+    model, n = build_covariance(measure, epsilon), 600
+    gamma = args[0]
+    sums = []
+
+    def recording(*a, **k):
+        sums.append(rooted_kernel_sums(*a, **k))
+        return sums[-1]
+
+    monkeypatch.setattr(gmclab.bounds, "rooted_kernel_sums", recording)
+    report = verify_bound(model, *args, n, SEED)
+    monkeypatch.undo()
+    s0, big_l = report.exponent.s0, report.exponent.L
+    with np.errstate(over="ignore"):
+        assert np.float64(s0) ** -big_l == math.inf
+    weight = np.exp(gamma * gamma * untiled_green(measure.positions))
+    np.fill_diagonal(weight, 0.0)
+    ball = _event_ball_masses(model, gamma, n, weight)
+    assert np.array_equal(sums[-1], ball)
+    assert (report.event_frequency, report.event_se) == mean_se(ball <= 1.0 / s0)
 
 
 # ----------------------------------------------------------------- small ball

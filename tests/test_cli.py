@@ -282,6 +282,23 @@ def test_verify_bound_overflowing_reference_is_null(files):
     assert rep["bound"]["exponent"]["t0"] > 0
 
 
+@pytest.mark.parametrize("beta", ["0.361", "0.3601"])
+def test_verify_bound_overflowing_event_radius_exits_by_verdict(tmp_path, beta):
+    # the benchmark's light measure at beta just above gamma^2: L = 2000 (and
+    # 20000) sends s0^-L past double range, which the capped radius absorbs
+    path = tmp_path / "light.csv"
+    save_measure(AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 0.04)), path)
+    proc = run_cli("verify-bound", "--measure", path, "--gamma", 0.6, "--d", 1,
+                   "--beta", beta, "--delta", 1, "--replicas", 2000, "--seed", 1,
+                   "--no-timestamp")
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1
+    assert proc.returncode in (0, 1)
+    rep = report(proc)
+    assert (proc.returncode == 0) == rep["bound"]["verdict"]
+    assert rep["bound"]["exponent"]["beta"] == float(beta)
+
+
 def test_verify_bound_branch_follows_exponents(tmp_path):
     # beta = d = 2, delta = 1, gamma^2 < d is the square-integrable branch
     # whether or not --l2 spells it, and the library grades the same one
@@ -668,21 +685,27 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: gmclab laplace")
 
 
-# ------------------------------------------------------------- thread parity
+# ------------------------------------------------------- config-file parity
 
 
-@pytest.mark.parametrize("argv", [
-    ("laplace", "--gamma", "0.8", "--t", "1.0,5.0", "--replicas", "300"),
-    ("verify-bound", "--gamma", "0.8", "--d", "2.0", "--l2",
-     "--replicas", "120"),
-])
-def test_reports_identical_across_threads(files, argv):
-    base = (*argv, "--measure", str(files["grid"]), "--seed", str(SEED),
-            "--no-timestamp")
-    one = run_cli(*base)
-    three = run_cli(*base)
-    assert one.stdout == three.stdout
-    assert one.returncode == three.returncode
+@pytest.mark.parametrize("flags, params", [
+    (("laplace", "--gamma", "0.8", "--t", "1.0,5.0", "--replicas", "300"),
+     {"gamma": 0.8, "t": [1.0, 5.0], "replicas": 300}),
+    (("verify-bound", "--gamma", "0.8", "--d", "2.0", "--l2", "--replicas", "120"),
+     {"gamma": 0.8, "d": 2.0, "l2": True, "replicas": 120}),
+], ids=["laplace", "verify-bound_l2"])
+def test_config_file_run_matches_flags_run(files, tmp_path, capsys, flags, params):
+    # the same parameters from --config and from flags resolve to the same
+    # run: byte-identical reports and the same exit code
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**params, "measure": str(files["grid"]), "seed": SEED}))
+    runs = []
+    for argv in ([flags[0], "--config", str(config)],
+                 [*flags, "--measure", str(files["grid"]), "--seed", str(SEED)]):
+        code = gmclab.cli.main([*argv, "--no-timestamp"])
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][1])["command"] == flags[0]
 
 
 # ------------------------------------------------------------ input checks

@@ -179,6 +179,33 @@ def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
     assert np.array_equal(gather(stepped), gather(list(stepped)))
 
 
+def test_gather_blocks_groups_a_shuffled_list_by_block(model4, aligned):
+    # a block's array holds its replica indices: any index list must return
+    # the range path's columns, one block call per touched block, in
+    # ascending key order
+    keys = []
+
+    def block(key):
+        keys.append(key)
+        return np.arange(key * BATCH, (key + 1) * BATCH, dtype=float)[None, :].repeat(2, 0)
+
+    def gather(indices):
+        return gather_blocks(block, indices, np.empty((2, len(indices))))
+
+    whole = gather(range(300, 4 * BATCH + 7))
+    assert keys == [0, 1, 2, 3, 4]
+    shuffled = np.random.default_rng(SEED).permutation(np.arange(300, 4 * BATCH + 7))
+    keys.clear()
+    assert np.array_equal(gather(shuffled), whole[:, shuffled - 300])
+    assert keys == [0, 1, 2, 3, 4]
+    keys.clear()
+    picked = [3 * BATCH + 5, 7, 3 * BATCH + 5, BATCH, 6]
+    assert np.array_equal(gather(picked), np.array([picked, picked], dtype=float))
+    assert keys == [0, 1, 3]
+    order = np.random.default_rng(SEED).permutation(2 * BATCH)
+    assert np.array_equal(field_matrix(model4, SEED, order), aligned[1][:, order])
+
+
 def test_empty_index_list(model4):
     assert field_matrix(model4, SEED, []).shape == (model4.n, 0)
     assert normal_block(model4.n, SEED, []).shape == (model4.n, 0)

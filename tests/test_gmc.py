@@ -28,9 +28,9 @@ from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTR
                           check_replica_count)
 from gmclab.gmc import _exponentials, mass_columns, mean_se, rooted_kernel_sums
 from gmclab.inequalities import fkg_check, kahane_check
-from gmclab.kernel import offdiagonal_green, pair_distances
+from gmclab.kernel import pair_distances
 from reference import (draw_roots, local_energy_samples, sample_rooted, strip_sums,
-                       verify_rooted_identity)
+                       untiled_green, verify_rooted_identity)
 
 SEED = 7
 
@@ -285,9 +285,7 @@ def test_clipped_mass_statistic_cap(model8):
 def _singular_weight(model, beta):
     # exp(beta * G) between distinct atoms, 0 on the diagonal: rooted_kernel_sums
     # with it gives the singular integral sum_{i != root} e^{beta G(root, p_i)} mass_i
-    p = model.measure.positions
-    green = offdiagonal_green(p, pair_distances(p))
-    weight = np.exp(beta * green)
+    weight = np.exp(beta * untiled_green(model.measure.positions))
     np.fill_diagonal(weight, 0.0)
     return weight
 

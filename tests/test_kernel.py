@@ -18,14 +18,15 @@ from gmclab import (
     SingularityError,
     build_covariance,
     generate_cantor_dust,
+    generate_julia_boundary,
     generate_uniform_grid,
     green_disk,
     markov_difference_psd,
 )
 from gmclab.field import STRIP
-from gmclab.kernel import offdiagonal_green, pair_distances
+from gmclab.kernel import pair_distances
 from reference import (clip_to_psd, default_epsilon, dense_cholesky, dense_factor, green_subdisk,
-                       regularized_entry, smooth_matrix, smooth_part)
+                       regularized_entry, smooth_matrix, smooth_part, untiled_green)
 
 SEED = 99
 # frozen spot values, recomputed from the kernel formula by hand
@@ -625,7 +626,7 @@ def test_pair_matrices_symmetric_bit_for_bit(pair_case):
     model = build_covariance(measure, epsilon)
     assert (model.clip_magnitude > 0.0) == (epsilon is not None)
     dist = pair_distances(measure.positions)
-    green = offdiagonal_green(measure.positions, dist)
+    green = DiskKernel(1.0).entry_matrix(measure.positions)[0]
     matrices = [model.matrix, green, dist, markov_difference_psd(measure, 0.5)[0]]
     matrices += [DiskKernel(r).entry_matrix(measure.positions, model.epsilon)[0]
                  for r in (1.0, 0.5)]
@@ -687,12 +688,33 @@ def test_default_epsilon_fill_is_bit_identical(positions):
     assert np.array_equal(matrix, entry)
 
 
+def _offdiagonal(matrix):
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+@pytest.mark.parametrize("positions", [
+    generate_uniform_grid(8, 0.8).positions, generate_uniform_grid(48, 0.8).positions,
+    generate_cantor_dust(4, 0.4).positions, generate_cantor_dust(5, 0.4).positions,
+    generate_julia_boundary(-1.0, 128).positions,
+    0.9 * np.sqrt(np.random.default_rng(SEED).random(700))
+    * np.exp(2j * np.pi * np.random.default_rng(SEED + 1).random(700)),
+    np.array([0.3 + 0.1j, 0.3 + 0.1j + 1e-12])],
+    ids=["grid8", "grid48", "cantor4", "cantor5", "julia128", "700_atoms", "1e-12_apart"])
+def test_default_epsilon_fill_off_diagonal_is_green(positions):
+    # every pair lies at least 2 epsilon apart, so the default-epsilon fill's
+    # off-diagonal is the Green kernel bit for bit: verify-bound's event
+    # stage takes its weights from it
+    matrix = DiskKernel(1.0).entry_matrix(positions)[0]
+    assert np.array_equal(_offdiagonal(matrix), untiled_green(positions))
+
+
 def test_tiled_green_and_distances_equal_untiled(tile_points):
     p = tile_points
     dist = _untiled_dist(p)
-    green = _untiled_smooth(1.0, p) - np.log(dist)
-    np.fill_diagonal(green, 0.0)
-    assert np.array_equal(offdiagonal_green(p, pair_distances(p)), green)
+    green = _offdiagonal(_untiled_smooth(1.0, p) - np.log(dist))
+    assert np.array_equal(_offdiagonal(DiskKernel(1.0).entry_matrix(p)[0]), green)
+    assert np.array_equal(untiled_green(p), green)
     assert np.array_equal(pair_distances(p), dist)
     measure = AtomicMeasure(p, np.ones(p.size))
     assert measure.min_pair_distance() == dist.min()
