@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import BATCH, check_replica_count, replica_range
-from .gmc import (check_graded_sample, check_sample, graded_total_masses, mean_se,
-                  rooted_kernel_sums)
+from .gmc import (check_graded_sample, check_sample, damped_masses, graded_total_masses,
+                  mean_se, rooted_kernel_sums)
 from .kernel import UNIT_DISK, pair_distances
 from .measure import _distance_energy
 
@@ -175,7 +175,7 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
         raise DomainError("t values must be >= 0")
     check_replica_count(n_replicas, rows=t_values.size)
     totals = graded_total_masses(model, gamma, base_seed, n_replicas)
-    damped = np.exp(-t_values[:, None] * totals[None, :])
+    damped = damped_masses(t_values[:, None], totals[None, :])
     estimates, ses = mean_se(damped, axis=1)
     return LaplaceReport(t_values, estimates, ses, None, gamma, n_replicas, base_seed)
 
@@ -188,6 +188,8 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     t0 is the analytic square-integrable threshold, which l2_t0 repeats, when
     beta = d, delta = 1 and gamma^2 < d, and the empirical one otherwise; then
     l2_t0 (gamma^2 < d) is an ungraded reference, None past double range.
+    A grid whose top point 10^GRID_DECADES * t0 passes double range is a
+    DomainError, raised before the Laplace stage samples.
 
     Replica ranges are disjoint per stage and no stream block is drawn by two
     stages: with stride = ceil(N / BATCH) * BATCH, Laplace estimates use
@@ -229,6 +231,9 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
         with contextlib.suppress(DomainError):  # None past double range
             l2_t0 = t0_from_ratio(energy_ratio, gamma, d)
     report = replace(report, s0=s0, t0=t0, l2_t0=l2_t0)
+    if not math.isfinite(t0 * 10.0 ** GRID_DECADES):
+        raise DomainError(f"the t grid's top point 10^{GRID_DECADES} * t0 overflows double "
+                          f"precision (t0 = {t0:.6g})")
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)
     laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed)
     with np.errstate(divide="ignore"):

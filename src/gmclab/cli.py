@@ -45,6 +45,7 @@ from .gmc import MIN_REPLICAS
 from .kernel import KERNEL_VERSION, build_covariance
 from .reports import render_report, write_plot_csv
 
+# verify-identity's pass rule, max_rel_err <= this; fixed, like every verdict's
 IDENTITY_TOLERANCE = 1e-10
 # parameters that take one of a fixed set of strings
 CHOICES = {"kind": ("grid", "cantor", "julia"),
@@ -123,9 +124,6 @@ def _admitted(key: str):
         least = INTEGER_KEYS[key]
         return (f"an integer >= {least}",
                 lambda v: _is_number(v) and isinstance(v, int) and v >= least, int)
-    if key == "tolerance":
-        return ("a finite number >= 0",
-                lambda v: _is_number(v) and _is_finite(v) and v >= 0, float)
     if key == "c":
         return ("a finite complex number",
                 lambda v: (_is_number(v) or isinstance(v, complex)) and _is_finite(v),
@@ -309,7 +307,7 @@ def _cmd_verify_identity(cfg, args) -> tuple[dict, dict, int]:
     errors = gmc.rooted_identity_errors(model, cfg["seed"], cfg["replicas"],
                                         cfg["gamma"], cfg["gamma_prime"])
     worst = float(errors.max())
-    ok = worst <= cfg["tolerance"]
+    ok = worst <= IDENTITY_TOLERANCE
     payload = {"max_rel_err": worst, "mean_rel_err": float(errors.mean()),
                "passed": bool(ok), **_model_keys(model)}
     return cfg, payload, 0 if ok else 1
@@ -417,8 +415,7 @@ COMMANDS = {
     "verify-identity": Command(
         _cmd_verify_identity, "rooted change-of-measure identity, replica by replica",
         {"measure": None, "gamma": None, "gamma_prime": None,
-         "replicas": 1000, "seed": None, "epsilon": None,
-         "tolerance": IDENTITY_TOLERANCE}),
+         "replicas": 1000, "seed": None, "epsilon": None}),
     "verify-change-of-measure": Command(
         _cmd_verify_com, "two-sample comparison of the rooted change of measure",
         {"measure": None, "gamma_prime": None, "statistic": "mass",

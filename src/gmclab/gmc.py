@@ -132,27 +132,35 @@ def graded_total_masses(model, gamma: float, base_seed: int,
     return totals
 
 
+def damped_masses(t, masses):
+    """exp(-t * mass), elementwise with broadcasting: exactly 0 where t * mass
+    passes double range, since exp(-inf) is 0, and with no warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(t * masses))
+
+
 def rooted_kernel_sums(model, base_seed: int, replicas, gamma: float,
                        weight: np.ndarray) -> np.ndarray:
     """sum_i weight[i, root] * mass_i per replica of an index list, with the
     gamma chaos mass and an n x n weight matrix over the atoms: the sum over
     the root's column, which is its row for the symmetric pair-distance and
-    Green weights of verify-bound. The columns are gathered in the strip's C
-    order, like _root_rows, so the terms are multiplied in one layout."""
+    Green weights of verify-bound. The columns are gathered by _root_rows,
+    in the strip's C order, so the terms are multiplied in one layout."""
 
     def terms(atoms, roots, out):
         _exponentials(model, out[0], gamma, atoms, out[0])
-        out[0] *= np.take(weight[atoms], roots, axis=1)
+        out[0] *= _root_rows(weight, roots, atoms)
 
     return field._strip_sums(model, base_seed, replicas, terms, [model.measure.weights],
                              rooted=True)[0]
 
 
-def _root_rows(model, roots: np.ndarray, atoms: slice) -> np.ndarray:
-    """C[roots, atoms].T in C order, like the strip it meets (numpy's loops
-    over two layouts are several times slower): the covariance is symmetric
-    bit for bit, so these are its rows atoms at the roots' columns."""
-    return np.take(model.matrix[atoms], roots, axis=1)
+def _root_rows(matrix: np.ndarray, roots: np.ndarray, atoms: slice) -> np.ndarray:
+    """matrix[atoms, roots], its rows atoms at the roots' columns, in C order
+    like the strip it meets (numpy's loops over two layouts are several
+    times slower). For the symmetric covariance and weight matrices these
+    are C[roots, atoms].T."""
+    return np.take(matrix[atoms], roots, axis=1)
 
 
 def rooted_identity_errors(model, base_seed: int, n_replicas: int,
@@ -168,7 +176,7 @@ def rooted_identity_errors(model, base_seed: int, n_replicas: int,
 
     def terms(atoms, roots, out):
         h, rhs = out
-        row = _root_rows(model, roots, atoms)
+        row = _root_rows(model.matrix, roots, atoms)
         np.multiply(row, gamma_prime, out=rhs)
         rhs += h
         _exponentials(model, rhs, gamma, atoms, rhs)
@@ -236,7 +244,7 @@ def verify_change_of_measure(model, gamma_prime: float, statistic: Statistic,
 
     def terms(atoms, roots, out):
         h, plain, shifted = out
-        np.multiply(_root_rows(model, roots, atoms), gamma_prime, out=shifted)
+        np.multiply(_root_rows(model.matrix, roots, atoms), gamma_prime, out=shifted)
         shifted += h
         statistic.terms(shifted, atoms, shifted)
         statistic.terms(h, atoms, plain)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HypothesisViolationError
-from .gmc import check_graded_sample, graded_total_masses, mean_se
+from .gmc import check_graded_sample, damped_masses, graded_total_masses, mean_se
 from .kernel import (DiskKernel, _tile_rows, build_covariance, markov_difference_psd,
                      psd_threshold)
 from .measure import AtomicMeasure
@@ -54,8 +54,8 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
             f"covariance entry {worst:.3e} is negative; positive association "
             "does not apply")
     totals = graded_total_masses(model, gamma, base_seed, n_replicas)
-    x = np.exp(-s * totals)
-    y = np.exp(-t * totals)
+    x = damped_masses(s, totals)
+    y = damped_masses(t, totals)
     products = (x - x.mean()) * (y - y.mean())
     statistic = float(products.sum() / (n_replicas - 1))
     se = float(mean_se(products)[1])
@@ -125,7 +125,7 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")
     damped_small, damped_big = (
-        np.exp(-t * graded_total_masses(m, gamma, base_seed, n_replicas))
+        damped_masses(t, graded_total_masses(m, gamma, base_seed, n_replicas))
         for m in (small, big))
     statistic, se = map(float, mean_se(damped_big - damped_small))
     threshold = -3.0 * se

@@ -163,33 +163,33 @@ class DiskKernel:
         included), and the epsilon they use: the default (_half_gap of the
         least pair distance) when epsilon is None.
 
-        That default is found in the fill itself. Every pair distance is then
-        at least 2 * epsilon, so max(dist, epsilon) keeps the distance off
-        the diagonal: those entries are smooth - log(dist) whatever epsilon
-        is, and the least distance in the fill's own tiles sets epsilon. The
-        diagonal, smooth - log(epsilon), is written last from the smooth
-        values the fill saved, with the same ufuncs, so the matrix is bit for
-        bit the one an explicit epsilon gives.
+        Both modes run one fill. Each tile's distances come from
+        _lower_distance_rows, whose diagonal is inf, and its off-diagonal
+        entries are smooth - log(max(dist, epsilon)); an explicit epsilon
+        clamps the distances, while the default one is found in them, the
+        least distance in the fill's own tiles, and needs no clamp: every
+        pair then lies at least 2 * epsilon apart. The diagonal, smooth -
+        log(epsilon), is written last from the smooth values the fill saved,
+        so the matrix is bit for bit an untiled evaluation at that epsilon.
         """
         n = positions.size
-        smooth_diag = np.empty(n) if epsilon is None else None
+        smooth_diag = np.empty(n)
         gap = math.inf
 
         def fill_rows(lo, hi, out):
             nonlocal gap
             self._smooth_rows(positions, lo, hi, out=out)
-            dist = np.abs(positions[lo:hi, None] - positions[:hi])
-            if smooth_diag is None:
-                np.maximum(dist, epsilon, out=dist)
-            else:
-                smooth_diag[lo:hi] = np.diagonal(out[:, lo:])
-                np.fill_diagonal(dist[:, lo:], math.inf)
+            smooth_diag[lo:hi] = np.diagonal(out[:, lo:])
+            dist = _lower_distance_rows(positions, lo, hi)
+            if epsilon is None:
                 gap = min(gap, float(dist.min()))
+            else:
+                np.maximum(dist, epsilon, out=dist)
             out -= np.log(dist, out=dist)
         matrix = _pair_matrix(n, fill_rows)
-        if smooth_diag is not None:
+        if epsilon is None:
             epsilon = _half_gap(gap, float(np.abs(positions).max()))
-            np.fill_diagonal(matrix, smooth_diag - np.log(np.full(n, epsilon)))
+        np.fill_diagonal(matrix, smooth_diag - np.log(np.full(n, epsilon)))
         return matrix, epsilon
 
 

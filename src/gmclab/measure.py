@@ -104,11 +104,14 @@ def _lower_distance_rows(positions: np.ndarray, lo: int, hi: int, stop: int | No
 def _energy_sum(weights: np.ndarray, rows, d: float) -> float:
     """sum_{i != j} w_i w_j / dist_ij**d from rows(lo, hi), the distance rows
     [lo, hi) over all columns with an infinite diagonal, ENERGY_ROWS rows at
-    a time; that block size sets the order of the sum, and so its bits."""
+    a time; that block size sets the order of the sum, and so its bits. A
+    power past double range makes the sum inf or nan, with no warning: the
+    callers decide what a sum that is not finite means."""
     n = weights.size
-    return sum(float(weights[lo:lo + ENERGY_ROWS]
-                     @ (rows(lo, min(lo + ENERGY_ROWS, n)) ** -d @ weights))
-               for lo in range(0, n, ENERGY_ROWS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(float(weights[lo:lo + ENERGY_ROWS]
+                         @ (rows(lo, min(lo + ENERGY_ROWS, n)) ** -d @ weights))
+                   for lo in range(0, n, ENERGY_ROWS))
 
 
 def _distance_energy(weights: np.ndarray, dist: np.ndarray, d: float) -> float:
@@ -258,12 +261,16 @@ def load_measure(path) -> AtomicMeasure:
 
 
 def d_energy(measure: AtomicMeasure, d: float) -> float:
-    """Off-diagonal interaction energy sum_{i != j} w_i w_j / |p_i - p_j|**d."""
+    """Off-diagonal interaction energy sum_{i != j} w_i w_j / |p_i - p_j|**d;
+    an energy past double range is a DomainError."""
     if d <= 0:
         raise DomainError("d must be > 0")
     positions, n = measure.positions, measure.n
-    return _energy_sum(measure.weights,
-                       lambda lo, hi: _lower_distance_rows(positions, lo, hi, n), d)
+    energy = _energy_sum(measure.weights,
+                         lambda lo, hi: _lower_distance_rows(positions, lo, hi, n), d)
+    if not math.isfinite(energy):
+        raise DomainError(f"the d-energy at d = {d:g} overflows double precision")
+    return energy
 
 
 def _check_radius(radius: float) -> None:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from gmclab import (
     generate_cantor_dust,
     generate_uniform_grid,
 )
+
+# pyproject.toml turns a RuntimeWarning into an error in the test process;
+# this does the same in every Python process a test starts (the CLI runs,
+# the demos, the peak-memory scripts), which inherit the environment
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import pytest
 
 import gmclab.bounds
 import gmclab.field
+import gmclab.gmc
 import gmclab.kernel
 import gmclab.measure
 from gmclab import (
@@ -169,6 +170,25 @@ def test_s0_past_double_range_is_refused(model8):
         estimate_s0(model8, 1.0, 1.5, 0.001, 200, 1)
 
 
+def test_l2_energy_past_double_range_is_refused_by_the_threshold():
+    # two atoms 1e-200 apart: dist**-2 overflows, so the d-energy is inf and
+    # the square-integrable s0 with it; refused as a t0 past double range,
+    # with no warning from the energy sum
+    model = build_covariance(AtomicMeasure(np.array([0.1, 0.1 + 1e-200j]), np.full(2, 0.5)))
+    with pytest.raises(DomainError, match="threshold t0 .* overflows double precision"):
+        verify_bound(model, 0.5, 2.0, 2.0, 1.0, 100, 1)
+
+
+def test_t_grid_past_double_range_is_refused(model8, monkeypatch):
+    # t0 = 1e307 is finite, but the grid's top point 100 * t0 is not: once
+    # a RuntimeWarning, 9 null t values and bounds of 0.0 in a report
+    def no_sampling(*args):
+        raise AssertionError("the Laplace stage sampled")
+    monkeypatch.setattr(gmclab.bounds, "laplace_transform", no_sampling)
+    with pytest.raises(DomainError, match=r"t grid's top point 10\^2 \* t0 overflows"):
+        verify_bound(model8, 1.4038224347294477, 2.0, 2.0, 1.0, 100, 1)
+
+
 # ----------------------------------------------------------- laplace transform
 
 
@@ -176,6 +196,16 @@ def test_laplace_at_zero(model8):
     rep = laplace_transform(model8, 0.8, np.array([0.0, 1.0]), 500, SEED)
     assert rep.estimates[0] == 1.0
     assert rep.standard_errors[0] == 0.0
+
+
+def test_damped_masses_past_double_range_are_zero(model8):
+    # some t * mass overflows to inf at t = 1e307, and exp(-inf) is exactly 0
+    totals = gmclab.gmc.total_masses(model8, 3.0, SEED, 500)
+    assert np.any(totals > np.finfo(float).max / 1e307)
+    rep = laplace_transform(model8, 3.0, [1e307], 500, SEED)
+    assert rep.estimates[0] == rep.standard_errors[0] == 0.0
+    assert np.array_equal(gmclab.gmc.damped_masses(1e307, np.array([2.0, 1e-308, 0.0])),
+                          [0.0, np.exp(-1e307 * 1e-308), 1.0])
 
 
 def test_laplace_gamma_zero(model8):

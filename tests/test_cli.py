@@ -171,6 +171,31 @@ def test_exponents_overflowing_threshold_exits_2():
 
 
 @pytest.mark.parametrize("argv, message", [
+    (("energy", "--d", 400), "error: the d-energy at d = 400 overflows"),
+    (("verify-bound", "--gamma", 1.4038224347294477, "--d", 2, "--l2",
+      "--replicas", 100, "--seed", 1), "error: the t grid's top point 10^2 * t0"),
+], ids=["energy", "verify_bound_t_grid"])
+def test_past_double_range_exits_2(files, argv, message):
+    # each once warned and exited 0 with a null in its report (and, for the
+    # t grid, bounds of 0.0)
+    proc = run_cli(*argv, "--measure", files["grid8"], "--no-timestamp")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(message)
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("laplace", "--gamma", 3, "--t", 1e307, "--replicas", 500),
+    ("verify-ineq", "--which", "kahane", "--gamma", 3, "--t", 1e307,
+     "--r-inner", 0.85, "--replicas", 2000),
+], ids=["laplace", "kahane"])
+def test_damped_masses_past_double_range_exit_by_verdict(files, argv):
+    # t * mass overflows for some replicas; exp(-inf) is exactly 0
+    proc = run_cli(*argv, "--measure", files["grid8"], "--seed", 1, "--no-timestamp")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv, message", [
     (("--gamma", "1.45", "--d", "2", "--beta", "2.2", "--delta", "1",
       "--energy-ratio", "5"), "needs gamma^2 < d (gamma=1.45, d=2)"),
     (("--gamma", "1.45", "--d", "2", "--beta", "2.2", "--delta", "1",
@@ -327,32 +352,35 @@ def test_verify_identity_pass(files):
     assert rep["pass"] is True
 
 
-def test_verify_identity_impossible_tolerance(files):
-    proc = run_cli("verify-identity", "--measure", files["grid"],
-                   "--gamma", 0.8, "--gamma-prime", 0.8, "--replicas", 50,
-                   "--seed", SEED, "--tolerance", 1e-30, "--no-timestamp")
-    assert proc.returncode == 1
-    assert report(proc)["pass"] is False
+def test_verify_identity_impossible_tolerance(files, capsys, monkeypatch):
+    # the pass rule is max_rel_err <= cli.IDENTITY_TOLERANCE; no run can move
+    # it, so the exit-1 path is reached by patching the module's constant
+    monkeypatch.setattr(gmclab.cli, "IDENTITY_TOLERANCE", 1e-30)
+    code, out, err = run_in_process(
+        ["verify-identity", "--measure", str(files["grid"]), "--gamma", "0.8",
+         "--gamma-prime", "0.8", "--replicas", "50", "--seed", str(SEED),
+         "--no-timestamp"], capsys)
+    assert (code, err) == (1, "")
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["max_rel_err"] > 1e-30
 
 
-@pytest.mark.parametrize("config", [None, {"tolerance": -1}], ids=["flag", "config"])
-def test_verify_identity_negative_tolerance_exits_2(files, tmp_path, capsys,
-                                                    monkeypatch, config):
-    # refused while the parameters resolve, before any model is built
-    monkeypatch.setattr(gmclab.cli, "build_covariance", None)
+def test_verify_identity_tolerance_is_not_a_parameter(files, tmp_path, capsys):
+    # --tolerance is an unknown flag; a config file's tolerance is ignored,
+    # like any key a subcommand does not take, and never echoed
     argv = ["verify-identity", "--measure", str(files["small"]), "--gamma", "0.8",
             "--gamma-prime", "0.8", "--replicas", "16", "--seed", str(SEED),
             "--no-timestamp"]
-    if config is None:
-        argv += ["--tolerance", "-1"]
-    else:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    assert gmclab.cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: tolerance must be a finite number >= 0, got -1")
+    code, out, err = run_in_process([*argv, "--tolerance", "1e-30"], capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tolerance 1e-30" in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerance": 1e-30}))
+    plain = run_in_process(argv, capsys)
+    assert plain[0] == 0
+    assert "tolerance" not in json.loads(plain[1])["config"]
+    assert run_in_process([*argv, "--config", str(path)], capsys) == plain
 
 
 # -------------------------------------------------------- change of measure
@@ -945,7 +973,7 @@ FLAG_SURFACE = {
                      *floats("gamma", "d", "beta", "delta"),
                      (("--l2",), "l2", None, None)},
     "verify-identity": {*COMMON, *SAMPLING,
-                        *floats("gamma", "gamma_prime", "tolerance")},
+                        *floats("gamma", "gamma_prime")},
     "verify-change-of-measure": {
         *COMMON, *SAMPLING, *floats("gamma_prime", "gamma", "cap"),
         (("--statistic",), "statistic", None, ("mass", "atom-value")),
@@ -1039,7 +1067,7 @@ def test_shared_parser_keeps_calls_independent(files, tmp_path, capsys):
     (("laplace", "--t", "1.0"), {"gamma": True}),
     (("verify-bound", "--gamma", "0.8", "--d", "2.0"), {"beta": [2.0]}),
     (("verify-identity", "--gamma", "0.8", "--gamma-prime", "0.8"),
-     {"tolerance": "1e-10"}),
+     {"epsilon": "0.05"}),
     (("verify-change-of-measure", "--gamma-prime", "0.6"), {"atom_index": -1}),
     (("verify-change-of-measure", "--gamma-prime", "0.6"), {"statistic": "foo"}),
     (("verify-ineq",), {"which": "foo"}),

@@ -24,6 +24,15 @@ SEED = 58
 # ----------------------------------------------------------------------- fkg
 
 
+def test_damped_masses_past_double_range_pass_without_warning(model8):
+    # t * mass overflows for some replicas at gamma 3: their damped masses
+    # are exactly 0, as every other one underflows to, so both statistics are 0
+    fkg = fkg_check(model8, 3.0, 1.0, 1e307, 2000, SEED)
+    kahane = kahane_check(model8, 3.0, 0.85, 1e307, 2000, SEED)
+    assert fkg.passed and kahane.passed
+    assert kahane.statistic == kahane.details["estimate_disk"] == 0.0
+
+
 def test_fkg_gamma_zero_noise_floor():
     # constant masses: the sample covariance is pure rounding noise
     model = build_covariance(generate_uniform_grid(4, 0.8))

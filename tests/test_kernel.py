@@ -659,11 +659,16 @@ def _disk_points(n):
 
 @pytest.fixture(scope="module", params=[1, 2, 257, 2304])
 def tile_points(request):
-    """Random atoms in the disk of radius 0.45; no n is a multiple of a tile."""
+    """Random atoms in the disk of radius 0.45; no n is a multiple of a tile.
+    The parameter "cantor5" gives the level-5 Cantor dust instead, whose
+    matrix clips at epsilon 0.05."""
+    if request.param == "cantor5":
+        return generate_cantor_dust(5, 0.4).positions
     return _disk_points(request.param)
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("tile_points", [1, 2, 257, 2304, "cantor5"], indirect=True)
 def test_tiled_kernel_matrices_equal_untiled(tile_points, r):
     p, epsilon = tile_points, 0.05
     kernel = DiskKernel(r)

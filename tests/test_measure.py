@@ -264,6 +264,12 @@ def test_d_energy_two_atoms():
     assert d_energy(m, 1.0) == pytest.approx(1.0, rel=1e-14)
 
 
+def test_d_energy_past_double_range_is_refused(grid8):
+    # dist**-400 overflows on the 8x8 grid: once a RuntimeWarning and an inf
+    with pytest.raises(DomainError, match="d-energy at d = 400 overflows"):
+        d_energy(grid8, 400.0)
+
+
 def test_d_energy_single_atom(single_atom):
     assert d_energy(single_atom, 1.0) == 0.0
 
