@@ -188,8 +188,10 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     t0 is the analytic square-integrable threshold, which l2_t0 repeats, when
     beta = d, delta = 1 and gamma^2 < d, and the empirical one otherwise; then
     l2_t0 (gamma^2 < d) is an ungraded reference, None past double range.
-    A grid whose top point 10^GRID_DECADES * t0 passes double range is a
-    DomainError, raised before the Laplace stage samples.
+    A grid it cannot grade is a DomainError, raised before the Laplace stage
+    samples: a t0 that underflows to 0, a top point 10^GRID_DECADES * t0
+    past double range, or a bound 2^5/(sigma * t0^eta) past double range
+    (the bound falls as t grows, so t0's is the largest).
 
     Replica ranges are disjoint per stage and no stream block is drawn by two
     stages: with stride = ceil(N / BATCH) * BATCH, Laplace estimates use
@@ -234,11 +236,18 @@ def verify_bound(model, gamma: float, d: float, beta: float, delta: float,
     if not math.isfinite(t0 * 10.0 ** GRID_DECADES):
         raise DomainError(f"the t grid's top point 10^{GRID_DECADES} * t0 overflows double "
                           f"precision (t0 = {t0:.6g})")
+    if not t0 > 0.0:
+        raise DomainError(f"threshold t0 = 2^4 * s0^(1/eta) underflows to {t0:.6g} "
+                          f"(s0 = {s0:.6g}), so the t grid is all 0")
     t_grid = t0 * 10.0 ** (np.arange(steps) / GRID_POINTS_PER_DECADE)
-    laplace = laplace_transform(model, gamma, t_grid, n_replicas, base_seed)
-    with np.errstate(divide="ignore"):
-        bound = BOUND_CONSTANT / (sigma * t_grid ** report.eta)
-    laplace = replace(laplace, bound_values=bound)
+    scale = sigma * t_grid ** report.eta
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = BOUND_CONSTANT / scale
+    if not math.isfinite(bound[0]):
+        raise DomainError(f"the bound 2^5 / (sigma * t0^eta) overflows double precision "
+                          f"(sigma = {sigma:.6g}, t0 = {t0:.6g}, eta = {report.eta:.6g})")
+    laplace = replace(laplace_transform(model, gamma, t_grid, n_replicas, base_seed),
+                      bound_values=bound)
     points_pass = laplace.estimates + 3.0 * laplace.standard_errors <= laplace.bound_values
     trivial = bool(np.all(laplace.estimates == 0.0))
     # concentration event: the kernel-weighted mass inside the ball

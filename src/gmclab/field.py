@@ -41,7 +41,9 @@ dust by up to 8.5% (median 3.8e-3).
 gather_blocks is the one map from a replica index to its block and column:
 every sampler hands it a function from a block key to that whole block's
 per-replica values (field columns, normals, roots or reduced scalars) and
-gets back the columns of the replicas it asked for. Replica k's numbers, and
+gets back the columns of the replicas it asked for. Every index list takes
+one path, a range as its arange: the indices are grouped by block by one
+stable sort of their block keys. Replica k's numbers, and
 every per-replica scalar reduced from them, thus depend only on (base_seed,
 k), never on index order or which other replicas are drawn with it.
 Regenerating a lone replica costs its whole block: field_matrix on one index
@@ -190,21 +192,12 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
     last. block is called once per block the indices touch, in block order,
     and the columns asked for are copied out of its array before the next
     block is made, so that array may be a view into a buffer block reuses.
-    A step-1 range is walked as slices cut at block edges; any other index
-    list is grouped by block, by one stable sort of its block keys cut where
-    the key changes. An index below 0, an index that is not an integer or a
-    range that ends before it starts is a DomainError."""
-    if isinstance(indices, range) and indices.step == 1:
-        start, stop = indices.start, indices.stop
-        if start < 0:
-            raise DomainError(f"replica indices must be >= 0, not {start}")
-        check_replica_count(stop - start)
-        keys = range(start // BATCH, (stop - 1) // BATCH + 1) if stop > start else ()
-        for key in keys:
-            lo, hi = max(start, key * BATCH), min(stop, (key + 1) * BATCH)
-            first = key * BATCH
-            out[..., lo - start:hi - start] = block(key)[..., lo - first:hi - first]
-        return out
+    Every index list, a range (made an arange) included, takes one path: it
+    is grouped by block, by one stable sort of its block keys cut where the
+    key changes. An empty or reversed range is an empty selection, like [];
+    an index below 0 or one that is not an integer is a DomainError."""
+    if isinstance(indices, range):
+        indices = np.arange(indices.start, indices.stop, indices.step)
     indices = np.asarray(indices)
     if indices.size and (indices.dtype.kind not in "iu" or indices.min() < 0):
         raise DomainError("replica indices must be integers >= 0")
@@ -217,16 +210,6 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
         picked, key = order[lo:hi], int(keys[lo])
         out[..., picked] = block(key)[..., indices[picked] - key * BATCH]
     return out
-
-
-def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
-    """Standard normal matrix with one replica per column, column-major like
-    the normals field_matrix multiplies: replica k's column is row k % BATCH of
-    the (BATCH, n) draw of block k // BATCH."""
-    check_replica_count(len(indices), n)
-    normals = np.empty((BATCH, n))
-    return gather_blocks(lambda key: block_normals(base_seed, key, normals),
-                         indices, np.empty((len(indices), n)).T)
 
 
 def field_matrix(model, base_seed: int, indices) -> np.ndarray:

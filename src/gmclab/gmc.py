@@ -43,12 +43,6 @@ class Statistic:
     weights: np.ndarray
     finish: Callable
 
-    def __call__(self, values: np.ndarray):
-        """F of a whole field vector, or of a matrix of field columns."""
-        out = np.empty(np.shape(values))
-        self.terms(values, slice(None), out)
-        return self.finish(self.weights @ out)
-
 
 @dataclass(frozen=True)
 class TwoSampleReport:

@@ -13,7 +13,9 @@ eigenvalues above a cut in the widest ratio gap among the eigenvalues in
 [1e-9, 1e-7] * lam_max (CUT_WINDOW), since those far below lam_max are noise:
 eigh and eigvalsh of one matrix disagree on how many are positive. The
 factor keeps only those r eigenvectors, so it is lower trapezoidal, n x r,
-and a replica needs r normals, not n.
+and a replica needs r normals, not n. A matrix with no positive eigenvalue
+would keep none, a field that is 0 at every atom: build_covariance refuses
+it with a DomainError naming epsilon and lam_max.
 
 When r is small, as on Cantor dust at a coarse epsilon, the eigenpairs come
 from a deterministic randomized range finder (_range_clip): a basis of the
@@ -227,11 +229,10 @@ def _clip_cut(eigvals: np.ndarray) -> float:
     and 1.45 at 0.5, so 1e-9 * lam_max lies below it. The tests hold r equal
     to eigh's there (80 and 84 on the level-5 dust). With no eigenvalue in
     the window the cut is the window's geometric middle. A matrix with no
-    positive eigenvalue gets the cut 0 and keeps nothing.
+    positive eigenvalue would keep nothing; _clipped_root refuses it before
+    a cut is sought.
     """
     eig_max = float(eigvals[-1])
-    if eig_max <= 0.0:
-        return 0.0
     lo, hi = CUT_WINDOW[0] * eig_max, CUT_WINDOW[1] * eig_max
     ends = np.concatenate(([lo], eigvals[(eigvals > lo) & (eigvals < hi)], [hi]))
     widest = int(np.argmax(ends[1:] / ends[:-1]))
@@ -243,8 +244,12 @@ def _clipped_root(eigvals: np.ndarray, eigvecs: np.ndarray):
     root = V[:, lam > cut] sqrt(lam[lam > cut]) over the r eigenvalues above
     _clip_cut, so that root @ root.T is the clipped matrix. clip_magnitude
     counts only the negative eigenvalues; those in (0, cut] are dropped too.
+    No positive eigenvalue, so r = 0 and a field that is 0 at every atom,
+    is a DomainError.
     """
     eig_min, eig_max = float(eigvals[0]), float(eigvals[-1])
+    if not eig_max > 0.0:
+        raise DomainError(f"the clip keeps no eigenvalue: lam_max = {eig_max:.6g} is not > 0")
     # the eigenvalues above the cut are a tail of the ascending eigvals
     first = int(np.searchsorted(eigvals, _clip_cut(eigvals), side="right"))
     root = eigvecs[:, first:] * np.sqrt(eigvals[first:])
@@ -500,9 +505,13 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
     if strips is None:
         # root @ root.T == repaired, so the r x n root.T = Q R gives the
         # n x r lower trapezoidal factor L = R.T
-        clipped = _range_clip(matrix)
-        if clipped is None:
-            clipped = _eigen_clip(matrix)
+        try:
+            clipped = _range_clip(matrix)
+            if clipped is None:
+                clipped = _eigen_clip(matrix)
+        except DomainError as error:
+            raise DomainError(f"at epsilon = {epsilon:.6g}, {error}, so the field "
+                              f"would be 0 at every atom") from None
         root, clip_magnitude, eig_min, eig_max = clipped
         matrix, eig_range = root @ root.T, (eig_min, eig_max)
         factor = np.linalg.qr(root.T, mode="r").T
@@ -515,7 +524,7 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
                             clip_magnitude, eig_range)
     scale = float(np.linalg.norm(matrix))
     defect = _factor_defect(strips, matrix)
-    if scale > 0 and defect > FACTOR_RTOL * scale:
+    if defect > FACTOR_RTOL * scale:
         raise NumericalError(
             f"factorization defect {defect:.3e} exceeds {FACTOR_RTOL:.0e} * {scale:.3e} "
             f"(eigenvalues in [{model.eig_min_raw:.3e}, {model.eig_max:.3e}], "

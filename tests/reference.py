@@ -3,12 +3,14 @@
 These are the scalar, per-replica and one-eigh forms of computations that
 gmclab does in bulk: a scalar kernel entry and an untiled Green matrix
 against the tiled pair matrices, one full eigh clip against the range
-finder, the dense n x n Cholesky factor against the strip-packed one, one
-replica's rooted sample against the block-streamed rooted samplers, the
-strip engine's weighted reduction over materialized terms, the default
-epsilon from one distance pass against the one the kernel fill finds, and
-the rooted local energy of one replica's masses. No command, demo or benchmark calls them, so
-they live here, next to the tests, and not in the package.
+finder, the dense n x n Cholesky factor against the strip-packed one, the
+normals and roots of an index list and one replica's rooted sample against
+the block-streamed samplers, the strip engine's weighted reduction over
+materialized terms, a statistic F of field columns against the change of
+measure's streamed sums, the default epsilon from one distance pass against
+the one the kernel fill finds, and the rooted local energy of one replica's
+masses. No command, demo or benchmark calls them, so they live here, next to
+the tests, and not in the package.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 
 from gmclab.bounds import t0_from_ratio
 from gmclab.errors import DomainError
-from gmclab.field import (BATCH, STRIP, block_roots, check_replica_count, field_matrix,
-                          gather_blocks)
+from gmclab.field import (BATCH, STRIP, block_normals, block_roots, check_replica_count,
+                          field_matrix, gather_blocks)
 from gmclab.gmc import mass_columns, rooted_kernel_sums
 from gmclab.kernel import (CHOL_BLOCK, UNIT_DISK, DiskKernel, _check_atom_count,
                            _eigen_clip, _half_gap, _pair_matrix, pair_distances)
@@ -154,6 +156,16 @@ class IdentityCheck(NamedTuple):
     rel_err: float
 
 
+def normal_block(n: int, base_seed: int, indices) -> np.ndarray:
+    """Standard normal matrix with one replica per column, column-major like
+    the normals field_matrix multiplies: replica k's column is row k % BATCH of
+    the (BATCH, n) draw of block k // BATCH."""
+    check_replica_count(len(indices), n)
+    normals = np.empty((BATCH, n))
+    return gather_blocks(lambda key: block_normals(base_seed, key, normals),
+                         indices, np.empty((len(indices), n)).T)
+
+
 def draw_roots(model, base_seed: int, indices) -> np.ndarray:
     """Root atom index per replica of an arbitrary index list: replica k's is
     entry k % BATCH of block_roots of block k // BATCH."""
@@ -174,6 +186,15 @@ def strip_sums(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
             hi = min(lo + STRIP, n)
             sums[block] += weights[lo:hi] @ np.ascontiguousarray(terms[lo:hi, block])
     return sums
+
+
+def evaluate_statistic(statistic, values: np.ndarray):
+    """F of a whole field vector, or of a matrix of field columns, as
+    finish(weights @ terms): the statistic's terms of values written into a
+    fresh array and reduced with its weights."""
+    terms = np.empty(np.shape(values))
+    statistic.terms(values, slice(None), terms)
+    return statistic.finish(statistic.weights @ terms)
 
 
 def sample_rooted(model, base_seed: int, replica_index: int,

@@ -108,6 +108,9 @@ def test_t0_from_ratio_rejects():
     # 2^4 * (2^5 * 1e300)^3 is past double range
     with pytest.raises(DomainError, match="overflow"):
         t0_from_ratio(1e300, 1.0, 2.0)
+    for d in (0.0, 2.5):
+        with pytest.raises(DomainError, match="d must satisfy 0 < d <= 2"):
+            t0_from_ratio(1.0, 0.5, d)
 
 
 def test_t0_l2_matches_energy(cantor3):
@@ -187,6 +190,26 @@ def test_t_grid_past_double_range_is_refused(model8, monkeypatch):
     monkeypatch.setattr(gmclab.bounds, "laplace_transform", no_sampling)
     with pytest.raises(DomainError, match=r"t grid's top point 10\^2 \* t0 overflows"):
         verify_bound(model8, 1.4038224347294477, 2.0, 2.0, 1.0, 100, 1)
+
+
+@pytest.mark.parametrize("measure, epsilon, args, message", [
+    # s0 = 5.9e-193 at this seed: 2^4 * s0^(1/eta) is 0.0, every t was 0,
+    # every bound null, and the verdict a pass
+    pytest.param(generate_uniform_grid(4, 0.8), 1e-300, (1.2, 2.0, 1.8, 1.0),
+                 r"threshold t0 = 2\^4 \* s0\^\(1/eta\) underflows to 0", id="t0_underflow"),
+    # t0 = 5.1e-158 > 0, but sigma * t0 = 1.0e-317 leaves 2^5 / (sigma * t0) past
+    # double range
+    pytest.param(AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 1e-160)), None,
+                 (0.0, 2.0, 2.0, 1.0), r"the bound 2\^5 / \(sigma \* t0\^eta\) overflows",
+                 id="bound_overflow"),
+])
+def test_t_grid_that_cannot_be_graded_is_refused(monkeypatch, measure, epsilon, args,
+                                                 message):
+    def no_sampling(*args):
+        raise AssertionError("the Laplace stage sampled")
+    monkeypatch.setattr(gmclab.bounds, "laplace_transform", no_sampling)
+    with pytest.raises(DomainError, match=message):
+        verify_bound(build_covariance(measure, epsilon), *args, 500, 2)
 
 
 # ----------------------------------------------------------- laplace transform
@@ -462,7 +485,8 @@ def test_event_ball_masses_are_kernel_sums_over_the_ball(light_model, monkeypatc
 @pytest.mark.parametrize("measure, epsilon, args", [
     pytest.param(AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 0.04)), None,
                  (0.6, 1.0, 0.361, 1.0), id="light_beta_0.361"),
-    pytest.param(generate_uniform_grid(4, 0.8), 1e-300, (1.2, 2.0, 1.8, 1.0),
+    # t0 is 5.6e-305 here; at (1.2, 2.0, 1.8, 1.0) it underflows to 0, a refusal
+    pytest.param(generate_uniform_grid(4, 0.8), 1e-300, (0.5, 2.0, 0.3, 1.0),
                  id="grid4_eps_1e-300"),
 ])
 def test_event_ball_beyond_every_pair_holds_every_other_atom(monkeypatch, measure,

@@ -38,6 +38,7 @@ def files(tmp_path_factory):
     for key, argv in {"grid": ("grid", "--n", 16, "--radius", 0.8),
                       "small": ("grid", "--n", 8, "--radius", 0.4),
                       "cantor": ("cantor", "--level", 3, "--radius", 0.4),
+                      "grid4": ("grid", "--n", 4, "--radius", 0.8),
                       "grid8": ("grid", "--n", 8, "--radius", 0.8),
                       "grid20": ("grid", "--n", 20, "--radius", 0.8),
                       "grid30": ("grid", "--n", 30, "--radius", 0.8),
@@ -170,17 +171,37 @@ def test_exponents_overflowing_threshold_exits_2():
     assert proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, message", [
-    (("energy", "--d", 400), "error: the d-energy at d = 400 overflows"),
-    (("verify-bound", "--gamma", 1.4038224347294477, "--d", 2, "--l2",
-      "--replicas", 100, "--seed", 1), "error: the t grid's top point 10^2 * t0"),
-], ids=["energy", "verify_bound_t_grid"])
-def test_past_double_range_exits_2(files, argv, message):
-    # each once warned and exited 0 with a null in its report (and, for the
-    # t grid, bounds of 0.0)
-    proc = run_cli(*argv, "--measure", files["grid8"], "--no-timestamp")
+@pytest.mark.parametrize("measure, argv, message", [
+    ("grid8", ("energy", "--d", 400), "error: the d-energy at d = 400 overflows"),
+    ("grid8", ("verify-bound", "--gamma", 1.4038224347294477, "--d", 2, "--l2",
+               "--replicas", 100, "--seed", 1), "error: the t grid's top point 10^2 * t0"),
+    ("grid4", ("verify-bound", "--epsilon", 1e-300, "--gamma", 1.2, "--d", 2,
+               "--beta", 1.8, "--delta", 1, "--replicas", 500, "--seed", 2),
+     "error: threshold t0 = 2^4 * s0^(1/eta) underflows to 0"),
+], ids=["energy", "verify_bound_t_grid", "verify_bound_t0_underflow"])
+def test_past_double_range_exits_2(files, measure, argv, message):
+    # each once warned or passed vacuously and exited 0 with a null in its
+    # report (for the t grid, bounds of 0.0; for t0, every t 0 and every
+    # bound null)
+    proc = run_cli(*argv, "--measure", files[measure], "--no-timestamp")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(message)
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("laplace", "--t", "1,5"),
+    ("verify-ineq", "--which", "fkg"),
+], ids=["laplace", "fkg"])
+def test_clip_keeping_no_eigenvalue_exits_2(tmp_path, argv):
+    # one atom at 0.9 has variance log(1/0.99) + log(0.19) < 0 at epsilon
+    # 0.99: rank 0, a field that is 0 everywhere, once reported with exit 0
+    measure = tmp_path / "edge.csv"
+    save_measure(AtomicMeasure(np.array([0.9 + 0j]), np.array([1.0])), measure)
+    proc = run_cli(*argv, "--measure", measure, "--epsilon", 0.99, "--gamma", 0.8,
+                   "--replicas", 200, "--seed", 1, "--no-timestamp")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: at epsilon = 0.99, the clip keeps no eigenvalue")
     assert proc.stderr.count("\n") == 1
 
 
@@ -307,10 +328,14 @@ def test_verify_bound_overflowing_reference_is_null(files):
     assert rep["bound"]["exponent"]["t0"] > 0
 
 
-@pytest.mark.parametrize("beta", ["0.361", "0.3601"])
-def test_verify_bound_overflowing_event_radius_exits_by_verdict(tmp_path, beta):
+@pytest.mark.parametrize("beta, graded", [("0.361", True), ("0.3601", False)],
+                         ids=["0.361", "0.3601"])
+def test_verify_bound_overflowing_event_radius_exits_by_verdict(tmp_path, beta, graded):
     # the benchmark's light measure at beta just above gamma^2: L = 2000 (and
-    # 20000) sends s0^-L past double range, which the capped radius absorbs
+    # 20000) sends s0^-L past double range, which the capped radius absorbs.
+    # At 0.3601, 1/eta = 7201 also sends t0 = 2^4 * s0^(1/eta) below double
+    # range (s0 = 0.59): every t was 0 and every bound null, a pass with exit
+    # 0, and the t grid is now refused before the Laplace stage
     path = tmp_path / "light.csv"
     save_measure(AtomicMeasure(np.array([0.5, -0.5]), np.full(2, 0.04)), path)
     proc = run_cli("verify-bound", "--measure", path, "--gamma", 0.6, "--d", 1,
@@ -318,6 +343,10 @@ def test_verify_bound_overflowing_event_radius_exits_by_verdict(tmp_path, beta):
                    "--no-timestamp")
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) <= 1
+    if not graded:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: threshold t0 = 2^4 * s0^(1/eta) underflows to 0")
+        return
     assert proc.returncode in (0, 1)
     rep = report(proc)
     assert (proc.returncode == 0) == rep["bound"]["verdict"]

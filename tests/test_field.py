@@ -15,9 +15,8 @@ from gmclab import (
     total_masses,
 )
 from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTREAM,
-                          STREAM_VERSION, STRIP, check_replica_count, gather_blocks,
-                          normal_block)
-from reference import dense_factor
+                          STREAM_VERSION, STRIP, check_replica_count, gather_blocks)
+from reference import dense_factor, normal_block
 
 SEED = 2024
 N_BIG = 100000
@@ -173,7 +172,9 @@ def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
     assert np.array_equal(gather(range(1000, 2 * BATCH)), values[:, 1000:])
     assert keys == [0, 1]
     keys.clear()
-    assert gather(range(5, 5)).shape == (model4.n, 0)
+    # an empty or reversed range selects nothing, like []
+    for empty in (range(5, 5), range(9, 5), []):
+        assert gather(empty).shape == (model4.n, 0)
     assert keys == []
     stepped = range(1, 2 * BATCH, 3)
     assert np.array_equal(gather(stepped), gather(list(stepped)))
@@ -181,7 +182,7 @@ def test_gather_blocks_cuts_a_range_at_block_edges(model4, aligned):
 
 def test_gather_blocks_groups_a_shuffled_list_by_block(model4, aligned):
     # a block's array holds its replica indices: any index list must return
-    # the range path's columns, one block call per touched block, in
+    # the columns its range would, one block call per touched block, in
     # ascending key order
     keys = []
 
@@ -217,12 +218,13 @@ def test_empty_index_list(model4):
     lambda m: field_matrix(m, 1, [True]),
     lambda m: field_matrix(m, 1, [-1]),
     lambda m: field_matrix(m, 1, [5, -BATCH]),
+    lambda m: field_matrix(m, 1, range(-2, 3)),
     lambda m: normal_block(16, 1, [-3]),
     lambda m: total_masses(m, 0.8, 1, 3, start=-2),
     lambda m: total_masses(m, 0.8, 1, -4),
     lambda m: check_replica_count(-1),
-], ids=["fractional", "float", "bool", "negative", "negative-in-list", "normals-negative",
-        "negative-start", "negative-count", "check-negative-count"])
+], ids=["fractional", "float", "bool", "negative", "negative-in-list", "negative-range",
+        "normals-negative", "negative-start", "negative-count", "check-negative-count"])
 def test_replica_indices_must_be_integers_from_0(model4, call):
     # a fractional index would be truncated to another replica, and a
     # negative one reach SeedSequence; both are refused before any draw

@@ -29,8 +29,8 @@ from gmclab.field import (BATCH, FIELD_SUBSTREAM, MAX_REPLICA_CELLS, ROOT_SUBSTR
 from gmclab.gmc import _exponentials, mass_columns, mean_se, rooted_kernel_sums
 from gmclab.inequalities import fkg_check, kahane_check
 from gmclab.kernel import pair_distances
-from reference import (draw_roots, local_energy_samples, sample_rooted, strip_sums,
-                       untiled_green, verify_rooted_identity)
+from reference import (draw_roots, evaluate_statistic, local_energy_samples, sample_rooted,
+                       strip_sums, untiled_green, verify_rooted_identity)
 
 SEED = 7
 
@@ -229,8 +229,8 @@ def test_change_of_measure_paired_standard_error(model8):
     values = field_matrix(model8, SEED, indices)
     masses = mass_columns(model8, values, gamma_prime).sum(axis=0)
     rows = model8.matrix[draw_roots(model8, SEED, indices)].T
-    diff = (stat(values) * masses / model8.measure.total_mass
-            - stat(values + gamma_prime * rows))
+    diff = (evaluate_statistic(stat, values) * masses / model8.measure.total_mass
+            - evaluate_statistic(stat, values + gamma_prime * rows))
     assert report.se_difference == pytest.approx(
         diff.std(ddof=1) / math.sqrt(n), rel=1e-12)
     assert report.effective_sample_size == pytest.approx(
@@ -253,15 +253,16 @@ def test_statistics_are_their_summed_terms(model8):
     # F(h) = finish(sum_i weights_i * terms_i(h)); the atom-value weights are
     # one-hot, so every other field value is multiplied by 0
     values = field_matrix(model8, SEED, np.arange(40))
-    assert np.array_equal(atom_value_statistic(model8, 5)(values), values[5])
-    assert np.array_equal(atom_value_statistic(model8, 5)(values[:, 3]), values[5, 3])
+    atom = atom_value_statistic(model8, 5)
+    assert np.array_equal(evaluate_statistic(atom, values), values[5])
+    assert np.array_equal(evaluate_statistic(atom, values[:, 3]), values[5, 3])
     stat = clipped_mass_statistic(model8, 0.8, 1.5)
     weights = model8.measure.weights
     assert np.array_equal(stat.weights, weights)
-    assert np.array_equal(stat(values),
+    assert np.array_equal(evaluate_statistic(stat, values),
                           np.minimum(weights @ _exponentials(model8, values, 0.8), 1.5))
     np.testing.assert_allclose(
-        stat(values), np.minimum(mass_columns(model8, values, 0.8).sum(axis=0), 1.5),
+        evaluate_statistic(stat, values), np.minimum(mass_columns(model8, values, 0.8).sum(axis=0), 1.5),
         rtol=1e-13, atol=0)
 
 
@@ -274,7 +275,7 @@ def test_atom_value_statistic_needs_an_atom(model8):
 def test_clipped_mass_statistic_cap(model8):
     stat = clipped_mass_statistic(model8, 0.8, 0.5)
     values = np.full((model8.n, 3), 5.0)
-    assert np.all(stat(values) <= 0.5)
+    assert np.all(evaluate_statistic(stat, values) <= 0.5)
     with pytest.raises(DomainError):
         clipped_mass_statistic(model8, 0.8, 0.0)
 

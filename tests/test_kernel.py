@@ -248,6 +248,15 @@ def test_build_rejects_bad_epsilon(two_atom):
         build_covariance(two_atom, 1.5)
 
 
+def test_build_rejects_a_clip_that_keeps_no_eigenvalue():
+    # the variance log(1/0.99) + log(1 - 0.81) is negative: the clip kept
+    # rank 0, a field that is 0 in every replica
+    m = AtomicMeasure(np.array([0.9 + 0j]), np.array([1.0]))
+    with pytest.raises(DomainError, match=r"epsilon = 0\.99, the clip keeps no eigenvalue: "
+                                          r"lam_max = -1\.65068 is not > 0"):
+        build_covariance(m, 0.99)
+
+
 def test_build_slow_path_matches_fast(two_atom):
     # the scalar regularized_entry loop is the reference for entry_matrix
     fast = build_covariance(two_atom, 0.1, DiskKernel(1.0))

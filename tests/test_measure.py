@@ -241,6 +241,7 @@ def test_load_simple_file(tmp_path):
     ("0.1,abc,1.0\n", ValidationError),           # non-numeric
     ("0.1,0.2,0.5\n0.1,0.2,0.5\n", ValidationError),  # duplicate position
     ("", EmptyMeasureError),                      # no atoms
+    ("\n\n", EmptyMeasureError),                  # blank rows are skipped, not atoms
 ])
 def test_load_rejects(tmp_path, body, err):
     path = tmp_path / "m.csv"
