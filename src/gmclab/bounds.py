@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .field import BATCH, check_replica_count, replica_range
-from .gmc import (check_graded_sample, check_sample, damped_masses, graded_total_masses,
-                  mean_se, rooted_kernel_sums)
+from .gmc import (check_graded_sample, check_sample, damped_masses, mean_se,
+                  rooted_kernel_sums, total_masses)
 from .kernel import UNIT_DISK, pair_distances
 from .measure import _distance_energy
 
@@ -174,7 +174,8 @@ def laplace_transform(model, gamma: float, t_values, n_replicas: int,
     if not np.all(t_values >= 0):
         raise DomainError("t values must be >= 0")
     check_replica_count(n_replicas, rows=t_values.size)
-    totals = graded_total_masses(model, gamma, base_seed, n_replicas)
+    check_sample(n_replicas)
+    totals = total_masses(model, gamma, base_seed, n_replicas)
     damped = damped_masses(t_values[:, None], totals[None, :])
     estimates, ses = mean_se(damped, axis=1)
     return LaplaceReport(t_values, estimates, ses, None, gamma, n_replicas, base_seed)
@@ -276,7 +277,8 @@ def small_ball_tail(model, gamma: float, thresholds, n_replicas: int,
     if not np.all(thresholds > 0):
         raise DomainError("thresholds must be > 0")
     check_replica_count(n_replicas, rows=thresholds.size)
-    totals = graded_total_masses(model, gamma, base_seed, n_replicas)
+    check_sample(n_replicas)
+    totals = total_masses(model, gamma, base_seed, n_replicas)
     freqs, ses = mean_se(totals[None, :] < thresholds[:, None], axis=1)
     return TailReport(thresholds, freqs, ses, gamma, n_replicas, base_seed)
 

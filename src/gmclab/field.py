@@ -20,10 +20,10 @@ terms in one reused buffer and reduces each row with one BLAS product, its
 atom weights (the measure's weights w for a mass sum) times the strip's terms,
 adding the product to the running per-replica sums strip after strip; so no
 sampler holds an n x BATCH array of field values, and no sampler forms the
-masses w_i * e_i themselves. Only field_matrix, for callers that ask for
-field columns, keeps every strip of a block. Both draw the normals into one
-(BATCH, r) buffer (block_normals) and reuse it, like every other buffer, for
-every block of a call.
+masses w_i * e_i themselves. field_matrix, for callers that ask for field
+columns, copies each strip into an (n, BATCH) buffer. Both draw the normals
+into one (BATCH, r) buffer (block_normals) and reuse it, like every other
+buffer, for every block of a call.
 
 The products, the factor's and the reductions', go through the BLAS that
 numpy is built with, so the bits of a sampled number depend on that build and
@@ -139,14 +139,13 @@ def field_strips(model, z: np.ndarray, out: np.ndarray):
     holding the factor's rows lo:hi times the normals z, r x BATCH: the
     model's strip times the normals its columns reach.
 
-    rows is out[lo:hi] when out has a row per atom; otherwise out holds one
-    strip, rows is out[:hi - lo], and each strip overwrites the last, so the
-    caller consumes rows before asking for the next strip.
+    out holds one strip, at least min(STRIP, n) rows of BATCH, and rows is
+    out[:hi - lo]: each strip overwrites the last, so the caller consumes
+    rows before asking for the next strip.
     """
-    whole = len(out) >= model.n
     for lo, strip in zip(range(0, model.n, STRIP), model.strips):
         hi = lo + len(strip)
-        rows = out[lo:hi] if whole else out[:hi - lo]
+        rows = out[:hi - lo]
         np.matmul(strip, z[:strip.shape[1]], out=rows)
         yield lo, hi, rows
 
@@ -215,19 +214,19 @@ def gather_blocks(block, indices, out: np.ndarray) -> np.ndarray:
 def field_matrix(model, base_seed: int, indices) -> np.ndarray:
     """Field values for arbitrary replica indices, one column per replica.
 
-    Each distinct block is computed whole, its (BATCH, r) normals and (n,
-    BATCH) field written into two buffers reused for every block, and the
-    requested columns are taken from it, so a column never depends on what
-    else was requested: the result is bit-identical for any index order or
-    batch shape.
+    Each distinct block is computed whole, strip by strip into one (n, BATCH)
+    buffer reused for every block, and the requested columns are taken from
+    it, so a column never depends on what else was requested: the result is
+    bit-identical for any index order or batch shape.
     """
     check_replica_count(len(indices), model.n)
     normals = np.empty((BATCH, model.factor_rank))
+    strip = np.empty((min(STRIP, model.n), BATCH))
     values = np.empty((model.n, BATCH))
 
     def block(key):
-        for _ in field_strips(model, block_normals(base_seed, key, normals), values):
-            pass
+        for lo, hi, rows in field_strips(model, block_normals(base_seed, key, normals), strip):
+            values[lo:hi] = rows
         return values
 
     return gather_blocks(block, indices, np.empty((model.n, len(indices))))

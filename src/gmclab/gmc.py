@@ -14,6 +14,9 @@ times a root row of a weight matrix; the identity's two sides; the gamma'
 exponentials and a statistic of the field and of the root-shifted field).
 Every mass sum is reduced with the measure's weights w, so the mass w_i * e_i
 itself is never formed in a sampler.
+
+total_masses, the one total-mass sampler, refuses a gamma that is not finite
+and a sample whose every mass is 0 or not finite.
 """
 
 from __future__ import annotations
@@ -81,13 +84,23 @@ def _exponentials(model, values: np.ndarray, gamma: float, atoms: slice = slice(
 
 def total_masses(model, gamma: float, base_seed: int, n_replicas: int,
                  start: int = 0) -> np.ndarray:
-    """Total chaos mass for replicas start .. start+n_replicas-1."""
+    """Total chaos mass for replicas start .. start+n_replicas-1. A gamma
+    that is not finite is a DomainError. A true mass is positive, so if
+    every mass is 0 or not finite the sample under- or overflowed and would
+    grade a constant (NumericalError); no replicas give an empty array."""
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma must be finite, not {gamma}")
 
     def terms(atoms, roots, out):
         _exponentials(model, out[0], gamma, atoms, out[0])
 
-    return field._strip_sums(model, base_seed, field.replica_range(start, n_replicas), terms,
-                             [model.measure.weights])[0]
+    replicas = field.replica_range(start, n_replicas)
+    totals = field._strip_sums(model, base_seed, replicas, terms, [model.measure.weights])[0]
+    if totals.size and not np.any(np.isfinite(totals) & (totals > 0)):
+        raise NumericalError(
+            f"the total masses at gamma={gamma:g} under- or overflow: all {totals.size} "
+            "replicas are 0 or not finite")
+    return totals
 
 
 def check_sample(n_replicas: int) -> None:
@@ -106,24 +119,6 @@ def check_graded_sample(n_replicas: int) -> None:
     if n_replicas < MIN_REPLICAS:
         raise DomainError(
             f"a graded verdict needs at least {MIN_REPLICAS} replicas, not {n_replicas}")
-
-
-def graded_total_masses(model, gamma: float, base_seed: int,
-                        n_replicas: int) -> np.ndarray:
-    """total_masses of replicas 0 .. n_replicas-1, unless every one is 0 or
-    not finite: a true mass is positive, so such a sample under- or
-    overflowed and would grade a constant (NumericalError). Where only some
-    underflow, their damped values are still exact. No replicas at all, or
-    a gamma that is not finite, is a DomainError."""
-    if not math.isfinite(gamma):
-        raise DomainError(f"gamma must be finite, not {gamma}")
-    check_sample(n_replicas)
-    totals = total_masses(model, gamma, base_seed, n_replicas)
-    if not np.any(np.isfinite(totals) & (totals > 0)):
-        raise NumericalError(
-            f"the total masses at gamma={gamma:g} under- or overflow: all {totals.size} "
-            "replicas are 0 or not finite")
-    return totals
 
 
 def damped_masses(t, masses):

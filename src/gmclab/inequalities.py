@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gmc
 from .errors import DomainError, HypothesisViolationError
-from .gmc import check_graded_sample, damped_masses, graded_total_masses, mean_se
+from .gmc import check_graded_sample, damped_masses, mean_se
 from .kernel import (DiskKernel, _tile_rows, build_covariance, markov_difference_psd,
                      psd_threshold)
 from .measure import AtomicMeasure
@@ -53,7 +54,7 @@ def fkg_check(model, gamma: float, s: float, t: float, n_replicas: int,
         raise HypothesisViolationError(
             f"covariance entry {worst:.3e} is negative; positive association "
             "does not apply")
-    totals = graded_total_masses(model, gamma, base_seed, n_replicas)
+    totals = gmc.total_masses(model, gamma, base_seed, n_replicas)
     x = damped_masses(s, totals)
     y = damped_masses(t, totals)
     products = (x - x.mean()) * (y - y.mean())
@@ -125,7 +126,7 @@ def kahane_check(model, gamma: float, r_inner: float, t: float, n_replicas: int,
             f"post-repair kernel ordering violated at entry ({i}, {j}): "
             f"{small.matrix[i, j]:.12g} > {big.matrix[i, j]:.12g}")
     damped_small, damped_big = (
-        damped_masses(t, graded_total_masses(m, gamma, base_seed, n_replicas))
+        damped_masses(t, gmc.total_masses(m, gamma, base_seed, n_replicas))
         for m in (small, big))
     statistic, se = map(float, mean_se(damped_big - damped_small))
     threshold = -3.0 * se

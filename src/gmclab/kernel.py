@@ -256,16 +256,6 @@ def _clipped_root(eigvals: np.ndarray, eigvecs: np.ndarray):
     return root, max(0.0, -eig_min), eig_min, eig_max
 
 
-def _eigen_clip(matrix: np.ndarray):
-    """_clipped_root of one eigh of the whole matrix.
-
-    matrix must be symmetric: eigh gets its F-ordered view matrix.T, which
-    numpy copies into LAPACK's column-major buffer without transposing, and
-    reads that buffer's lower triangle, the upper triangle of matrix.
-    """
-    return _clipped_root(*np.linalg.eigh(matrix.T))
-
-
 def _orthonormal_block(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """An orthonormal basis of block's part orthogonal to the orthonormal
     columns of basis: block Gram-Schmidt and a QR, then Gram-Schmidt once
@@ -508,7 +498,7 @@ def build_covariance(measure: AtomicMeasure, epsilon: float | None = None,
         try:
             clipped = _range_clip(matrix)
             if clipped is None:
-                clipped = _eigen_clip(matrix)
+                clipped = _clipped_root(*np.linalg.eigh(matrix.T))
         except DomainError as error:
             raise DomainError(f"at epsilon = {epsilon:.6g}, {error}, so the field "
                               f"would be 0 at every atom") from None

@@ -287,9 +287,8 @@ def _directional_split(positions: np.ndarray, weights: np.ndarray, angle: float)
     if values.size < 2 or line_mass.max() > total / 4.0:
         return None
     prefix = np.cumsum(line_mass)
+    # k + 1 < values.size: a last line past total / 2 would be past the cap total / 4
     k = int(np.searchsorted(prefix, total / 2.0, side="left"))
-    if k + 1 >= values.size:
-        return None
     offset = 0.5 * (values[k] + values[k + 1])
     # largest closed-strip half-width still holding at most a quarter of the
     # mass; the returned margin is half of the first width that exceeds it
@@ -297,9 +296,8 @@ def _directional_split(positions: np.ndarray, weights: np.ndarray, angle: float)
     order = np.argsort(gaps, kind="stable")
     dist = gaps[order]
     cum = np.cumsum(weights[order])
+    # cum[-1] is about total, past total / 4, so first_over < dist.size
     first_over = int(np.searchsorted(cum, total / 4.0, side="right"))
-    if first_over >= dist.size:
-        return None
     margin = dist[first_over] / 2.0
     upper = float(weights[proj >= offset + margin].sum())
     lower = float(weights[proj <= offset - margin].sum())

@@ -27,7 +27,7 @@ from gmclab.field import (BATCH, STRIP, block_normals, block_roots, check_replic
                           field_matrix, gather_blocks)
 from gmclab.gmc import mass_columns, rooted_kernel_sums
 from gmclab.kernel import (CHOL_BLOCK, UNIT_DISK, DiskKernel, _check_atom_count,
-                           _eigen_clip, _half_gap, _pair_matrix, pair_distances)
+                           _clipped_root, _half_gap, _pair_matrix, pair_distances)
 from gmclab.measure import AtomicMeasure, d_energy
 
 # ----------------------------------------------------------------- kernel
@@ -98,7 +98,7 @@ def clip_to_psd(matrix: np.ndarray):
     nonnegative eigenvalues below the cut are dropped too. This is the
     reference the range finder of a clipped build is held to.
     """
-    root, clip_magnitude, eig_min, eig_max = _eigen_clip(matrix)
+    root, clip_magnitude, eig_min, eig_max = _clipped_root(*np.linalg.eigh(matrix.T))
     return root @ root.T, clip_magnitude, eig_min, eig_max
 
 

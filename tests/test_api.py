@@ -20,10 +20,14 @@ MOVED = {
 # duplicate paths deleted outright
 DELETED = {
     gmclab.field: ("block_field", "block_fields", "FieldSample", "sample_field"),
-    gmclab.gmc: ("_field_blocks", "ROOT_CHUNK", "GmcSample", "gmc_mass"),
+    # graded_total_masses: total_masses itself refuses a non-finite gamma and
+    # an all-0 sample
+    gmclab.gmc: ("_field_blocks", "ROOT_CHUNK", "GmcSample", "gmc_mass",
+                 "graded_total_masses"),
     gmclab.measure: ("_pair_distance_blocks",),
-    # the default-epsilon kernel fill's off-diagonal is the same matrix, bit for bit
-    gmclab.kernel: ("offdiagonal_green",),
+    # the default-epsilon kernel fill's off-diagonal is the Green matrix, bit
+    # for bit; the full-eigh clip is inlined as _clipped_root of one eigh
+    gmclab.kernel: ("offdiagonal_green", "_eigen_clip"),
     # imported only for a stale benchmark pin, never used there
     gmclab.bounds: ("field_matrix",),
     gmclab.inequalities: ("total_masses",),

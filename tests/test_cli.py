@@ -820,6 +820,10 @@ BAD_INPUT = {
     "config_seed_string": ((), {"seed": "abc"}),
     "config_seed_fraction": ((), {"seed": 1.5}),
     "config_epsilon_string": ((), {"epsilon": "0.05"}),
+    "config_missing": (("--config", "MISSING"), None),
+    "config_not_json": ((), "{not json"),
+    "config_array": ((), [16]),
+    "measure_missing": (("--measure", "MISSING"), None),
 }
 
 
@@ -828,17 +832,21 @@ BAD_INPUT = {
 def test_invalid_sampling_input_exits_2(files, tmp_path, capsys, command, bad):
     flags, config = BAD_INPUT[bad]
     # a --seed flag would override the config file's seed
-    seed = () if config and "seed" in config else ("--seed", str(SEED))
+    seed = () if isinstance(config, dict) and "seed" in config else ("--seed", str(SEED))
+    # MISSING names a file that does not exist; a later --measure flag wins
+    flags = [str(tmp_path / "missing") if flag == "MISSING" else flag for flag in flags]
     argv = [*SEEDED_ARGV[command], "--measure", str(files["small"]),
             *seed, "--no-timestamp", *flags]
     if config is not None:
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        # a string is the file's text as it is, anything else its JSON
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(path)]
     assert gmclab.cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -851,12 +859,16 @@ def test_invalid_sampling_input_exits_2(files, tmp_path, capsys, command, bad):
     (("verify-ineq", "--which", "markov"), {"radii": []}),
     (("laplace", "--gamma", "0.8", "--t", "1,,2"), None),
     (("tail", "--gamma", "0.8", "--eps", "0.1,0.5,"), None),
+    (("generate", "julia", "--max-iter", "0"), None),
 ], ids=["laplace_empty_t", "config_empty_t", "config_t_string",
         "config_gamma_string", "tail_empty_eps", "markov_empty_radii",
-        "config_empty_radii", "laplace_stray_comma", "tail_stray_comma"])
+        "config_empty_radii", "laplace_stray_comma", "tail_stray_comma",
+        "julia_max_iter_zero"])
 def test_empty_or_mistyped_values_exit_2(files, tmp_path, capsys, argv, config):
-    argv = [*argv, "--measure", str(files["small"]), "--no-timestamp"]
-    if argv[0] != "verify-ineq":
+    source = (("--out", str(tmp_path / "measure.csv")) if argv[0] == "generate"
+              else ("--measure", str(files["small"])))
+    argv = [*argv, *source, "--no-timestamp"]
+    if argv[0] not in ("generate", "verify-ineq"):
         argv += ["--seed", str(SEED), "--replicas", "16"]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -866,6 +878,7 @@ def test_empty_or_mistyped_values_exit_2(files, tmp_path, capsys, argv, config):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_stream_version_only_in_sampled_reports(files, capsys):

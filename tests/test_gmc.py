@@ -87,6 +87,19 @@ def test_total_masses_start_offset(model8):
     assert np.array_equal(a[10:], b)
 
 
+@pytest.mark.parametrize("gamma, error, message", [
+    (math.inf, DomainError, "gamma must be finite, not inf"),
+    (60.0, NumericalError, "the total masses at gamma=60 under- or overflow: all 50 replicas"),
+], ids=["infinite_gamma", "all_underflow"])
+def test_total_masses_refuse_a_sample_that_cannot_be_graded(model8, gamma, error, message):
+    # an infinite gamma once gave NaN masses with a RuntimeWarning, and at
+    # gamma 60 every mass underflowed to a silent 0
+    with pytest.raises(error, match=message):
+        total_masses(model8, gamma, 1, 50)
+    # no replicas are an empty array, not a refusal
+    assert total_masses(model8, 60.0, 1, 0).shape == (0,)
+
+
 # -------------------------------------------------------------- root draws
 
 

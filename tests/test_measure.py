@@ -22,7 +22,7 @@ from gmclab import (
     split_half_plane,
 )
 from gmclab.gmc import mass_columns
-from gmclab.measure import MAX_GRID_SIDE
+from gmclab.measure import GOLDEN_ANGLE, MAX_GRID_SIDE
 from reference import default_epsilon, local_energy
 
 SEED = 1234
@@ -411,6 +411,18 @@ def test_split_randomized_invariants(case):
     assert upper == res.upper_mass and lower == res.lower_mass
     assert 4.0 * upper > total
     assert 4.0 * lower > total
+
+
+def test_split_retries_when_the_margin_strip_keeps_a_side_at_a_quarter():
+    # at angle 0 every line holds at most a quarter, but the lower side past
+    # the margin keeps exactly a quarter, so the next golden-angle direction
+    # is tried
+    m = AtomicMeasure(1j * np.array([-0.3, -0.1, 0.1, 0.5, 0.6]),
+                      np.array([0.25, 0.25, 0.0, 0.25, 0.25]))
+    res = split_half_plane(m)
+    assert res.angle == GOLDEN_ANGLE
+    assert (res.upper_mass, res.lower_mass) == (0.5, 0.5)
+    assert res.margin > 0
 
 
 def test_split_quarter_cap_boundary_allowed():
